@@ -12,13 +12,15 @@ to the glyphs, so extraction is deterministic and corpus features land in
 
 `evaluate` runs a network over the corpus and builds the 26x26 response
 matrix (rows are input letters, columns are output neurons); `monte_carlo`
-repeats the evaluation over many variation-perturbed copies of the network
-and aggregates accuracy and margin statistics.
+scores the same matrix, read in one batched forward call, for many
+variation-perturbed copies of the network and aggregates accuracy and
+margin statistics.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 from dataclasses import dataclass, field
 from importlib import resources
@@ -150,6 +152,7 @@ def raw_features(bitmap: np.ndarray) -> np.ndarray:
     return np.concatenate(parts)
 
 
+@functools.cache
 def _stored_feature_scale() -> float:
     ref = resources.files("spinann.data").joinpath("glyphs/normalization.json")
     payload = json.loads(ref.read_text())
@@ -313,22 +316,20 @@ class EvaluationResult:
         }
 
 
-def evaluate(network, corpus: Corpus) -> EvaluationResult:
-    """Run every corpus letter through a network and score the responses.
+def _responses(out) -> np.ndarray:
+    """The response array of a forward call that may also return a ledger."""
+    if isinstance(out, tuple):
+        out = out[0]
+    return np.asarray(out, dtype=float)
+
+
+def _score(raw: np.ndarray, n: int) -> EvaluationResult:
+    """Normalize a raw response matrix and read accuracy and margins off it.
 
     Min-max normalization is a positive affine map, so it never changes
     which neuron wins a row; accuracy computed on the normalized matrix
     equals accuracy on the raw one.
     """
-    forward = _forward_fn(network)
-    rows = []
-    for f in corpus.features:
-        out = forward(f)
-        if isinstance(out, tuple):
-            out = out[0]
-        rows.append(np.asarray(out, dtype=float))
-    raw = np.stack(rows)
-    n = len(corpus.letters)
     if raw.shape != (n, n):
         raise ConfigError(
             f"network produced shape {raw.shape}, expected ({n}, {n})"
@@ -349,6 +350,18 @@ def evaluate(network, corpus: Corpus) -> EvaluationResult:
         margins=margins,
         min_margin=float(margins.min()),
     )
+
+
+def evaluate(network, corpus: Corpus) -> EvaluationResult:
+    """Run every corpus letter through a network and score the responses.
+
+    `network` exposes ``forward(features)`` or is itself that callable;
+    it is called once per letter with one feature vector and returns the
+    output responses, alone or as the first item of a tuple.
+    """
+    forward = _forward_fn(network)
+    raw = np.stack([_responses(forward(f)) for f in corpus.features])
+    return _score(raw, len(corpus.letters))
 
 
 @dataclass(eq=False)
@@ -389,10 +402,13 @@ def monte_carlo(
 ) -> MonteCarloResult:
     """Monte-Carlo variation study over conductance perturbations.
 
-    Each trial evaluates an independently perturbed copy of `network`
-    (which must expose ``with_variation(sigma, seed)``).  Trial seeds are
-    spawned from `seed` so the whole study is deterministic, and trials are
-    aggregated in a fixed order for bit-exact reports.
+    Each trial scores an independently perturbed copy of `network`, which
+    must expose ``with_variation(sigma, seed)``.  The copy's ``forward``
+    must accept the whole `[n_letters, n_features]` feature matrix and
+    return one response row per letter, alone or as the first item of a
+    tuple; a trial's scores then equal `evaluate` on that copy.  Trial
+    seeds are spawned from `seed` so the whole study is deterministic, and
+    trials are aggregated in a fixed order for bit-exact reports.
     """
     if trials < 1:
         raise ConfigError("trials must be >= 1")
@@ -409,7 +425,8 @@ def monte_carlo(
             np.random.SeedSequence([seed, trial]).generate_state(1)[0]
         )
         perturbed = network.with_variation(sigma, seed=trial_seed)
-        result = evaluate(perturbed, corpus)
+        result = _score(_responses(perturbed.forward(corpus.features)),
+                        len(corpus.letters))
         accuracies[trial] = result.accuracy
         min_margins[trial] = result.min_margin
         correct_counts += result.correct

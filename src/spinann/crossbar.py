@@ -11,7 +11,7 @@ sum of the bar currents.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +23,18 @@ SCHEMA = "crossbar/1"
 
 def _safe_divide(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
+
+
+def _row_products(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """`x @ g` for every row of `x`, each as its own one-row product.
+
+    A batch goes through the same one-row kernel as a single vector, so
+    every row's sum runs in the same order and a batched result equals
+    the row-by-row one bit for bit; a plain `X @ G` picks a blocked
+    kernel whose sums differ in the last bits.
+    """
+    return np.matmul(x[..., None, :], g)[..., 0, :]
+
 
 # Gaussian variation tails are kept physical by clamping perturbed
 # conductances to this multiple of g_max (3 sigma at 5% stays untouched).
@@ -87,7 +99,8 @@ class CrossbarArray:
     g_plus/g_minus are [inputs x neurons] matrices (one physical bar per
     input per polarity); dummy_plus/dummy_minus are [inputs x n_dummy]
     pads bringing every bar total to the common g_tr target. Instances
-    are treated as immutable after construction; variation injection
+    are treated as immutable after construction, so the bar totals
+    g_tr_plus/g_tr_minus are computed once there; variation injection
     returns a perturbed copy that keeps a handle on the nominal array.
     """
 
@@ -98,6 +111,10 @@ class CrossbarArray:
     range: ConductanceRange
     report: MappingReport | None = None
     nominal: "CrossbarArray | None" = None
+    # Total conductance of each positive-/negative-rail bar, dummies
+    # included.
+    g_tr_plus: np.ndarray = field(init=False, repr=False)
+    g_tr_minus: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.g_plus = np.asarray(self.g_plus, dtype=float)
@@ -108,6 +125,9 @@ class CrossbarArray:
             raise ConfigError("g_plus and g_minus shapes differ")
         if self.dummy_plus.shape != self.dummy_minus.shape:
             raise ConfigError("dummy shapes differ")
+        self.g_tr_plus = self.g_plus.sum(axis=1) + self.dummy_plus.sum(axis=1)
+        self.g_tr_minus = (self.g_minus.sum(axis=1)
+                           + self.dummy_minus.sum(axis=1))
 
     @property
     def n_inputs(self) -> int:
@@ -121,30 +141,26 @@ class CrossbarArray:
     def n_dummy(self) -> int:
         return self.dummy_plus.shape[1]
 
-    @property
-    def g_tr_plus(self) -> np.ndarray:
-        """Total conductance of each positive-rail bar, dummies included."""
-        return self.g_plus.sum(axis=1) + self.dummy_plus.sum(axis=1)
-
-    @property
-    def g_tr_minus(self) -> np.ndarray:
-        return self.g_minus.sum(axis=1) + self.dummy_minus.sum(axis=1)
-
     def weighted_sum(self, i_in_plus, i_in_minus) -> np.ndarray:
         """Column currents sum_i [I+ * g+ - I- * g-] / g_tr, dummies excluded.
 
         Each bar is a current divider: the fraction of the bar current
-        reaching column j is that cell's share of the bar total.
+        reaching column j is that cell's share of the bar total. The two
+        input arrays share one shape `[..., n_inputs]`, every leading
+        index one independent drive, and the result is `[..., n_outputs]`.
         """
         i_in_plus = np.asarray(i_in_plus, dtype=float)
         i_in_minus = np.asarray(i_in_minus, dtype=float)
-        if i_in_plus.shape != (self.n_inputs,) or i_in_minus.shape != (self.n_inputs,):
+        if (i_in_plus.shape != i_in_minus.shape
+                or i_in_plus.shape[-1:] != (self.n_inputs,)):
             raise DomainError(
-                f"input currents must have length {self.n_inputs}"
+                f"input currents must share one shape [..., {self.n_inputs}]"
             )
         # A bar with zero total conductance carries no current at all.
-        pos = (_safe_divide(i_in_plus, self.g_tr_plus)) @ self.g_plus
-        neg = (_safe_divide(i_in_minus, self.g_tr_minus)) @ self.g_minus
+        pos = _row_products(_safe_divide(i_in_plus, self.g_tr_plus),
+                            self.g_plus)
+        neg = _row_products(_safe_divide(i_in_minus, self.g_tr_minus),
+                            self.g_minus)
         return pos - neg
 
     def decode_weights(self) -> np.ndarray:

@@ -180,6 +180,10 @@ class TestFeatures:
         assert f.max() == 1.0
         assert (f <= 1.0).all()
 
+    def test_default_scale_reproduces_corpus_features(self, corpus):
+        got = np.stack([extract_features(g.bitmap) for g in corpus.glyphs])
+        np.testing.assert_array_equal(got, corpus.features)
+
     def test_bad_scale_rejected(self, corpus):
         for scale in (0.0, -1.0, np.inf, np.nan):
             with pytest.raises(ConfigError):
@@ -277,8 +281,9 @@ class _TableNet:
         self.features = features
 
     def forward(self, f):
-        idx = int(np.argmin(np.abs(self.features - f).sum(axis=1)))
-        return self.matrix[idx]
+        """Rows of `matrix` for one feature vector or a batch of them."""
+        dist = np.abs(self.features - np.asarray(f)[..., None, :]).sum(axis=-1)
+        return self.matrix[np.argmin(dist, axis=-1)]
 
     def with_variation(self, sigma, seed):
         return _TableNet(self.matrix, self.features, sigma, seed)
@@ -415,6 +420,27 @@ class TestRecognizerRecipe:
         result = evaluate(network, corpus)
         assert result.correct.all()
         assert result.min_margin > 0.0
+
+    def test_monte_carlo_matches_per_letter_evaluation(self, recognizer,
+                                                       corpus):
+        """Batched trials score exactly as `evaluate` on each trial's
+        perturbed copy, drawn from the same spawned seed."""
+        network = build_network(recognizer)
+        seed, trials = 2, 20
+        mc = monte_carlo(network, corpus, trials, sigma=0.05, seed=seed)
+        oracle = [
+            evaluate(network.with_variation(0.05, seed=int(
+                np.random.SeedSequence([seed, t]).generate_state(1)[0])),
+                corpus)
+            for t in range(trials)
+        ]
+        np.testing.assert_array_equal(
+            mc.accuracies, [r.accuracy for r in oracle])
+        np.testing.assert_array_equal(
+            mc.min_margins, [r.min_margin for r in oracle])
+        np.testing.assert_array_equal(
+            mc.letter_error_rate,
+            1.0 - sum(r.correct for r in oracle) / trials)
 
     def test_survives_conductance_variation(self, recognizer, corpus):
         network = build_network(recognizer)

@@ -18,6 +18,7 @@ from spinann.crossbar import (
     program_cell,
 )
 from spinann.errors import ConfigError, DomainError, WriteError
+from spinann.network import build_network
 
 G_MIN = 1.0 / 32e3
 G_MAX = 1.0 / 1e3
@@ -254,6 +255,22 @@ class TestWeightedSum:
             arr.weighted_sum(np.zeros(3), np.zeros(4))
         with pytest.raises(DomainError):
             arr.weighted_sum(np.zeros(4), np.zeros(5))
+
+    def test_batch_matches_row_by_row(self, recognizer, corpus):
+        """The recognizer's perturbed input layer reads a [26, 65] batch
+        exactly as 26 single calls."""
+        varied = build_network(recognizer).with_variation(0.05, seed=1)
+        layer = varied.layers[0]
+        arr = layer.array
+        rows = layer.i_unit * np.hstack([corpus.features, np.ones((26, 1))])
+        batch = arr.weighted_sum(rows, 0.5 * rows)
+        assert batch.shape == (26, arr.n_outputs)
+        np.testing.assert_array_equal(
+            batch, np.stack([arr.weighted_sum(r, 0.5 * r) for r in rows]))
+        with pytest.raises(DomainError):
+            arr.weighted_sum(rows[:, :-1], rows[:, :-1])
+        with pytest.raises(DomainError):
+            arr.weighted_sum(rows, rows[:13])
 
 
 class TestVariation:

@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from spinann.errors import ConfigError, DomainError, SpinAnnError, TieError
+from spinann.errors import ConfigError, DomainError, TieError
 from spinann.network import (
     EnergyReport,
     PhaseSchedule,
-    PhaseScheduler,
     build_network,
     load_network,
     neuron_count_energy,
@@ -42,27 +41,9 @@ def network(recognizer):
     return build_network(recognizer)
 
 
-class TestPhaseScheduler:
-    def test_cycle_order(self):
-        sched = PhaseScheduler()
-        assert sched.expected == "reset"
-        sched.advance("reset")
-        sched.advance("program")
-        sched.advance("sense")
-        assert sched.expected == "reset"
-
-    def test_out_of_order_phase_is_an_error(self):
-        sched = PhaseScheduler()
-        with pytest.raises(SpinAnnError, match="phase order violation"):
-            sched.advance("program")
-
-    def test_unknown_phase_is_an_error(self):
-        with pytest.raises(SpinAnnError, match="unknown phase"):
-            PhaseScheduler().advance("float")
-
-    def test_negative_duration_rejected(self):
-        with pytest.raises(ConfigError):
-            PhaseSchedule(t_program=-1e-9)
+def test_negative_duration_rejected():
+    with pytest.raises(ConfigError):
+        PhaseSchedule(t_program=-1e-9)
 
 
 class TestForward:
@@ -99,13 +80,32 @@ class TestForward:
         v, _ = net.forward([0.0, 0.0])
         np.testing.assert_allclose(v, net.kind.v_min, rtol=1e-12)
 
-    def test_feature_validation(self, network):
+    def test_feature_validation(self, network, corpus):
         with pytest.raises(DomainError):
             network.forward(np.zeros(63))
         with pytest.raises(DomainError):
             network.forward(np.full(64, 1.5))
         with pytest.raises(DomainError):
             network.forward(np.full(64, np.nan))
+        with pytest.raises(DomainError):
+            network.forward(np.zeros((26, 63)))
+        with pytest.raises(DomainError):
+            network.forward(np.zeros((0, 64)))
+        for bad in (1.5, np.nan):
+            batch = corpus.features.copy()
+            batch[7, 3] = bad
+            with pytest.raises(DomainError):
+                network.forward(batch)
+
+    def test_batch_matches_per_letter_calls(self, network, corpus):
+        """A batch reads each row exactly as a call on that row alone and
+        charges the sum of the per-letter ledgers."""
+        v, e = network.forward(corpus.features)
+        singles = [network.forward(f) for f in corpus.features]
+        np.testing.assert_array_equal(v, np.stack([s[0] for s in singles]))
+        for name, total in e.to_dict().items():
+            want = sum(s[1].to_dict()[name] for s in singles)
+            assert total == pytest.approx(want, rel=1e-12)
 
     def test_dimension_properties(self, network):
         assert network.n_features == 64
