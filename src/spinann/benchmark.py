@@ -485,7 +485,6 @@ def recognizer_configs(
         learning_rate=0.03,
         epochs=4000,
         train_sigma=0.05,
-        noise_ensemble=8,
     )
     refine = dataclasses.replace(harden, learning_rate=0.02)
     return base, harden, refine

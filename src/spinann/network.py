@@ -283,8 +283,8 @@ def replace_layer_array(layer: Layer, array: CrossbarArray) -> Layer:
 
 def _build_layer(weights: np.ndarray, kind: TransferKind,
                  template: DtcsParams, utilization: float,
-                 quantize: bool, rng) -> Layer:
-    array = map_weights(weights, rng=rng, quantize=quantize)
+                 quantize: bool) -> Layer:
+    array = map_weights(weights, quantize=quantize)
     g_tr_rows = np.concatenate([array.g_tr_plus, array.g_tr_minus])
     g_tr = float(g_tr_rows.max())
     spread = g_tr - float(g_tr_rows.min())
@@ -315,7 +315,6 @@ def build_network(
     schedule: PhaseSchedule | None = None,
     dtcs_template: DtcsParams | None = None,
     utilization: float = 1.0,
-    rng=None,
     r_program: float = 300.0,
     i_sense: float = 25e-6,
     v_sense_supply: float = 0.100,
@@ -324,9 +323,8 @@ def build_network(
     """Map a trained two-layer result onto crossbar hardware.
 
     quantize=False maps the exact float weights (ideal mode); the
-    default snaps conductances onto the programmable levels. `rng` is
-    the ConductanceRange passed to map_weights (None: the default
-    window); it draws no random numbers.
+    default snaps conductances onto the programmable levels of the
+    default ConductanceRange, the grid that training quantizes onto.
     """
     if result.kind.tag != "stt_snn":
         raise ConfigError("hardware neurons require the stt_snn transfer")
@@ -335,9 +333,9 @@ def build_network(
     template = dtcs_template or DtcsParams()
     layers = [
         _build_layer(result.w1, result.kind, template, utilization,
-                     quantize, rng),
+                     quantize),
         _build_layer(result.w2, result.kind, template, utilization,
-                     quantize, rng),
+                     quantize),
     ]
     return SpinAnnNetwork(
         kind=result.kind, layers=layers,

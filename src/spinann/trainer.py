@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +41,7 @@ class TransferKind:
     to the depinning threshold th1, exactly 1 at the full-travel current
     th2, continuous and nondecreasing between. drive_current converts
     the trainer's dimensionless net input into a programming current.
+    slopes, the table's per-segment slopes, is derived once from it.
     """
 
     tag: str
@@ -51,6 +52,7 @@ class TransferKind:
     drive_current: float = 0.0
     i_nodes: np.ndarray | None = None
     a_nodes: np.ndarray | None = None
+    slopes: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.tag not in ("step", "sat_linear", "sigmoid", "stt_snn"):
@@ -64,6 +66,8 @@ class TransferKind:
                 raise ConfigError("drive_current must be positive")
             if self.i_nodes is None or self.a_nodes is None:
                 raise ConfigError("spin-neuron kind needs its sampled table")
+            object.__setattr__(self, "slopes",
+                               np.diff(self.a_nodes) / np.diff(self.i_nodes))
 
     @classmethod
     def step(cls) -> "TransferKind":
@@ -192,10 +196,29 @@ def activation_derivative(z, kind: TransferKind, slope: float = 1.0):
         segment = np.clip(
             np.searchsorted(kind.i_nodes, i, side="right") - 1,
             0, len(kind.i_nodes) - 2)
-        slopes = np.diff(kind.a_nodes) / np.diff(kind.i_nodes)
         inside = (i > kind.th1) & (i < kind.th2)
-        out = np.where(inside, slopes[segment] * kind.drive_current, 0.0)
+        out = np.where(inside, kind.slopes[segment] * kind.drive_current, 0.0)
     return out if out.ndim else float(out)
+
+
+# Dead-neuron recovery for bounded-gradient transfers (_revive_dead_rows):
+# each epoch a neuron whose net input leaves the active window for every
+# sample moves its threshold row this far back toward the window, and its
+# input weights decay by the same fraction.
+REVIVE_RATE = 0.01
+
+# Adaptive step-size control (TrainConfig.adaptive_lr): accepted steps
+# that reduce the loss scale the rate by LR_UP; steps that raise it by
+# more than the LOSS_SPIKE ratio are discarded, the rate shrinks by
+# LR_DOWN and the momentum memory is cleared. Keeps updates small enough
+# that neurons are not flung across their active window.
+LR_UP = 1.05
+LR_DOWN = 0.7
+LOSS_SPIKE = 1.04
+
+# Size of the frozen perturbation ensemble that ranks snapshots under
+# noise-aware training (TrainConfig.train_sigma > 0).
+NOISE_ENSEMBLE = 8
 
 
 @dataclass(frozen=True)
@@ -206,6 +229,9 @@ class TrainConfig:
     above the spin neuron's upper threshold in net-input units (1.0 at
     the default drive current) or the threshold rows cannot hold the
     neurons in their active window.
+
+    Dead-neuron revival, the adaptive-rate factors and the ensemble size
+    are fixed: REVIVE_RATE, LR_UP, LR_DOWN, LOSS_SPIKE, NOISE_ENSEMBLE.
     """
 
     learning_rate: float = 0.5
@@ -222,27 +248,13 @@ class TrainConfig:
     # keeps the optimum in gradient-carrying territory.
     target_low: float = 0.0
     target_high: float = 1.0
-    # Dead-neuron recovery for bounded-gradient transfers: a neuron
-    # whose net input leaves the active window for every sample can
-    # never return by gradient alone. Each epoch such a neuron's
-    # threshold row moves this far back toward the window and its input
-    # weights decay by the same fraction, so the threshold row always
-    # wins eventually (0 disables).
-    revive_rate: float = 0.01
     # Error weight on the high-target (own-class) entries. One-hot
     # targets are dominated by zeros; weighting the single positive
     # entry rebalances up- and down-pressure on the output layer. 1
     # keeps plain unweighted error.
     positive_weight: float = 1.0
-    # Adaptive step-size control: accepted steps that reduce the loss
-    # scale the rate by lr_up; steps that raise it by more than the
-    # loss_spike ratio are discarded, the rate shrinks by lr_down and
-    # the momentum memory is cleared. Keeps updates small enough that
-    # neurons are not flung across their active window.
+    # Adaptive step-size control; see LR_UP, LR_DOWN and LOSS_SPIKE.
     adaptive_lr: bool = False
-    lr_up: float = 1.05
-    lr_down: float = 0.7
-    loss_spike: float = 1.04
     # Plateau escape: when the best loss has not improved for
     # kick_patience epochs, jitter all weights by a fan-in-scaled
     # uniform perturbation of half-width kick_scale, clear the momentum
@@ -270,18 +282,9 @@ class TrainConfig:
     # Mirrors programmed-conductance variation, steering the optimizer
     # toward configurations whose decisions survive it. When active,
     # snapshots are ranked by performance on a fixed ensemble of
-    # noise_ensemble deterministic perturbations instead of the clean
+    # NOISE_ENSEMBLE deterministic perturbations instead of the clean
     # margin alone. 0 disables.
     train_sigma: float = 0.0
-    noise_ensemble: int = 8
-    # Hidden rail pressure: while the batch classifies perfectly, push
-    # hidden net inputs that linger inside the active window (plus
-    # rail_margin of clearance on both sides) toward the nearest
-    # saturated rail. Saturated hidden codes sit on the flat parts of
-    # the transfer where conductance noise cannot move the activation;
-    # the pressure lifts whenever it would cost accuracy. 0 disables.
-    rail_weight: float = 0.0
-    rail_margin: float = 0.1
     # Optimize the first layer in mean-removed input coordinates.
     # All-positive feature vectors share a large common component that
     # makes their gradient directions nearly collinear; removing the
@@ -303,24 +306,16 @@ class TrainConfig:
             raise ConfigError("need init_low < init_high")
         if not (0.0 <= self.target_low < self.target_high <= 1.0):
             raise ConfigError("need 0 <= target_low < target_high <= 1")
-        if self.revive_rate < 0.0:
-            raise ConfigError("revive_rate must be >= 0")
         if self.positive_weight <= 0.0:
             raise ConfigError("positive_weight must be positive")
-        if self.lr_up < 1.0 or not (0.0 < self.lr_down < 1.0):
-            raise ConfigError("need lr_up >= 1 and 0 < lr_down < 1")
-        if self.loss_spike < 1.0:
-            raise ConfigError("loss_spike must be >= 1")
         if self.kick_patience < 0 or self.kick_scale <= 0.0:
             raise ConfigError("need kick_patience >= 0 and kick_scale > 0")
         if self.polish_epochs < 0:
             raise ConfigError("polish_epochs must be >= 0")
         if self.margin_target < 0.0 or self.margin_weight <= 0.0:
             raise ConfigError("need margin_target >= 0 and margin_weight > 0")
-        if self.rail_weight < 0.0 or self.rail_margin < 0.0:
-            raise ConfigError("need rail_weight >= 0 and rail_margin >= 0")
-        if self.train_sigma < 0.0 or self.noise_ensemble < 1:
-            raise ConfigError("need train_sigma >= 0 and noise_ensemble >= 1")
+        if self.train_sigma < 0.0:
+            raise ConfigError("train_sigma must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -408,7 +403,7 @@ def _active_window(kind: TransferKind,
 
 
 def _revive_dead_rows(w: np.ndarray, z: np.ndarray,
-                      window: tuple[float, float], rate: float) -> None:
+                      window: tuple[float, float]) -> None:
     """Pull fully-dead neurons back toward the active window.
 
     A neuron whose net input is outside the active window for every
@@ -424,9 +419,9 @@ def _revive_dead_rows(w: np.ndarray, z: np.ndarray,
     dead_low = np.all(z <= z_lo, axis=0)
     dead_high = np.all(z >= z_hi, axis=0)
     dead = dead_low | dead_high
-    w[:-1, dead] *= 1.0 - rate
-    w[-1, dead_low] += rate
-    w[-1, dead_high] -= rate
+    w[:-1, dead] *= 1.0 - REVIVE_RATE
+    w[-1, dead_low] += REVIVE_RATE
+    w[-1, dead_high] -= REVIVE_RATE
 
 
 def _fold_offset(w: np.ndarray, offset: np.ndarray) -> np.ndarray:
@@ -443,28 +438,26 @@ def _unfold_offset(w: np.ndarray, offset: np.ndarray) -> np.ndarray:
     return out
 
 
-def forward_activations(kind: TransferKind, w1, w2, features, slope=1.0):
-    """Layer-by-layer float forward pass; returns (z1, a1, z2, a2)."""
-    x = np.atleast_2d(np.asarray(features, dtype=float))
-    z1 = _augment(x) @ w1
-    a1 = activation(z1, kind, slope)
-    z2 = _augment(a1) @ w2
-    a2 = activation(z2, kind, slope)
-    return z1, a1, z2, a2
+def _forward(x_aug: np.ndarray, w1: np.ndarray, w2: np.ndarray,
+             kind: TransferKind, slope: float):
+    """Float forward pass on bias-augmented inputs: (z1, a1_aug, z2, a2),
+    with a1_aug the hidden activations plus the always-on column."""
+    z1 = x_aug @ w1
+    a1_aug = _augment(activation(z1, kind, slope))
+    z2 = a1_aug @ w2
+    return z1, a1_aug, z2, activation(z2, kind, slope)
 
 
 def output_activations(result: TrainResult, features) -> np.ndarray:
     """Output-layer activations of the trained float network."""
-    _, _, _, a2 = forward_activations(
-        result.kind, result.w1, result.w2, features,
-        result.config.surrogate_slope)
-    return a2
+    x = np.atleast_2d(np.asarray(features, dtype=float))
+    return _forward(_augment(x), result.w1, result.w2, result.kind,
+                    result.config.surrogate_slope)[3]
 
 
 def predict(result: TrainResult, features) -> np.ndarray:
     """Predicted labels; a tied row maximum counts as no decision (-1)."""
-    a2 = output_activations(result, features)
-    return _strict_argmax(a2)
+    return _strict_argmax(output_activations(result, features))
 
 
 def _strict_argmax(a2: np.ndarray) -> np.ndarray:
@@ -522,7 +515,8 @@ def _fit(dataset: Dataset, kind: TransferKind, cfg: TrainConfig,
     err_weight = np.where(dataset.one_hot > 0.0, cfg.positive_weight, 1.0)
     n = len(x)
     n_hidden = w1.shape[1]
-    window = _active_window(kind, cfg.surrogate_slope)
+    slope = cfg.surrogate_slope
+    window = _active_window(kind, slope)
 
     labels = dataset.labels
     idx = np.arange(n)
@@ -566,8 +560,8 @@ def _fit(dataset: Dataset, kind: TransferKind, cfg: TrainConfig,
     if noisy:
         # Frozen perturbation ensemble for snapshot ranking: the same
         # draws every epoch, so ranks compare geometry, not luck.
-        ens1 = rng.standard_normal((cfg.noise_ensemble, *w1.shape))
-        ens2 = rng.standard_normal((cfg.noise_ensemble, *w2.shape))
+        ens1 = rng.standard_normal((NOISE_ENSEMBLE, *w1.shape))
+        ens2 = rng.standard_normal((NOISE_ENSEMBLE, *w2.shape))
 
     def jitter(m, eps):
         return m * (1.0 + cfg.train_sigma * eps)
@@ -578,15 +572,13 @@ def _fit(dataset: Dataset, kind: TransferKind, cfg: TrainConfig,
         worst-pair net-input margin across the perturbed copies."""
         perfect = 0
         margin_sum = 0.0
-        for k in range(cfg.noise_ensemble):
-            ak1 = activation(x @ jitter(f1, ens1[k]), kind,
-                             cfg.surrogate_slope)
-            zk2 = _augment(ak1) @ jitter(f2, ens2[k])
-            ak2 = activation(zk2, kind, cfg.surrogate_slope)
-            perfect += _accuracy(ak2, dataset.labels) == 1.0
-            margin_sum += _margin(zk2, dataset.labels)
-        return (clean_acc, perfect / cfg.noise_ensemble,
-                margin_sum / cfg.noise_ensemble)
+        for k in range(NOISE_ENSEMBLE):
+            _, _, zk2, ak2 = _forward(x, jitter(f1, ens1[k]),
+                                      jitter(f2, ens2[k]), kind, slope)
+            perfect += _accuracy(ak2, labels) == 1.0
+            margin_sum += _margin(zk2, labels)
+        return (clean_acc, perfect / NOISE_ENSEMBLE,
+                margin_sum / NOISE_ENSEMBLE)
 
     v1 = np.zeros_like(w1)
     v2 = np.zeros_like(w2)
@@ -614,20 +606,11 @@ def _fit(dataset: Dataset, kind: TransferKind, cfg: TrainConfig,
             n1, n2 = jitter(f1, e1), jitter(f2, e2)
         else:
             n1, n2 = f1, f2
-        z1 = x @ n1
-        a1 = activation(z1, kind, cfg.surrogate_slope)
-        a1_aug = _augment(a1)
-        z2 = a1_aug @ n2
-        a2 = activation(z2, kind, cfg.surrogate_slope)
+        z1, a1_aug, z2, a2 = _forward(x, n1, n2, kind, slope)
 
         loss = batch_loss(z2, a2)
-        if noisy:
-            a2_clean = activation(
-                _augment(activation(x @ f1, kind, cfg.surrogate_slope))
-                @ f2, kind, cfg.surrogate_slope)
-            accuracy = _accuracy(a2_clean, dataset.labels)
-        else:
-            accuracy = _accuracy(a2, dataset.labels)
+        a2_clean = _forward(x, f1, f2, kind, slope)[3] if noisy else a2
+        accuracy = _accuracy(a2_clean, labels)
         history.append((epoch, loss, accuracy))
         epochs_run = epoch
 
@@ -639,7 +622,7 @@ def _fit(dataset: Dataset, kind: TransferKind, cfg: TrainConfig,
             if noisy:
                 snap = ensemble_snap(f1, f2, accuracy)
             else:
-                snap = (accuracy, _margin(z2, dataset.labels))
+                snap = (accuracy, _margin(z2, labels))
             if best_snap is None or snap > best_snap[:len(snap)]:
                 best_snap = (*snap, f1.copy(), f2.copy())
         if accuracy >= cfg.target_accuracy:
@@ -680,12 +663,12 @@ def _fit(dataset: Dataset, kind: TransferKind, cfg: TrainConfig,
             stalled = 0
             continue
 
-        if window is not None and cfg.revive_rate > 0.0:
-            _revive_dead_rows(w1, z1, window, cfg.revive_rate)
-            _revive_dead_rows(w2, z2, window, cfg.revive_rate)
+        if window is not None:
+            _revive_dead_rows(w1, z1, window)
+            _revive_dead_rows(w2, z2, window)
 
         err = err_weight * (a2 - targets)
-        delta2 = err * activation_derivative(z2, kind, cfg.surrogate_slope)
+        delta2 = err * activation_derivative(z2, kind, slope)
         if cfg.margin_target > 0.0:
             # Push each sample's own net input up and its runner-up's
             # down until the gap reaches margin_target. Applied past
@@ -696,19 +679,7 @@ def _fit(dataset: Dataset, kind: TransferKind, cfg: TrainConfig,
             delta2[idx, runner] += cfg.margin_weight * shortfall
         grad2 = a1_aug.T @ delta2 / n
         delta1 = (delta2 @ n2[:-1].T) \
-            * activation_derivative(z1, kind, cfg.surrogate_slope)
-        if cfg.rail_weight > 0.0 and window is not None \
-                and accuracy >= cfg.target_accuracy:
-            # Clear the window toward the nearest rail; force grows
-            # with depth into the guarded band and is applied past the
-            # derivative gate so it can cross the flat regions.
-            lo_edge = window[0] - cfg.rail_margin
-            hi_edge = window[1] + cfg.rail_margin
-            d_lo = z1 - lo_edge
-            d_hi = hi_edge - z1
-            inside = (d_lo > 0.0) & (d_hi > 0.0)
-            rail = np.where(d_lo <= d_hi, d_lo, -d_hi)
-            delta1 = delta1 + cfg.rail_weight * np.where(inside, rail, 0.0)
+            * activation_derivative(z1, kind, slope)
         grad1 = x.T @ delta1 / n
 
         v1_next = cfg.momentum * v1 - lr * grad1
@@ -722,18 +693,16 @@ def _fit(dataset: Dataset, kind: TransferKind, cfg: TrainConfig,
                 # Same jitter as this epoch's forward, so the
                 # comparison isolates the effect of the step.
                 c1, c2 = jitter(c1, e1), jitter(c2, e2)
-            z2_next = _augment(
-                activation(x @ c1, kind, cfg.surrogate_slope)) @ c2
-            a2_next = activation(z2_next, kind, cfg.surrogate_slope)
+            _, _, z2_next, a2_next = _forward(x, c1, c2, kind, slope)
             next_loss = batch_loss(z2_next, a2_next)
-            if next_loss > loss * cfg.loss_spike:
+            if next_loss > loss * LOSS_SPIKE:
                 # Overshoot: discard the step, cool down, clear momentum.
-                lr *= cfg.lr_down
+                lr *= LR_DOWN
                 v1 = np.zeros_like(v1)
                 v2 = np.zeros_like(v2)
                 continue
             if next_loss < loss:
-                lr *= cfg.lr_up
+                lr *= LR_UP
         v1, v2, w1, w2 = v1_next, v2_next, w1_next, w2_next
 
     if best_snap is not None:
@@ -914,12 +883,29 @@ def save_weights(path, result: TrainResult, extra: dict | None = None) -> None:
     Path(path).write_text(json.dumps(doc) + "\n")
 
 
+# Former TrainConfig fields, now fixed in code: a stored config may hold
+# each only at its fixed value, or this code cannot reproduce the run.
+_RETIRED_KEYS = {
+    "revive_rate": REVIVE_RATE, "lr_up": LR_UP, "lr_down": LR_DOWN,
+    "loss_spike": LOSS_SPIKE, "noise_ensemble": NOISE_ENSEMBLE,
+    "rail_weight": 0.0, "rail_margin": 0.1,
+}
+
+
 def load_weights(path) -> TrainResult:
     doc = json.loads(Path(path).read_text())
     if doc.get("schema") != WEIGHTS_SCHEMA:
         raise ConfigError(
             f"expected schema {WEIGHTS_SCHEMA}, got {doc.get('schema')!r}")
-    cfg = TrainConfig(**doc["config"])
+    stored = dict(doc["config"])
+    for key, fixed in _RETIRED_KEYS.items():
+        if key in stored and stored.pop(key) != fixed:
+            raise ConfigError(f"{key} is fixed at {fixed!r}; "
+                              "this run cannot be reproduced")
+    unknown = stored.keys() - {f.name for f in dataclasses.fields(TrainConfig)}
+    if unknown:
+        raise ConfigError(f"unknown training settings {sorted(unknown)}")
+    cfg = TrainConfig(**stored)
     return TrainResult(
         w1=np.array(doc["layers"][0]["weights"]),
         w2=np.array(doc["layers"][1]["weights"]),

@@ -1,5 +1,7 @@
 """Feature extraction, corpus, evaluation, and recognizer recipe tests."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,7 +30,10 @@ from spinann.benchmark import (
 )
 from spinann.errors import ConfigError, DomainError
 from spinann.network import build_network
-from spinann.trainer import quantize_weights
+from spinann.trainer import load_weights, quantize_weights
+
+STORED_RECOGNIZER = (Path(__file__).resolve().parents[1]
+                     / "perfbench" / "data" / "recognizer_seed17.json")
 
 
 def _reference_correlate(image, kernel):
@@ -409,6 +414,15 @@ class TestRecognizerRecipe:
         assert recognizer.accuracy == 1.0
         assert recognizer.w1.shape == (FEATURE_COUNT + 1, HIDDEN_NEURONS)
         assert recognizer.w2.shape == (HIDDEN_NEURONS + 1, 26)
+
+    def test_matches_stored_seed17_recognizer(self, recognizer):
+        """The recipe still trains exactly the recognizer the benchmark
+        stores, so a change to training that moves its answers fails here."""
+        stored = load_weights(STORED_RECOGNIZER)
+        assert np.array_equal(recognizer.w1, stored.w1)
+        assert np.array_equal(recognizer.w2, stored.w2)
+        assert recognizer.accuracy == stored.accuracy
+        assert recognizer.epochs_run == stored.epochs_run
 
     def test_weights_lie_on_level_grid(self, recognizer):
         for w in (recognizer.w1, recognizer.w2):

@@ -1,5 +1,7 @@
 """Transfer functions, gradient checks, training, and search tests."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,16 @@ class TestSttTable:
         assert back.drive_current == stt_kind.drive_current
         assert np.array_equal(back.i_nodes, stt_kind.i_nodes)
         assert np.array_equal(back.a_nodes, stt_kind.a_nodes)
+
+    def test_slopes_derived_once_and_not_serialized(self, stt_kind):
+        np.testing.assert_array_equal(
+            stt_kind.slopes,
+            np.diff(stt_kind.a_nodes) / np.diff(stt_kind.i_nodes))
+        doc = stt_kind.to_dict()
+        assert "slopes" not in doc
+        np.testing.assert_array_equal(
+            TransferKind.from_dict(doc).slopes, stt_kind.slopes)
+        assert TransferKind.sigmoid().slopes is None
 
     def test_wrong_kind_rejected(self):
         with pytest.raises(ConfigError):
@@ -373,4 +385,24 @@ class TestWeightsFile:
         path = tmp_path / "bad.json"
         path.write_text('{"schema": "other/1"}')
         with pytest.raises(ConfigError):
+            load_weights(path)
+
+    def _saved_with(self, tmp_path, separable, **stored):
+        cfg = TrainConfig(learning_rate=1.0, epochs=50, seed=0)
+        res = train(separable, 1, TransferKind.sigmoid(), cfg)
+        path = tmp_path / "weights.json"
+        save_weights(path, res)
+        doc = json.loads(path.read_text())
+        doc["config"].update(stored)
+        path.write_text(json.dumps(doc))
+        return path
+
+    def test_retired_key_at_other_value_rejected(self, tmp_path, separable):
+        path = self._saved_with(tmp_path, separable, rail_weight=0.5)
+        with pytest.raises(ConfigError, match="rail_weight"):
+            load_weights(path)
+
+    def test_unknown_config_key_rejected(self, tmp_path, separable):
+        path = self._saved_with(tmp_path, separable, bogus_knob=1.0)
+        with pytest.raises(ConfigError, match="bogus_knob"):
             load_weights(path)
