@@ -1,8 +1,12 @@
 """Network assembly, clocked phases, energy ledger, and readout tests."""
 
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from spinann.benchmark import monte_carlo
 from spinann.errors import ConfigError, DomainError, TieError
 from spinann.network import (
     EnergyReport,
@@ -17,8 +21,12 @@ from spinann.trainer import (
     TrainConfig,
     TrainResult,
     TransferKind,
+    load_weights,
     output_activations,
 )
+
+STORED_RECOGNIZER = (Path(__file__).resolve().parents[1]
+                     / "perfbench" / "data" / "recognizer_seed17.json")
 
 # Per-neuron phase energies at the nominal operating point, joules:
 # program (40 uA)^2 * 300 ohm * 1 ns, sense 100 mV * 25 uA * 1 ns,
@@ -117,6 +125,36 @@ class TestForward:
             rows = np.concatenate([layer.array.g_tr_plus,
                                    layer.array.g_tr_minus])
             assert rows.max() - rows.min() <= 1e-6 * rows.max()
+
+
+def _sha256(a):
+    return hashlib.sha256(
+        np.ascontiguousarray(a, dtype="<f8").tobytes()).hexdigest()
+
+
+class TestGolden:
+    """Pins the analog chain of the stored seed-17 recognizer: voltages,
+    energy ledger and Monte-Carlo margins, exactly."""
+
+    @pytest.fixture(scope="class")
+    def stored_network(self):
+        return build_network(load_weights(STORED_RECOGNIZER))
+
+    def test_voltages_and_ledger(self, stored_network, corpus):
+        v, e = stored_network.forward(corpus.features)
+        assert _sha256(v) == ("31514949e847e2e2dc9c1d20d8575dd7"
+                              "b9c1de360192549bc025b88240582778")
+        assert e.neuron_program == 3.3068957452001253e-13
+        assert e.neuron_sense == 2.015e-12
+        assert e.neuron_reset == 6.045000000000001e-13
+        assert e.crossbar_static == 4.974664942578433e-12
+        assert e.dtcs_static == 7.623192942311578e-12
+
+    def test_monte_carlo_margins(self, stored_network, corpus):
+        mc = monte_carlo(stored_network, corpus, 20, sigma=0.05, seed=2)
+        assert _sha256(mc.min_margins) == (
+            "9894e83233bd9b424e674239502b9466"
+            "135d68ebabb13e46f2e026dec85361ac")
 
 
 class TestBuildValidation:
