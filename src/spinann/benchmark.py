@@ -276,16 +276,6 @@ def load_corpus(directory: Path | str | None = None) -> Corpus:
     )
 
 
-def _forward_fn(network):
-    """Accept either a network object with .forward or a bare callable."""
-    forward = getattr(network, "forward", None)
-    if forward is None:
-        if not callable(network):
-            raise ConfigError("network must expose forward() or be callable")
-        return network
-    return forward
-
-
 @dataclass(eq=False)
 class EvaluationResult:
     """Corpus evaluation: response matrix plus accuracy and margins.
@@ -355,12 +345,13 @@ def _score(raw: np.ndarray, n: int) -> EvaluationResult:
 def evaluate(network, corpus: Corpus) -> EvaluationResult:
     """Run every corpus letter through a network and score the responses.
 
-    `network` exposes ``forward(features)`` or is itself that callable;
-    it is called once per letter with one feature vector and returns the
-    output responses, alone or as the first item of a tuple.
+    `network` exposes ``forward(features)``, which is called once per
+    letter with one feature vector and returns the output responses,
+    alone or as the first item of a tuple.
     """
-    forward = _forward_fn(network)
-    raw = np.stack([_responses(forward(f)) for f in corpus.features])
+    if not hasattr(network, "forward"):
+        raise ConfigError("network must expose forward(features)")
+    raw = np.stack([_responses(network.forward(f)) for f in corpus.features])
     return _score(raw, len(corpus.letters))
 
 
@@ -412,8 +403,8 @@ def monte_carlo(
     """
     if trials < 1:
         raise ConfigError("trials must be >= 1")
-    if sigma < 0.0:
-        raise ConfigError("sigma must be >= 0")
+    if not np.isfinite(sigma) or sigma < 0.0:
+        raise ConfigError("sigma must be finite and >= 0")
     if not hasattr(network, "with_variation"):
         raise ConfigError("network must expose with_variation(sigma, seed)")
 

@@ -318,8 +318,8 @@ def inject_variation(array: CrossbarArray, sigma: float, seed) -> CrossbarArray:
     perturbed values, so the current dividers shift with the variation.
     Deterministic for a given seed. sigma = 0 returns an identical copy.
     """
-    if sigma < 0.0:
-        raise DomainError("sigma must be >= 0")
+    if not np.isfinite(sigma) or sigma < 0.0:
+        raise DomainError("sigma must be finite and >= 0")
     gen = np.random.default_rng(seed)
     lo = array.range.g_off
     hi = VARIATION_CLAMP_FACTOR * array.range.g_max

@@ -333,6 +333,8 @@ class Dataset:
                            np.asarray(self.labels, dtype=int))
         if self.features.ndim != 2 or len(self.features) == 0:
             raise DomainError("dataset must be a non-empty 2-D feature matrix")
+        if not np.all(np.isfinite(self.features)):
+            raise DomainError("features must be finite")
         if self.labels.shape != (len(self.features),):
             raise DomainError("one label per sample required")
         if self.n_classes < 1:
@@ -794,6 +796,9 @@ def quantize_weights(weights, levels: int = 32):
     """
     w = np.asarray(weights, dtype=float)
     w_max = float(np.max(np.abs(w)))
+    # The largest magnitude is NaN or inf exactly when some weight is.
+    if not np.isfinite(w_max):
+        raise DomainError("weights must be finite")
     if w_max == 0.0:
         raise DomainError("all-zero weights cannot be quantized")
     crange = ConductanceRange(levels=levels)

@@ -1,6 +1,7 @@
 """Feature extraction, corpus, evaluation, and recognizer recipe tests."""
 
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -327,18 +328,20 @@ class TestEvaluate:
         assert result.matrix.min() == 0.0
         assert result.matrix.max() == 1.0
 
-    def test_callable_and_tuple_outputs_accepted(self, corpus):
+    def test_tuple_outputs_accepted(self, corpus):
         table = _TableNet(np.eye(26), corpus.features)
-        result = evaluate(lambda f: (table.forward(f), None), corpus)
-        assert result.accuracy == 1.0
+        net = SimpleNamespace(forward=lambda f: (table.forward(f), None))
+        assert evaluate(net, corpus).accuracy == 1.0
 
     def test_wrong_output_shape_rejected(self, corpus):
         with pytest.raises(ConfigError):
-            evaluate(lambda f: np.zeros(25), corpus)
+            evaluate(SimpleNamespace(forward=lambda f: np.zeros(25)), corpus)
 
     def test_non_network_rejected(self, corpus):
         with pytest.raises(ConfigError):
             evaluate(object(), corpus)
+        with pytest.raises(ConfigError):
+            evaluate(lambda f: np.eye(26)[0], corpus)
 
     def test_to_dict_summary(self, corpus):
         payload = evaluate(
@@ -395,6 +398,12 @@ class TestMonteCarlo:
             monte_carlo(net, corpus, trials=5, sigma=-0.1)
         with pytest.raises(ConfigError):
             monte_carlo(lambda f: f, corpus, trials=5, sigma=0.1)
+
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf])
+    def test_non_finite_sigma_rejected(self, corpus, sigma):
+        net = _TableNet(np.eye(26), corpus.features)
+        with pytest.raises(ConfigError):
+            monte_carlo(net, corpus, trials=5, sigma=sigma)
 
 
 class TestRecognizerRecipe:

@@ -336,6 +336,12 @@ class TestVariation:
         with pytest.raises(DomainError):
             inject_variation(arr, -0.01, seed=0)
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_non_finite_sigma_rejected(self, sigma):
+        arr = map_weights(np.ones((2, 2)))
+        with pytest.raises(DomainError):
+            inject_variation(arr, sigma, seed=0)
+
 
 class TestProgramCell:
     def test_target_at_start_needs_no_pulses(self):

@@ -1,6 +1,7 @@
 """Network assembly, clocked phases, energy ledger, and readout tests."""
 
 import hashlib
+import json
 from pathlib import Path
 
 import numpy as np
@@ -164,12 +165,6 @@ class TestBuildValidation:
         with pytest.raises(ConfigError):
             build_network(toy)
 
-    def test_utilization_range(self, recognizer):
-        with pytest.raises(ConfigError):
-            build_network(recognizer, utilization=0.0)
-        with pytest.raises(ConfigError):
-            build_network(recognizer, utilization=1.2)
-
 
 class TestEnergy:
     def test_report_total_is_sum_of_parts(self):
@@ -316,5 +311,15 @@ class TestSerialization:
     def test_bad_schema_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"schema": "spin-ann/999"}')
+        with pytest.raises(ConfigError):
+            load_network(path)
+
+    def test_previous_schema_rejected(self, network, tmp_path):
+        """A file of the first schema, which stored its own operating
+        point, is refused rather than loaded at the fixed one."""
+        payload = network.to_dict()
+        payload.update(schema="spin-ann/1", r_program=150.0)
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(payload))
         with pytest.raises(ConfigError):
             load_network(path)

@@ -1,26 +1,43 @@
-"""pyproject.toml points only at things that exist."""
+"""The package points only at things that exist: pyproject.toml's
+scripts and data globs, and every name a module exports."""
 
 import glob
 import importlib
+import pkgutil
 from pathlib import Path
 
 import pytest
 
-tomllib = pytest.importorskip("tomllib")
+import spinann
 
 ROOT = Path(__file__).resolve().parents[1]
-PROJECT = tomllib.loads((ROOT / "pyproject.toml").read_text())
 
 
-def test_script_targets_import():
-    for name, target in PROJECT["project"].get("scripts", {}).items():
+@pytest.fixture(scope="module")
+def project():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    return tomllib.loads((ROOT / "pyproject.toml").read_text())
+
+
+def test_script_targets_import(project):
+    for name, target in project["project"].get("scripts", {}).items():
         module, _, attr = target.partition(":")
         assert callable(getattr(importlib.import_module(module), attr)), name
 
 
-def test_package_data_globs_match_files():
-    package_data = PROJECT["tool"]["setuptools"]["package-data"]
+def test_package_data_globs_match_files(project):
+    package_data = project["tool"]["setuptools"]["package-data"]
     for package, patterns in package_data.items():
         package_dir = ROOT / "src" / package
         for pattern in patterns:
             assert glob.glob(str(package_dir / pattern)), pattern
+
+
+def test_every_exported_name_resolves():
+    modules = [spinann] + [
+        importlib.import_module(f"spinann.{info.name}")
+        for info in pkgutil.iter_modules(spinann.__path__)
+    ]
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{module.__name__}.{name}"

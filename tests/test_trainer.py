@@ -285,6 +285,11 @@ class TestTrain:
         with pytest.raises(ConfigError):
             TrainConfig(target_accuracy=1.5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_features_rejected(self, bad):
+        with pytest.raises(DomainError):
+            Dataset([[bad], [1.0]], [0, 1], n_classes=2)
+
 
 class TestQuantizeWeights:
     def test_top_magnitude_and_signs_survive(self):
@@ -330,6 +335,11 @@ class TestQuantizeWeights:
     def test_all_zero_rejected(self):
         with pytest.raises(DomainError):
             quantize_weights(np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(DomainError):
+            quantize_weights([[bad, 1.0]])
 
 
 class TestMinHiddenSearch:
