@@ -1,5 +1,7 @@
 """Feature extraction, corpus, evaluation, and recognizer recipe tests."""
 
+import hashlib
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -31,7 +33,7 @@ from spinann.benchmark import (
 )
 from spinann.errors import ConfigError, DomainError
 from spinann.network import build_network
-from spinann.trainer import load_weights, quantize_weights
+from spinann.trainer import load_weights, quantize_weights, train
 
 STORED_RECOGNIZER = (Path(__file__).resolve().parents[1]
                      / "perfbench" / "data" / "recognizer_seed17.json")
@@ -484,3 +486,39 @@ class TestComparisonConfigs:
         configs = comparison_configs()
         assert configs["sigmoid"][1].weight_clip > \
             configs["stt_snn"][1].weight_clip
+
+    # SHA-256 of (w1, w2) after a short run of each kind's recipe; the
+    # step run stalls long enough to fire a plateau kick.
+    GOLDEN = {
+        "stt_snn": (
+            "41bf9b162665ceb6301d49d67dba2617"
+            "83a276e8243336174d9108ab7f847c31",
+            "a8a56e156668b75d279951ec16833e82"
+            "e1751ed1da3b7e039db5ffce1e681d3f"),
+        "sigmoid": (
+            "bd0ac84b40ed9bca6a16864ea6eb8480"
+            "d605bfcb948fed3e64136c4c00af33b7",
+            "59fbde6372fa80a672f087e0353f3c69"
+            "50fc5fb8fd6b14395b5b33bc33ff8d4e"),
+        "sat_linear": (
+            "9dc5774fc9cb2551f359989f287854cc"
+            "7f59822e186777d4cbee7f994997d9e8",
+            "ad1fe8ecfb38b9d4ea0d45581d5cd10e"
+            "a2628cc02c1f509a9e9200bdfcf54832"),
+        "step": (
+            "8764de4e1c572039553aedd0126ed80a"
+            "cacaaae96deae6f1ac422e6df53e4862",
+            "ca4f0e14cfea954ebc592a44bb5a9340"
+            "6c2c2b613aed3cc1c25866b26210276a"),
+    }
+
+    @pytest.mark.parametrize("name", list(GOLDEN))
+    def test_short_run_weights_pinned(self, name, corpus):
+        """Each recipe trains exactly the pinned weights, so a change to
+        the trainer's sigmoid, sat_linear or step path fails here."""
+        kind, cfg = comparison_configs()[name]
+        res = train(corpus.dataset, 5, kind,
+                    replace(cfg, epochs=400, kick_patience=50))
+        digests = tuple(hashlib.sha256(np.ascontiguousarray(
+            w, dtype="<f8").tobytes()).hexdigest() for w in (res.w1, res.w2))
+        assert digests == self.GOLDEN[name]
