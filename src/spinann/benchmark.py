@@ -458,18 +458,14 @@ def recognizer_configs(
     base = TrainConfig(
         learning_rate=0.05,
         epochs=20000,
-        momentum=0.9,
         seed=seed,
         target_low=0.0,
         target_high=0.95,
         positive_weight=25.0,
-        adaptive_lr=True,
         polish_epochs=4000,
         margin_target=0.2,
         margin_weight=2.0,
         kick_patience=600,
-        kick_scale=0.3,
-        center_inputs=True,
     )
     harden = dataclasses.replace(
         base,
@@ -523,28 +519,24 @@ def comparison_configs() -> dict[str, tuple[TransferKind, TrainConfig]]:
     """
     return {
         "stt_snn": (TransferKind.stt_snn(), TrainConfig(
-            learning_rate=0.05, epochs=12000, momentum=0.9,
+            learning_rate=0.05, epochs=12000,
             target_low=0.0, target_high=0.95, positive_weight=25.0,
-            adaptive_lr=True, margin_target=0.2, margin_weight=2.0,
-            kick_patience=600, kick_scale=0.3, center_inputs=True)),
+            margin_target=0.2, margin_weight=2.0, kick_patience=600)),
         "sigmoid": (TransferKind.sigmoid(), TrainConfig(
-            learning_rate=2.0, epochs=8000, momentum=0.9,
+            learning_rate=2.0, epochs=8000,
             weight_clip=4.0, init_low=-1.0, init_high=1.0,
             target_low=0.1, target_high=0.9, positive_weight=25.0,
-            adaptive_lr=True, margin_target=2.0, margin_weight=1.0,
-            kick_patience=800, kick_scale=0.3, center_inputs=True)),
+            margin_target=2.0, margin_weight=1.0, kick_patience=800)),
         "sat_linear": (TransferKind.sat_linear(), TrainConfig(
-            learning_rate=0.5, epochs=8000, momentum=0.9,
+            learning_rate=0.5, epochs=8000,
             weight_clip=4.0, init_low=-1.0, init_high=1.0,
             target_low=0.05, target_high=0.95, positive_weight=25.0,
-            adaptive_lr=True, margin_target=0.5, margin_weight=2.0,
-            kick_patience=800, kick_scale=0.3, center_inputs=True)),
+            margin_target=0.5, margin_weight=2.0, kick_patience=800)),
         "step": (TransferKind.step(), TrainConfig(
-            learning_rate=0.3, epochs=5000, momentum=0.9,
+            learning_rate=0.3, epochs=5000,
             weight_clip=2.0, init_low=-1.0, init_high=1.0,
             target_low=0.0, target_high=1.0, positive_weight=25.0,
-            adaptive_lr=True, margin_target=0.5, margin_weight=2.0,
-            kick_patience=600, kick_scale=0.3, center_inputs=True)),
+            margin_target=0.5, margin_weight=2.0, kick_patience=600)),
     }
 
 

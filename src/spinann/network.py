@@ -79,8 +79,9 @@ class PhaseSchedule:
     t_reset: float = 1e-9
 
     def __post_init__(self):
-        if min(self.t_program, self.t_sense, self.t_reset) < 0.0:
-            raise ConfigError("phase durations must be >= 0")
+        durations = np.array([self.t_program, self.t_sense, self.t_reset])
+        if not np.all(np.isfinite(durations) & (durations >= 0.0)):
+            raise ConfigError("phase durations must be finite and >= 0")
 
     def to_dict(self) -> dict:
         return {

@@ -7,17 +7,18 @@ so training and hardware inference share one ground truth; its net input
 is a dimensionless weighted sum scaled by a drive current (the current
 that a unit net input programs into the neuron).
 
-Training is plain full-batch gradient descent with momentum on a mean
-squared error against one-hot targets, with straight-through surrogate
-gradients for the discontinuous step function. The threshold term of
-each neuron is an extra always-on input row, which later maps onto a
-crossbar row like any other synapse.
+Training is full-batch gradient descent with momentum and an adaptive
+step size on a mean squared error against one-hot targets, with a
+straight-through surrogate gradient for the discontinuous step function.
+The threshold term of each neuron is an extra always-on input row, which
+later maps onto a crossbar row like any other synapse.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -147,14 +148,6 @@ class TransferKind:
         )
 
 
-def stt_transfer(i, kind: TransferKind):
-    """Normalized spin-neuron activation for programming current(s) i."""
-    if kind.tag != "stt_snn":
-        raise ConfigError("stt_transfer needs the stt_snn kind")
-    out = np.interp(np.asarray(i, dtype=float), kind.i_nodes, kind.a_nodes)
-    return out if out.ndim else float(out)
-
-
 def _activation_array(z: np.ndarray, kind: TransferKind) -> np.ndarray:
     if kind.tag == "step":
         return np.where(z > 0.0, 1.0, 0.0)
@@ -166,26 +159,23 @@ def _activation_array(z: np.ndarray, kind: TransferKind) -> np.ndarray:
     return np.interp(z * kind.drive_current, kind.i_nodes, kind.a_nodes)
 
 
-def activation(z, kind: TransferKind, slope: float = 1.0):
-    """Activation value for dimensionless net input(s) z.
-
-    slope is the step surrogate steepness and is unused by other kinds.
-    """
+def activation(z, kind: TransferKind):
+    """Activation value for dimensionless net input(s) z."""
     out = _activation_array(np.asarray(z, dtype=float), kind)
     return out if out.ndim else float(out)
 
 
-def activation_derivative(z, kind: TransferKind, slope: float = 1.0):
+def activation_derivative(z, kind: TransferKind):
     """Derivative (or surrogate derivative) of activation at z.
 
-    step: straight-through surrogate, equal to slope on the window
-    |z| <= 1/(2*slope) (a unit-area rectangle) and 0 outside.
+    step: straight-through surrogate, 1 on the window |z| <= 1/2 (a
+    unit-area rectangle) and 0 outside.
     stt_snn: exact piecewise slope of the lookup table scaled by the
     drive current, zero at and outside the two thresholds.
     """
     z = np.asarray(z, dtype=float)
     if kind.tag == "step":
-        out = np.where(np.abs(z) <= 0.5 / slope, slope, 0.0)
+        out = np.where(np.abs(z) <= 0.5, 1.0, 0.0)
     elif kind.tag == "sat_linear":
         out = np.where((z > 0.0) & (z < 1.0), 1.0, 0.0)
     elif kind.tag == "sigmoid":
@@ -207,14 +197,22 @@ def activation_derivative(z, kind: TransferKind, slope: float = 1.0):
 # input weights decay by the same fraction.
 REVIVE_RATE = 0.01
 
-# Adaptive step-size control (TrainConfig.adaptive_lr): accepted steps
-# that reduce the loss scale the rate by LR_UP; steps that raise it by
-# more than the LOSS_SPIKE ratio are discarded, the rate shrinks by
-# LR_DOWN and the momentum memory is cleared. Keeps updates small enough
-# that neurons are not flung across their active window.
+# Momentum of the descent: the fraction of the previous update that
+# carries into the next.
+MOMENTUM = 0.9
+
+# Adaptive step-size control: accepted steps that reduce the loss scale
+# the rate by LR_UP; steps that raise it by more than the LOSS_SPIKE
+# ratio are discarded, the rate shrinks by LR_DOWN and the momentum
+# memory is cleared. Keeps updates small enough that neurons are not
+# flung across their active window.
 LR_UP = 1.05
 LR_DOWN = 0.7
 LOSS_SPIKE = 1.04
+
+# Half-width of the fan-in-scaled uniform jitter of a plateau kick
+# (TrainConfig.kick_patience).
+KICK_SCALE = 0.3
 
 # Size of the frozen perturbation ensemble that ranks snapshots under
 # noise-aware training (TrainConfig.train_sigma > 0).
@@ -230,17 +228,17 @@ class TrainConfig:
     the default drive current) or the threshold rows cannot hold the
     neurons in their active window.
 
-    Dead-neuron revival, the adaptive-rate factors and the ensemble size
-    are fixed: REVIVE_RATE, LR_UP, LR_DOWN, LOSS_SPIKE, NOISE_ENSEMBLE.
+    Fixed in code: MOMENTUM, the adaptive-rate factors LR_UP, LR_DOWN
+    and LOSS_SPIKE, the kick width KICK_SCALE, dead-neuron revival
+    REVIVE_RATE and the ensemble size NOISE_ENSEMBLE. Training always
+    aims at full accuracy, always centres the inputs (see _fit) and
+    trains the step kind through the unit window |z| <= 1/2.
     """
 
     learning_rate: float = 0.5
     epochs: int = 3000
     seed: int = 0
-    target_accuracy: float = 1.0
     weight_clip: float = 1.0
-    surrogate_slope: float = 1.0
-    momentum: float = 0.9
     init_low: float = -0.25
     init_high: float = 0.25
     # Teaching values for the one-hot targets. Saturating transfers have
@@ -253,17 +251,14 @@ class TrainConfig:
     # entry rebalances up- and down-pressure on the output layer. 1
     # keeps plain unweighted error.
     positive_weight: float = 1.0
-    # Adaptive step-size control; see LR_UP, LR_DOWN and LOSS_SPIKE.
-    adaptive_lr: bool = False
     # Plateau escape: when the best loss has not improved for
     # kick_patience epochs, jitter all weights by a fan-in-scaled
-    # uniform perturbation of half-width kick_scale, clear the momentum
+    # uniform perturbation of half-width KICK_SCALE, clear the momentum
     # memory and restore the initial learning rate. Deterministic per
     # seed; 0 disables.
     kick_patience: int = 0
-    kick_scale: float = 0.1
-    # Margin polish: keep training this many extra epochs after the
-    # accuracy target is first met and return the snapshot with the
+    # Margin polish: keep training this many extra epochs after full
+    # accuracy is first reached and return the snapshot with the
     # widest decision margin among the most accurate epochs seen.
     # Widens the winner-vs-runner-up gap, which is what survives weight
     # quantization and device variation. 0 returns the weights from the
@@ -285,31 +280,24 @@ class TrainConfig:
     # NOISE_ENSEMBLE deterministic perturbations instead of the clean
     # margin alone. 0 disables.
     train_sigma: float = 0.0
-    # Optimize the first layer in mean-removed input coordinates.
-    # All-positive feature vectors share a large common component that
-    # makes their gradient directions nearly collinear; removing the
-    # batch mean during the weight updates conditions the problem. The
-    # shift is folded exactly into the returned threshold row, so the
-    # trained weights still act on raw features.
-    center_inputs: bool = False
 
     def __post_init__(self):
+        # NaN passes every range check below, as each comparison is False.
+        if not all(math.isfinite(v) for v in vars(self).values()
+                   if isinstance(v, float)):
+            raise ConfigError("training settings must be finite")
         if self.learning_rate <= 0.0 or self.epochs <= 0:
             raise ConfigError("learning_rate and epochs must be positive")
-        if not (0.0 < self.target_accuracy <= 1.0):
-            raise ConfigError("target_accuracy must be in (0, 1]")
-        if self.weight_clip <= 0.0 or self.surrogate_slope <= 0.0:
-            raise ConfigError("weight_clip and surrogate_slope must be positive")
-        if not (0.0 <= self.momentum < 1.0):
-            raise ConfigError("momentum must be in [0, 1)")
+        if self.weight_clip <= 0.0:
+            raise ConfigError("weight_clip must be positive")
         if self.init_low >= self.init_high:
             raise ConfigError("need init_low < init_high")
         if not (0.0 <= self.target_low < self.target_high <= 1.0):
             raise ConfigError("need 0 <= target_low < target_high <= 1")
         if self.positive_weight <= 0.0:
             raise ConfigError("positive_weight must be positive")
-        if self.kick_patience < 0 or self.kick_scale <= 0.0:
-            raise ConfigError("need kick_patience >= 0 and kick_scale > 0")
+        if self.kick_patience < 0:
+            raise ConfigError("kick_patience must be >= 0")
         if self.polish_epochs < 0:
             raise ConfigError("polish_epochs must be >= 0")
         if self.margin_target < 0.0 or self.margin_weight <= 0.0:
@@ -387,16 +375,14 @@ def _augment(x: np.ndarray) -> np.ndarray:
     return np.hstack([x, np.ones((len(x), 1))])
 
 
-def _active_window(kind: TransferKind,
-                   slope: float) -> tuple[float, float] | None:
+def _active_window(kind: TransferKind) -> tuple[float, float] | None:
     """Net-input interval where the activation carries gradient.
 
     Outside this interval the (surrogate) derivative is identically
     zero. Returns None for transfers with gradient everywhere.
     """
     if kind.tag == "step":
-        half = 0.5 / slope
-        return -half, half
+        return -0.5, 0.5
     if kind.tag == "sat_linear":
         return 0.0, 1.0
     if kind.tag == "stt_snn":
@@ -441,20 +427,19 @@ def _unfold_offset(w: np.ndarray, offset: np.ndarray) -> np.ndarray:
 
 
 def _forward(x_aug: np.ndarray, w1: np.ndarray, w2: np.ndarray,
-             kind: TransferKind, slope: float):
+             kind: TransferKind):
     """Float forward pass on bias-augmented inputs: (z1, a1_aug, z2, a2),
     with a1_aug the hidden activations plus the always-on column."""
     z1 = x_aug @ w1
-    a1_aug = _augment(activation(z1, kind, slope))
+    a1_aug = _augment(activation(z1, kind))
     z2 = a1_aug @ w2
-    return z1, a1_aug, z2, activation(z2, kind, slope)
+    return z1, a1_aug, z2, activation(z2, kind)
 
 
 def output_activations(result: TrainResult, features) -> np.ndarray:
     """Output-layer activations of the trained float network."""
     x = np.atleast_2d(np.asarray(features, dtype=float))
-    return _forward(_augment(x), result.w1, result.w2, result.kind,
-                    result.config.surrogate_slope)[3]
+    return _forward(_augment(x), result.w1, result.w2, result.kind)[3]
 
 
 def predict(result: TrainResult, features) -> np.ndarray:
@@ -489,8 +474,7 @@ def _margin(a2: np.ndarray, labels: np.ndarray) -> float:
 
 def _fit(dataset: Dataset, kind: TransferKind, cfg: TrainConfig,
          rng: np.random.Generator, w1: np.ndarray, w2: np.ndarray,
-         levels: int | None, snapshot_from_start: bool,
-         offset: np.ndarray | None = None) -> TrainResult:
+         levels: int | None, snapshot_from_start: bool) -> TrainResult:
     """Shared gradient-descent engine behind train() and finalize().
 
     With `levels` set, every forward pass (and the adaptive-rate probe)
@@ -498,47 +482,44 @@ def _fit(dataset: Dataset, kind: TransferKind, cfg: TrainConfig,
     while updates accumulate in the float shadow weights, so the
     returned weights lie exactly on the grid (straight-through
     estimator). Snapshot tracking keeps the epoch with the best
-    (accuracy, margin) pair; train() arms it once the accuracy target
-    is met, finalize() from the first epoch.
+    (accuracy, margin) pair; train() arms it once full accuracy is
+    reached, finalize() from the first epoch.
 
-    With `offset` set, the first layer is optimized in mean-removed
-    input coordinates: w1 enters and leaves in raw form, while updates
-    happen on the shifted representation. The weight clip and the
-    quantization grid always apply to the raw form, so the returned
-    threshold row obeys the same bounds as every other weight.
+    The first layer is optimized in mean-removed input coordinates.
+    All-positive feature vectors share a large common component that
+    makes their gradient directions nearly collinear; removing the
+    batch mean during the weight updates conditions the problem. w1
+    enters and leaves in raw form, the shift folded exactly into its
+    threshold row, so the trained weights still act on raw features.
+    The weight clip and the quantization grid apply to the raw form, so
+    the returned threshold row obeys the same bounds as every other
+    weight.
     """
-    if offset is None:
-        x = _augment(dataset.features)
-    else:
-        x = _augment(dataset.features - offset)
-        w1 = _unfold_offset(w1, offset)
+    offset = dataset.features.mean(axis=0)
+    x = _augment(dataset.features - offset)
+    w1 = _unfold_offset(w1, offset)
     targets = dataset.one_hot * (cfg.target_high - cfg.target_low) \
         + cfg.target_low
     err_weight = np.where(dataset.one_hot > 0.0, cfg.positive_weight, 1.0)
     n = len(x)
     n_hidden = w1.shape[1]
-    slope = cfg.surrogate_slope
-    window = _active_window(kind, slope)
+    window = _active_window(kind)
 
     labels = dataset.labels
     idx = np.arange(n)
 
-    def _raw_form(m1):
-        return m1 if offset is None else _fold_offset(m1, offset)
-
     def fwd_weights(m1, m2):
         if levels is None:
             return m1, m2
-        q1 = quantize_weights(_raw_form(m1), levels)[0]
-        if offset is not None:
-            q1 = _unfold_offset(q1, offset)
-        return q1, quantize_weights(m2, levels)[0]
+        q1 = quantize_weights(_fold_offset(m1, offset), levels)[0]
+        return _unfold_offset(q1, offset), quantize_weights(m2, levels)[0]
 
     def _clip_layer1(m1):
         """Clip in raw form so the folded threshold row obeys the same
         bound as every other weight, then return to fit coordinates."""
-        raw = np.clip(_raw_form(m1), -cfg.weight_clip, cfg.weight_clip)
-        return raw if offset is None else _unfold_offset(raw, offset)
+        raw = np.clip(_fold_offset(m1, offset),
+                      -cfg.weight_clip, cfg.weight_clip)
+        return _unfold_offset(raw, offset)
 
     def margin_residual(z_out):
         """Hinge per sample: how far the own-vs-runner-up net-input gap
@@ -576,7 +557,7 @@ def _fit(dataset: Dataset, kind: TransferKind, cfg: TrainConfig,
         margin_sum = 0.0
         for k in range(NOISE_ENSEMBLE):
             _, _, zk2, ak2 = _forward(x, jitter(f1, ens1[k]),
-                                      jitter(f2, ens2[k]), kind, slope)
+                                      jitter(f2, ens2[k]), kind)
             perfect += _accuracy(ak2, labels) == 1.0
             margin_sum += _margin(zk2, labels)
         return (clean_acc, perfect / NOISE_ENSEMBLE,
@@ -608,16 +589,16 @@ def _fit(dataset: Dataset, kind: TransferKind, cfg: TrainConfig,
             n1, n2 = jitter(f1, e1), jitter(f2, e2)
         else:
             n1, n2 = f1, f2
-        z1, a1_aug, z2, a2 = _forward(x, n1, n2, kind, slope)
+        z1, a1_aug, z2, a2 = _forward(x, n1, n2, kind)
 
         loss = batch_loss(z2, a2)
-        a2_clean = _forward(x, f1, f2, kind, slope)[3] if noisy else a2
+        a2_clean = _forward(x, f1, f2, kind)[3] if noisy else a2
         accuracy = _accuracy(a2_clean, labels)
         history.append((epoch, loss, accuracy))
         epochs_run = epoch
 
         if snapshot_from_start or polish_left is not None \
-                or (accuracy >= cfg.target_accuracy and cfg.polish_epochs):
+                or (accuracy == 1.0 and cfg.polish_epochs):
             # Rank equally accurate epochs by what the weight grid and
             # device noise consume: the net-input margin, or under
             # noise-aware training the frozen-ensemble survival.
@@ -627,7 +608,7 @@ def _fit(dataset: Dataset, kind: TransferKind, cfg: TrainConfig,
                 snap = (accuracy, _margin(z2, labels))
             if best_snap is None or snap > best_snap[:len(snap)]:
                 best_snap = (*snap, f1.copy(), f2.copy())
-        if accuracy >= cfg.target_accuracy:
+        if accuracy == 1.0:
             converged = True
             if cfg.polish_epochs == 0:
                 break
@@ -649,12 +630,12 @@ def _fit(dataset: Dataset, kind: TransferKind, cfg: TrainConfig,
         best_loss = min(best_loss, loss)
         best_acc = max(best_acc, accuracy)
         if cfg.kick_patience and stalled >= cfg.kick_patience \
-                and polish_left is None and accuracy < cfg.target_accuracy:
+                and polish_left is None and accuracy < 1.0:
             w1 = _clip_layer1(
-                w1 + rng.uniform(-cfg.kick_scale, cfg.kick_scale, w1.shape)
+                w1 + rng.uniform(-KICK_SCALE, KICK_SCALE, w1.shape)
                 / np.sqrt(dataset.n_features))
             w2 = np.clip(
-                w2 + rng.uniform(-cfg.kick_scale, cfg.kick_scale, w2.shape)
+                w2 + rng.uniform(-KICK_SCALE, KICK_SCALE, w2.shape)
                 / np.sqrt(n_hidden),
                 -cfg.weight_clip, cfg.weight_clip)
             v1 = np.zeros_like(v1)
@@ -670,7 +651,7 @@ def _fit(dataset: Dataset, kind: TransferKind, cfg: TrainConfig,
             _revive_dead_rows(w2, z2, window)
 
         err = err_weight * (a2 - targets)
-        delta2 = err * activation_derivative(z2, kind, slope)
+        delta2 = err * activation_derivative(z2, kind)
         if cfg.margin_target > 0.0:
             # Push each sample's own net input up and its runner-up's
             # down until the gap reaches margin_target. Applied past
@@ -680,31 +661,29 @@ def _fit(dataset: Dataset, kind: TransferKind, cfg: TrainConfig,
             delta2[idx, labels] -= cfg.margin_weight * shortfall
             delta2[idx, runner] += cfg.margin_weight * shortfall
         grad2 = a1_aug.T @ delta2 / n
-        delta1 = (delta2 @ n2[:-1].T) \
-            * activation_derivative(z1, kind, slope)
+        delta1 = (delta2 @ n2[:-1].T) * activation_derivative(z1, kind)
         grad1 = x.T @ delta1 / n
 
-        v1_next = cfg.momentum * v1 - lr * grad1
-        v2_next = cfg.momentum * v2 - lr * grad2
+        v1_next = MOMENTUM * v1 - lr * grad1
+        v2_next = MOMENTUM * v2 - lr * grad2
         w1_next = _clip_layer1(w1 + v1_next)
         w2_next = np.clip(w2 + v2_next, -cfg.weight_clip, cfg.weight_clip)
 
-        if cfg.adaptive_lr:
-            c1, c2 = fwd_weights(w1_next, w2_next)
-            if noisy:
-                # Same jitter as this epoch's forward, so the
-                # comparison isolates the effect of the step.
-                c1, c2 = jitter(c1, e1), jitter(c2, e2)
-            _, _, z2_next, a2_next = _forward(x, c1, c2, kind, slope)
-            next_loss = batch_loss(z2_next, a2_next)
-            if next_loss > loss * LOSS_SPIKE:
-                # Overshoot: discard the step, cool down, clear momentum.
-                lr *= LR_DOWN
-                v1 = np.zeros_like(v1)
-                v2 = np.zeros_like(v2)
-                continue
-            if next_loss < loss:
-                lr *= LR_UP
+        c1, c2 = fwd_weights(w1_next, w2_next)
+        if noisy:
+            # Same jitter as this epoch's forward, so the comparison
+            # isolates the effect of the step.
+            c1, c2 = jitter(c1, e1), jitter(c2, e2)
+        _, _, z2_next, a2_next = _forward(x, c1, c2, kind)
+        next_loss = batch_loss(z2_next, a2_next)
+        if next_loss > loss * LOSS_SPIKE:
+            # Overshoot: discard the step, cool down, clear momentum.
+            lr *= LR_DOWN
+            v1 = np.zeros_like(v1)
+            v2 = np.zeros_like(v2)
+            continue
+        if next_loss < loss:
+            lr *= LR_UP
         v1, v2, w1, w2 = v1_next, v2_next, w1_next, w2_next
 
     if best_snap is not None:
@@ -714,7 +693,7 @@ def _fit(dataset: Dataset, kind: TransferKind, cfg: TrainConfig,
         w1, w2 = f1, f2
 
     return TrainResult(
-        w1=_raw_form(w1), w2=w2, kind=kind, config=cfg, accuracy=accuracy,
+        w1=_fold_offset(w1, offset), w2=w2, kind=kind, config=cfg, accuracy=accuracy,
         converged=converged, epochs_run=epochs_run,
         history=np.array(history).reshape(-1, 3),
     )
@@ -724,8 +703,8 @@ def train(dataset: Dataset, n_hidden: int, kind: TransferKind,
           cfg: TrainConfig | None = None) -> TrainResult:
     """Full-batch gradient descent with momentum; deterministic per seed.
 
-    Stops early once training accuracy reaches cfg.target_accuracy,
-    plus the configured margin-polish window. Non-convergence is
+    Stops early once training accuracy reaches 100%, plus the
+    configured margin-polish window. Non-convergence is
     reported through the converged flag, not raised.
     """
     cfg = cfg or TrainConfig()
@@ -739,7 +718,7 @@ def train(dataset: Dataset, n_hidden: int, kind: TransferKind,
         / np.sqrt(dataset.n_features)
     w2 = rng.uniform(cfg.init_low, cfg.init_high,
                      (n_hidden + 1, dataset.n_classes)) / np.sqrt(n_hidden)
-    window = _active_window(kind, cfg.surrogate_slope)
+    window = _active_window(kind)
     if window is not None:
         # Bounded-gradient transfers only carry gradient inside their
         # window; start every threshold row inside it so no neuron is
@@ -749,9 +728,8 @@ def train(dataset: Dataset, n_hidden: int, kind: TransferKind,
         w1[-1, :] = rng.uniform(mid - quarter, mid + quarter, n_hidden)
         w2[-1, :] = rng.uniform(mid - quarter, mid + quarter,
                                 dataset.n_classes)
-    offset = dataset.features.mean(axis=0) if cfg.center_inputs else None
     return _fit(dataset, kind, cfg, rng, w1, w2,
-                levels=None, snapshot_from_start=False, offset=offset)
+                levels=None, snapshot_from_start=False)
 
 
 def finalize(result: TrainResult, dataset: Dataset,
@@ -773,10 +751,9 @@ def finalize(result: TrainResult, dataset: Dataset,
         raise ConfigError("need at least 2 levels")
     cfg = cfg or result.config
     rng = np.random.default_rng([cfg.seed, 0 if levels is None else levels])
-    offset = dataset.features.mean(axis=0) if cfg.center_inputs else None
     return _fit(dataset, result.kind, cfg, rng,
                 result.w1.copy(), result.w2.copy(),
-                levels=levels, snapshot_from_start=True, offset=offset)
+                levels=levels, snapshot_from_start=True)
 
 
 @dataclass(frozen=True)
@@ -815,17 +792,6 @@ def quantize_weights(weights, levels: int = 32):
     return quantized, report
 
 
-def quantize_result(result: TrainResult, levels: int = 32) -> TrainResult:
-    """Trained network with both layers quantized to the level grid."""
-    q1, _ = quantize_weights(result.w1, levels)
-    q2, _ = quantize_weights(result.w2, levels)
-    return TrainResult(
-        w1=q1, w2=q2, kind=result.kind, config=result.config,
-        accuracy=result.accuracy, converged=result.converged,
-        epochs_run=result.epochs_run, history=result.history,
-    )
-
-
 @dataclass(frozen=True)
 class SearchResult:
     n_hidden: int
@@ -840,7 +806,7 @@ def min_hidden_search(
     max_hidden: int = 48,
     restarts: int = 5,
 ) -> SearchResult:
-    """Smallest hidden-layer size reaching the target training accuracy.
+    """Smallest hidden-layer size reaching 100% training accuracy.
 
     Scans sizes upward; each size gets `restarts` independent runs with
     seeds derived deterministically from (cfg.seed, size, restart), and
@@ -860,8 +826,7 @@ def min_hidden_search(
                 return SearchResult(n_hidden=n_hidden, result=run,
                                     attempts=attempts)
     raise SearchError(
-        f"no hidden size up to {max_hidden} reached "
-        f"accuracy {cfg.target_accuracy}")
+        f"no hidden size up to {max_hidden} reached full accuracy")
 
 
 # -- weights file ------------------------------------------------------
@@ -893,7 +858,9 @@ def save_weights(path, result: TrainResult, extra: dict | None = None) -> None:
 _RETIRED_KEYS = {
     "revive_rate": REVIVE_RATE, "lr_up": LR_UP, "lr_down": LR_DOWN,
     "loss_spike": LOSS_SPIKE, "noise_ensemble": NOISE_ENSEMBLE,
-    "rail_weight": 0.0, "rail_margin": 0.1,
+    "rail_weight": 0.0, "rail_margin": 0.1, "target_accuracy": 1.0,
+    "surrogate_slope": 1.0, "momentum": MOMENTUM, "adaptive_lr": True,
+    "kick_scale": KICK_SCALE, "center_inputs": True,
 }
 
 

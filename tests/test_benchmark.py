@@ -480,7 +480,6 @@ class TestComparisonConfigs:
         for name, (kind, cfg) in configs.items():
             assert kind.tag == name
             assert cfg.positive_weight == 25.0
-            assert cfg.center_inputs
 
     def test_unbounded_kinds_get_wider_clip(self):
         configs = comparison_configs()

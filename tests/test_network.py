@@ -55,6 +55,13 @@ def test_negative_duration_rejected():
         PhaseSchedule(t_program=-1e-9)
 
 
+@pytest.mark.parametrize("phase", ["t_program", "t_sense", "t_reset"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_duration_rejected(phase, bad):
+    with pytest.raises(ConfigError):
+        PhaseSchedule(**{phase: bad})
+
+
 class TestForward:
     def test_matches_float_training_arithmetic(self, recognizer, corpus):
         """Unquantized hardware chain reproduces the trainer's outputs

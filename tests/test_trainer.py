@@ -18,10 +18,8 @@ from spinann.trainer import (
     min_hidden_search,
     output_activations,
     predict,
-    quantize_result,
     quantize_weights,
     save_weights,
-    stt_transfer,
     train,
 )
 
@@ -59,21 +57,25 @@ class TestSttTable:
         assert np.all(np.diff(stt_kind.a_nodes) >= 0.0)
 
     def test_zero_current_zero_activation(self, stt_kind):
-        assert stt_transfer(0.0, stt_kind) == 0.0
-        assert stt_transfer(-30e-6, stt_kind) == 0.0
+        drive = stt_kind.drive_current
+        assert activation(0.0 / drive, stt_kind) == 0.0
+        assert activation(-30e-6 / drive, stt_kind) == 0.0
 
     def test_exact_zero_up_to_th1(self, stt_kind):
-        assert stt_transfer(stt_kind.th1, stt_kind) == 0.0
-        assert stt_transfer(0.9 * stt_kind.th1, stt_kind) == 0.0
+        drive = stt_kind.drive_current
+        assert activation(stt_kind.th1 / drive, stt_kind) == 0.0
+        assert activation(0.9 * stt_kind.th1 / drive, stt_kind) == 0.0
 
     def test_exact_one_at_and_above_th2(self, stt_kind):
-        assert stt_transfer(stt_kind.th2, stt_kind) == 1.0
-        assert stt_transfer(2 * stt_kind.th2, stt_kind) == 1.0
+        drive = stt_kind.drive_current
+        assert activation(stt_kind.th2 / drive, stt_kind) == 1.0
+        assert activation(2 * stt_kind.th2 / drive, stt_kind) == 1.0
 
     def test_continuous_just_above_th1(self, stt_kind):
         dev = NeuronDevice()
         eps = 1e-9
-        val = stt_transfer(stt_kind.th1 + eps, stt_kind)
+        val = activation((stt_kind.th1 + eps) / stt_kind.drive_current,
+                         stt_kind)
         assert 0.0 < val < 1e-3
         direct = (dev.transfer(stt_kind.th1 + eps) - stt_kind.v_min) \
             / (stt_kind.v_max - stt_kind.v_min)
@@ -85,8 +87,8 @@ class TestSttTable:
         for i in gen.uniform(stt_kind.th1, stt_kind.th2, size=40):
             direct = (dev.transfer(i) - stt_kind.v_min) \
                 / (stt_kind.v_max - stt_kind.v_min)
-            assert stt_transfer(i, stt_kind) == pytest.approx(
-                direct, abs=5e-4)
+            assert activation(i / stt_kind.drive_current, stt_kind) \
+                == pytest.approx(direct, abs=5e-4)
 
     def test_serialization_round_trip(self, stt_kind):
         back = TransferKind.from_dict(stt_kind.to_dict())
@@ -106,8 +108,6 @@ class TestSttTable:
         assert TransferKind.sigmoid().slopes is None
 
     def test_wrong_kind_rejected(self):
-        with pytest.raises(ConfigError):
-            stt_transfer(1e-6, TransferKind.sigmoid())
         with pytest.raises(ConfigError):
             TransferKind("relu")
 
@@ -194,14 +194,13 @@ class TestGradientCheck:
 
     def test_step_surrogate_window(self):
         k = TransferKind.step()
-        slope = 2.0
-        assert activation_derivative(0.0, k, slope) == slope
-        assert activation_derivative(0.24, k, slope) == slope
-        assert activation_derivative(0.26, k, slope) == 0.0
+        assert activation_derivative(0.0, k) == 1.0
+        assert activation_derivative(0.49, k) == 1.0
+        assert activation_derivative(0.51, k) == 0.0
         # Unit area: the surrogate is the derivative of a ramp rising 0
         # to 1 over the window, so it integrates to one.
         z = np.linspace(-1.0, 1.0, 200001)
-        area = np.trapezoid(activation_derivative(z, k, slope), z)
+        area = np.trapezoid(activation_derivative(z, k), z)
         assert area == pytest.approx(1.0, rel=1e-3)
 
     def test_step_surrogate_matches_fd_outside_window(self):
@@ -221,8 +220,7 @@ class TestTrain:
                               separable.labels)
 
     def test_deterministic_per_seed(self, separable):
-        cfg = TrainConfig(learning_rate=1.0, epochs=200, seed=7,
-                          target_accuracy=1.0)
+        cfg = TrainConfig(learning_rate=1.0, epochs=200, seed=7)
         a = train(separable, 2, TransferKind.sigmoid(), cfg)
         b = train(separable, 2, TransferKind.sigmoid(), cfg)
         assert np.array_equal(a.w1, b.w1)
@@ -242,7 +240,7 @@ class TestTrain:
 
     def test_stt_kind_learns_toy(self, separable, stt_kind):
         cfg = TrainConfig(learning_rate=0.02, epochs=4000, seed=0,
-                          momentum=0.5, target_high=0.6)
+                          target_high=0.6)
         res = train(separable, 2, stt_kind, cfg)
         assert res.converged
 
@@ -258,8 +256,7 @@ class TestTrain:
         assert res.accuracy == res.history[-1, 2]
 
     def test_history_records_epochs(self, separable):
-        cfg = TrainConfig(epochs=30, seed=0, target_accuracy=1.0,
-                          learning_rate=0.1)
+        cfg = TrainConfig(epochs=30, seed=0, learning_rate=0.1)
         res = train(separable, 1, TransferKind.sat_linear(), cfg)
         assert res.history.shape[1] == 3
         # One measurement per epoch boundary, including the initial state.
@@ -282,13 +279,20 @@ class TestTrain:
             Dataset(np.zeros((2, 4)), np.array([0, 5]), n_classes=2)
         with pytest.raises(ConfigError):
             TrainConfig(learning_rate=0.0)
-        with pytest.raises(ConfigError):
-            TrainConfig(target_accuracy=1.5)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_features_rejected(self, bad):
         with pytest.raises(DomainError):
             Dataset([[bad], [1.0]], [0, 1], n_classes=2)
+
+    @pytest.mark.parametrize("setting", [
+        "learning_rate", "weight_clip", "init_low", "init_high",
+        "target_low", "target_high", "positive_weight", "margin_target",
+        "margin_weight", "train_sigma"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_settings_rejected(self, setting, bad):
+        with pytest.raises(ConfigError):
+            TrainConfig(**{setting: bad})
 
 
 class TestQuantizeWeights:
@@ -321,16 +325,6 @@ class TestQuantizeWeights:
         q, _ = quantize_weights(w)
         decoded = map_weights(w).decode_weights()
         np.testing.assert_allclose(q, decoded, rtol=1e-12, atol=1e-18)
-
-    def test_quantize_result_touches_both_layers(self, separable):
-        cfg = TrainConfig(learning_rate=1.0, epochs=300, seed=1)
-        res = train(separable, 2, TransferKind.sigmoid(), cfg)
-        qres = quantize_result(res)
-        assert qres.w1.shape == res.w1.shape
-        assert qres.w2.shape == res.w2.shape
-        for w in (qres.w1, qres.w2):
-            levels = np.unique(np.abs(w[w != 0.0]) / np.max(np.abs(w)))
-            assert len(levels) <= 32
 
     def test_all_zero_rejected(self):
         with pytest.raises(DomainError):
@@ -407,12 +401,22 @@ class TestWeightsFile:
         path.write_text(json.dumps(doc))
         return path
 
-    def test_retired_key_at_other_value_rejected(self, tmp_path, separable):
-        path = self._saved_with(tmp_path, separable, rail_weight=0.5)
-        with pytest.raises(ConfigError, match="rail_weight"):
+    @pytest.mark.parametrize("key, value", [
+        ("rail_weight", 0.5), ("center_inputs", False),
+        ("adaptive_lr", False), ("momentum", 0.5), ("kick_scale", 0.1),
+        ("target_accuracy", 0.9), ("surrogate_slope", 2.0)])
+    def test_retired_key_at_other_value_rejected(self, tmp_path, separable,
+                                                 key, value):
+        path = self._saved_with(tmp_path, separable, **{key: value})
+        with pytest.raises(ConfigError, match=key):
             load_weights(path)
 
     def test_unknown_config_key_rejected(self, tmp_path, separable):
         path = self._saved_with(tmp_path, separable, bogus_knob=1.0)
         with pytest.raises(ConfigError, match="bogus_knob"):
+            load_weights(path)
+
+    def test_non_finite_setting_rejected(self, tmp_path, separable):
+        path = self._saved_with(tmp_path, separable, train_sigma=np.nan)
+        with pytest.raises(ConfigError):
             load_weights(path)
