@@ -1,5 +1,6 @@
 """Crossbar mapping, weighted-sum, variation, and write-scheme tests."""
 
+import hashlib
 import json
 import math
 
@@ -289,6 +290,17 @@ class TestVariation:
         c = inject_variation(arr, 0.05, seed=8)
         assert np.array_equal(a.g_plus, b.g_plus)
         assert not np.array_equal(a.g_plus, c.g_plus)
+
+    def test_single_seed_draw_pinned(self):
+        """The four perturbed arrays of one seeded draw, exactly."""
+        arr = map_weights(np.random.default_rng(1).uniform(-1, 1, (6, 4)))
+        varied = inject_variation(arr, 0.05, seed=7)
+        digest = hashlib.sha256()
+        for g in (varied.g_plus, varied.g_minus, varied.dummy_plus,
+                  varied.dummy_minus):
+            digest.update(np.ascontiguousarray(g, dtype="<f8").tobytes())
+        assert digest.hexdigest() == ("dc981a4ec66ee32a9f79d2395a1d878a"
+                                      "d69620eb7e8ddca6bd0569d932e3d06d")
 
     def test_five_percent_statistics(self):
         w = np.ones((100, 100))

@@ -142,7 +142,8 @@ def _sha256(a):
 
 class TestGolden:
     """Pins the analog chain of the stored seed-17 recognizer: voltages,
-    energy ledger and Monte-Carlo margins, exactly."""
+    energy ledger, one perturbed clone's conductances and Monte-Carlo
+    margins, exactly."""
 
     @pytest.fixture(scope="class")
     def stored_network(self):
@@ -157,6 +158,16 @@ class TestGolden:
         assert e.neuron_reset == 6.045000000000001e-13
         assert e.crossbar_static == 4.974664942578433e-12
         assert e.dtcs_static == 7.623192942311578e-12
+
+    def test_single_clone_conductances(self, stored_network):
+        clone = stored_network.with_variation(0.05, seed=3)
+        digest = hashlib.sha256()
+        for layer in clone.layers:
+            for g in (layer.array.g_plus, layer.array.g_minus,
+                      layer.array.dummy_plus, layer.array.dummy_minus):
+                digest.update(np.ascontiguousarray(g, dtype="<f8").tobytes())
+        assert digest.hexdigest() == ("42cb323585561a070c81cc4ac205009f"
+                                      "2c8ff976cbb93d71f3c38b1c1e186a10")
 
     def test_monte_carlo_margins(self, stored_network, corpus):
         mc = monte_carlo(stored_network, corpus, 20, sigma=0.05, seed=2)
