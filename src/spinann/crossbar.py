@@ -22,7 +22,8 @@ SCHEMA = "crossbar/1"
 
 
 def _safe_divide(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    return np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
+    out = np.zeros(np.broadcast_shapes(num.shape, den.shape))
+    return np.divide(num, den, out=out, where=den > 0.0)
 
 
 def _row_products(x: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -102,6 +103,8 @@ class CrossbarArray:
     are treated as immutable after construction, so the bar totals
     g_tr_plus/g_tr_minus are computed once there; variation injection
     returns a perturbed copy that keeps a handle on the nominal array.
+    A stacked array holds T perturbed copies at once: every conductance
+    field is [T, rows, cols] and every bar total [T, rows].
     """
 
     g_plus: np.ndarray
@@ -125,21 +128,22 @@ class CrossbarArray:
             raise ConfigError("g_plus and g_minus shapes differ")
         if self.dummy_plus.shape != self.dummy_minus.shape:
             raise ConfigError("dummy shapes differ")
-        self.g_tr_plus = self.g_plus.sum(axis=1) + self.dummy_plus.sum(axis=1)
-        self.g_tr_minus = (self.g_minus.sum(axis=1)
-                           + self.dummy_minus.sum(axis=1))
+        self.g_tr_plus = (self.g_plus.sum(axis=-1)
+                          + self.dummy_plus.sum(axis=-1))
+        self.g_tr_minus = (self.g_minus.sum(axis=-1)
+                           + self.dummy_minus.sum(axis=-1))
 
     @property
     def n_inputs(self) -> int:
-        return self.g_plus.shape[0]
+        return self.g_plus.shape[-2]
 
     @property
     def n_outputs(self) -> int:
-        return self.g_plus.shape[1]
+        return self.g_plus.shape[-1]
 
     @property
     def n_dummy(self) -> int:
-        return self.dummy_plus.shape[1]
+        return self.dummy_plus.shape[-1]
 
     def weighted_sum(self, i_in_plus, i_in_minus) -> np.ndarray:
         """Column currents sum_i [I+ * g+ - I- * g-] / g_tr, dummies excluded.
@@ -148,6 +152,9 @@ class CrossbarArray:
         reaching column j is that cell's share of the bar total. The two
         input arrays share one shape `[..., n_inputs]`, every leading
         index one independent drive, and the result is `[..., n_outputs]`.
+        A stacked array of T copies inserts its trial axis before the
+        drive axis: drives `[n, n_inputs]`, shared by every copy, or
+        `[T, n, n_inputs]` give `[T, n, n_outputs]`.
         """
         i_in_plus = np.asarray(i_in_plus, dtype=float)
         i_in_minus = np.asarray(i_in_minus, dtype=float)
@@ -156,11 +163,14 @@ class CrossbarArray:
             raise DomainError(
                 f"input currents must share one shape [..., {self.n_inputs}]"
             )
+        g_plus, g_minus = self.g_plus, self.g_minus
+        g_tr_plus, g_tr_minus = self.g_tr_plus, self.g_tr_minus
+        if g_plus.ndim == 3:
+            g_plus, g_minus = g_plus[:, None], g_minus[:, None]
+            g_tr_plus, g_tr_minus = g_tr_plus[:, None], g_tr_minus[:, None]
         # A bar with zero total conductance carries no current at all.
-        pos = _row_products(_safe_divide(i_in_plus, self.g_tr_plus),
-                            self.g_plus)
-        neg = _row_products(_safe_divide(i_in_minus, self.g_tr_minus),
-                            self.g_minus)
+        pos = _row_products(_safe_divide(i_in_plus, g_tr_plus), g_plus)
+        neg = _row_products(_safe_divide(i_in_minus, g_tr_minus), g_minus)
         return pos - neg
 
     def decode_weights(self) -> np.ndarray:
@@ -311,29 +321,42 @@ def _split_dummies(deficits: np.ndarray, n_dummy: int, g_max: float) -> np.ndarr
     return out
 
 
-def inject_variation(array: CrossbarArray, sigma: float, seed) -> CrossbarArray:
+def inject_variation(array: CrossbarArray, sigma: float,
+                     seed) -> CrossbarArray:
     """Multiply every on-state conductance by (1 + N(0, sigma)).
 
     Dummy cells vary too, and the bar totals are recomputed from the
     perturbed values, so the current dividers shift with the variation.
-    Deterministic for a given seed. sigma = 0 returns an identical copy.
+    `seed` is one seed, giving one perturbed copy, or a 1-D sequence of
+    T seeds, giving a stacked array whose copy t equals the copy of
+    `seed[t]` alone. Each copy is one `default_rng(seed).normal` draw
+    over all cells, split in field order: g_plus, g_minus, dummy_plus,
+    dummy_minus. Deterministic for given seeds. sigma = 0 returns
+    identical copies.
     """
     if not np.isfinite(sigma) or sigma < 0.0:
         raise DomainError("sigma must be finite and >= 0")
-    gen = np.random.default_rng(seed)
+    stacked = np.ndim(seed) == 1
+    seeds = seed if stacked else [seed]
+    fields = (array.g_plus, array.g_minus, array.dummy_plus,
+              array.dummy_minus)
+    sizes = [g.size for g in fields]
+    noise = np.zeros((len(seeds), sum(sizes)))
+    if sigma > 0.0:
+        for row, s in zip(noise, seeds):
+            row[:] = np.random.default_rng(s).normal(0.0, sigma,
+                                                     size=row.size)
     lo = array.range.g_off
     hi = VARIATION_CLAMP_FACTOR * array.range.g_max
-
-    def perturb(g: np.ndarray) -> np.ndarray:
-        noise = gen.normal(0.0, sigma, size=g.shape) if sigma > 0.0 else 0.0
+    varied = []
+    for g, part in zip(fields, np.split(noise, np.cumsum(sizes)[:-1],
+                                        axis=1)):
+        part = part.reshape((len(seeds),) + g.shape)
         on = g > array.range.g_off
-        return np.where(on, np.clip(g * (1.0 + noise), lo, hi), g)
-
+        out = np.where(on, np.clip(g * (1.0 + part), lo, hi), g)
+        varied.append(out if stacked else out[0])
     return CrossbarArray(
-        g_plus=perturb(array.g_plus),
-        g_minus=perturb(array.g_minus),
-        dummy_plus=perturb(array.dummy_plus),
-        dummy_minus=perturb(array.dummy_minus),
+        *varied,
         range=array.range,
         report=array.report,
         nominal=array.nominal if array.nominal is not None else array,

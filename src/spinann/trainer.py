@@ -63,10 +63,13 @@ class TransferKind:
                 raise ConfigError("need th2 > th1 > 0")
             if not (self.v_max > self.v_min):
                 raise ConfigError("need v_max > v_min")
-            if self.drive_current <= 0.0:
-                raise ConfigError("drive_current must be positive")
+            if not (np.isfinite(self.drive_current)
+                    and self.drive_current > 0.0):
+                raise ConfigError("drive_current must be positive and finite")
             if self.i_nodes is None or self.a_nodes is None:
                 raise ConfigError("spin-neuron kind needs its sampled table")
+            if len(self.i_nodes) != len(self.a_nodes):
+                raise ConfigError("i_nodes and a_nodes differ in length")
             object.__setattr__(self, "slopes",
                                np.diff(self.a_nodes) / np.diff(self.i_nodes))
 

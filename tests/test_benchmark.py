@@ -15,6 +15,7 @@ from spinann.benchmark import (
     FEATURE_COUNT,
     GLYPH_SIZE,
     HIDDEN_NEURONS,
+    MC_BLOCK_TRIALS,
     POOL_GRID,
     Glyph,
     comparison_configs,
@@ -30,6 +31,7 @@ from spinann.benchmark import (
     pool_average,
     raw_features,
     recognizer_configs,
+    wilson_interval,
 )
 from spinann.errors import ConfigError, DomainError
 from spinann.network import build_network
@@ -280,21 +282,25 @@ class TestCorpus:
 
 class _TableNet:
     """Fake network: answers each corpus letter with a fixed matrix row,
-    with optional frozen Gaussian perturbation standing in for device
-    variation."""
+    with frozen Gaussian perturbations standing in for device variation."""
 
-    def __init__(self, matrix, features, sigma=0.0, seed=0):
-        rng = np.random.default_rng(seed)
-        self.matrix = matrix + sigma * rng.standard_normal(matrix.shape)
+    def __init__(self, matrix, features):
+        self.matrix = matrix
         self.features = features
 
     def forward(self, f):
-        """Rows of `matrix` for one feature vector or a batch of them."""
+        """Rows of `matrix` for one feature vector or a batch of them;
+        a stacked fake answers from each of its matrices."""
         dist = np.abs(self.features - np.asarray(f)[..., None, :]).sum(axis=-1)
-        return self.matrix[np.argmin(dist, axis=-1)]
+        return self.matrix[..., np.argmin(dist, axis=-1), :]
 
-    def with_variation(self, sigma, seed):
-        return _TableNet(self.matrix, self.features, sigma, seed)
+    def with_variation(self, sigma, seeds):
+        """A stacked fake, one perturbed copy of `matrix` per seed."""
+        return _TableNet(np.stack([
+            self.matrix
+            + sigma * np.random.default_rng(s).standard_normal(
+                self.matrix.shape)
+            for s in seeds]), self.features)
 
 
 class TestEvaluate:
@@ -407,6 +413,33 @@ class TestMonteCarlo:
         with pytest.raises(ConfigError):
             monte_carlo(net, corpus, trials=5, sigma=sigma)
 
+    def test_wilson_interval_known_case(self):
+        lo, hi = wilson_interval(993, 1000)
+        assert round(100 * lo, 1) == 98.6 and round(100 * hi, 1) == 99.7
+        np.testing.assert_allclose(
+            wilson_interval(np.array([993, 7]), 1000),
+            [[lo, hi], [1.0 - hi, 1.0 - lo]], rtol=1e-12)
+        assert wilson_interval(0, 4000)[0] >= 0.0
+        assert wilson_interval(4000, 4000)[1] == 1.0
+
+    def test_intervals_reported(self, corpus):
+        matrix = np.eye(26)
+        matrix[4, 9] = 0.99
+        mc = monte_carlo(_TableNet(matrix, corpus.features), corpus,
+                         trials=40, sigma=0.02, seed=4)
+        fails = 40 - round(mc.fully_correct_fraction * 40)
+        assert 0 < fails < 40
+        lo, hi = mc.fully_correct_interval
+        assert lo < mc.fully_correct_fraction < hi
+        assert mc.letter_error_interval.shape == (26, 2)
+        np.testing.assert_allclose(
+            mc.letter_error_interval,
+            wilson_interval(mc.letter_error_rate * 40, 40), rtol=1e-12)
+        payload = mc.to_dict()
+        assert payload["fully_correct_interval"] == [lo, hi]
+        assert payload["letter_error_interval"] == \
+            mc.letter_error_interval.tolist()
+
 
 class TestRecognizerRecipe:
     def test_hidden_width_constant(self):
@@ -448,10 +481,11 @@ class TestRecognizerRecipe:
 
     def test_monte_carlo_matches_per_letter_evaluation(self, recognizer,
                                                        corpus):
-        """Batched trials score exactly as `evaluate` on each trial's
-        perturbed copy, drawn from the same spawned seed."""
+        """Blocked trials (two full blocks and a partial one) score
+        exactly as `evaluate` on each trial's perturbed copy, drawn from
+        the same spawned seed."""
         network = build_network(recognizer)
-        seed, trials = 2, 20
+        seed, trials = 2, 2 * MC_BLOCK_TRIALS + 6
         mc = monte_carlo(network, corpus, trials, sigma=0.05, seed=seed)
         oracle = [
             evaluate(network.with_variation(0.05, seed=int(

@@ -302,6 +302,31 @@ class TestVariation:
         assert digest.hexdigest() == ("dc981a4ec66ee32a9f79d2395a1d878a"
                                       "d69620eb7e8ddca6bd0569d932e3d06d")
 
+    def test_seed_sequence_stacks_single_draws(self):
+        """A sequence of seeds gives a stacked array whose copy t, and
+        its weighted sums, equal the single draw of seed t."""
+        gen = np.random.default_rng(1)
+        arr = map_weights(gen.uniform(-1, 1, (6, 4)))
+        seeds = [7, 8, 123]
+        stack = inject_variation(arr, 0.05, seed=seeds)
+        singles = [inject_variation(arr, 0.05, seed=s) for s in seeds]
+        assert stack.g_plus.shape == (3, 6, 4)
+        assert (stack.n_inputs, stack.n_outputs) == (6, 4)
+        assert stack.n_dummy == arr.n_dummy
+        assert stack.nominal is arr
+        for name in ("g_plus", "g_minus", "dummy_plus", "dummy_minus",
+                     "g_tr_plus", "g_tr_minus"):
+            np.testing.assert_array_equal(
+                getattr(stack, name), [getattr(a, name) for a in singles])
+        shared = gen.uniform(0.0, 1e-5, (5, 6))
+        own = gen.uniform(0.0, 1e-5, (3, 5, 6))
+        np.testing.assert_array_equal(
+            stack.weighted_sum(shared, 0.5 * shared),
+            [a.weighted_sum(shared, 0.5 * shared) for a in singles])
+        np.testing.assert_array_equal(
+            stack.weighted_sum(own, own),
+            [a.weighted_sum(x, x) for a, x in zip(singles, own)])
+
     def test_five_percent_statistics(self):
         w = np.ones((100, 100))
         arr = map_weights(w)  # every synapse cell at g_max

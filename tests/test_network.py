@@ -14,7 +14,6 @@ from spinann.network import (
     PhaseSchedule,
     build_network,
     load_network,
-    neuron_count_energy,
     readout,
     save_network,
 )
@@ -28,13 +27,6 @@ from spinann.trainer import (
 
 STORED_RECOGNIZER = (Path(__file__).resolve().parents[1]
                      / "perfbench" / "data" / "recognizer_seed17.json")
-
-# Per-neuron phase energies at the nominal operating point, joules:
-# program (40 uA)^2 * 300 ohm * 1 ns, sense 100 mV * 25 uA * 1 ns,
-# reset (50 uA)^2 * 300 ohm * 1 ns.
-E_PROGRAM = 0.48e-15
-E_SENSE = 2.5e-15
-E_RESET = 0.75e-15
 
 
 def _toy_result(w1, w2, kind=None):
@@ -218,15 +210,6 @@ class TestEnergy:
         _, e = net.forward(corpus.features[0])
         assert e.total == 0.0
 
-    def test_neuron_count_energy_at_operating_point(self, network):
-        rep = neuron_count_energy(network)
-        n = network.n_neurons
-        assert rep.neuron_program == pytest.approx(n * E_PROGRAM, rel=1e-9)
-        assert rep.neuron_sense == pytest.approx(n * E_SENSE, rel=1e-9)
-        assert rep.neuron_reset == pytest.approx(n * E_RESET, rel=1e-9)
-        assert rep.total == pytest.approx(115.63e-15, rel=1e-9)
-        assert rep.crossbar_static == 0.0
-
 
 class TestVariation:
     def test_same_seed_same_clone(self, network, corpus):
@@ -246,6 +229,31 @@ class TestVariation:
             np.testing.assert_array_equal(orig.array.g_plus, new.array.g_plus)
             np.testing.assert_array_equal(orig.array.dummy_minus,
                                           new.array.dummy_minus)
+
+    def test_stacked_copies_match_single_clones(self, network, corpus):
+        """Copy t of a network stacked from a seed sequence reads the
+        corpus exactly as the clone of seed t alone, and its ledger is
+        the sum of the per-clone ledgers."""
+        seeds = [3, 11, 4, 2**32 - 1]
+        stacked = network.with_variation(0.05, seeds)
+        v, e = stacked.forward(corpus.features)
+        singles = [network.with_variation(0.05, s).forward(corpus.features)
+                   for s in seeds]
+        assert v.shape == (4, 26, 26)
+        np.testing.assert_array_equal(v, np.stack([s[0] for s in singles]))
+        for name, total in e.to_dict().items():
+            want = sum(s[1].to_dict()[name] for s in singles)
+            assert total == pytest.approx(want, rel=1e-12)
+        one, _ = stacked.forward(corpus.features[12])
+        np.testing.assert_array_equal(one, v[:, 12:13])
+
+    def test_zero_sigma_stack_is_nominal(self, network, corpus):
+        v, e = network.with_variation(0.0, [5, 6, 7]).forward(
+            corpus.features)
+        v0, e0 = network.forward(corpus.features)
+        np.testing.assert_array_equal(v, np.stack([v0] * 3))
+        for name, total in e.to_dict().items():
+            assert total == pytest.approx(3 * e0.to_dict()[name], rel=1e-12)
 
     def test_variation_never_accumulates(self, network):
         """Re-varying a varied clone perturbs the nominal conductances,

@@ -1,5 +1,6 @@
 """Transfer functions, gradient checks, training, and search tests."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -110,6 +111,20 @@ class TestSttTable:
     def test_wrong_kind_rejected(self):
         with pytest.raises(ConfigError):
             TransferKind("relu")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_drive_current_rejected(self, stt_kind, bad):
+        with pytest.raises(ConfigError):
+            dataclasses.replace(stt_kind, drive_current=bad)
+
+    @pytest.mark.parametrize("key, value", [
+        ("drive_current_a", np.nan), ("drive_current_a", np.inf),
+        ("a_nodes", [0.0, 1.0])])
+    def test_bad_stored_table_rejected(self, stt_kind, key, value):
+        doc = stt_kind.to_dict()
+        doc[key] = value
+        with pytest.raises(ConfigError):
+            TransferKind.from_dict(doc)
 
 
 class TestActivationAnchors:
