@@ -79,8 +79,9 @@ FEATURE_COUNT = 64
 # Hidden width of the reference recognizer topology (64-5-26).
 HIDDEN_NEURONS = 5
 
-# Monte-Carlo trials perturbed and run together. A stack of all trials
-# at once runs no faster and holds several MB more memory at 200 trials.
+# Monte-Carlo trials perturbed and run together. Blocks of 8 or 16 run
+# slower; one stack of 200 trials runs no faster and peaks about 6 MB
+# higher.
 MC_BLOCK_TRIALS = 32
 
 # Two-sided 95% standard-normal quantile of the Wilson score interval.

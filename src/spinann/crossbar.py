@@ -22,7 +22,7 @@ SCHEMA = "crossbar/1"
 
 
 def _safe_divide(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    out = np.zeros(np.broadcast_shapes(num.shape, den.shape))
+    out = np.zeros(np.broadcast(num, den).shape)
     return np.divide(num, den, out=out, where=den > 0.0)
 
 

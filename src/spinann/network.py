@@ -196,10 +196,10 @@ class SpinAnnNetwork:
             gate_u[..., :-1] = activations
             i_rows = layer.i_unit * gate_u
             i_cols = layer.array.weighted_sum(i_rows, i_rows)
-            # Every copy of a stacked network is driven by the same rows.
-            i_rows = np.broadcast_to(i_rows,
-                                     i_cols.shape[:-1] + i_rows.shape[-1:])
+            # A stacked network runs every row once per copy, so rows
+            # shared by all copies count `copies` times in the ledger.
             n = i_cols[..., 0].size
+            copies = n // i_rows[..., 0].size
             n_out = layer.array.n_outputs
 
             # Reset: every neuron's wall returns to the low-output end.
@@ -210,10 +210,12 @@ class SpinAnnNetwork:
             # Every input drives one row per bar; each equalized row
             # dissipates I^2/g_tr (the cell-wise sum of V^2 g).
             energy.crossbar_static += float(
-                2.0 * np.sum(i_rows ** 2) / layer.g_tr * sched.t_program
+                2.0 * copies * np.sum(i_rows ** 2) / layer.g_tr
+                * sched.t_program
             )
             energy.dtcs_static += float(
-                2.0 * np.sum(np.abs(i_rows)) * DTCS_DELTA_V * sched.t_program
+                2.0 * copies * np.sum(np.abs(i_rows)) * DTCS_DELTA_V
+                * sched.t_program
             )
 
             # Sense: read dividers only; programming paths are floated.
