@@ -40,6 +40,7 @@ from .trainer import (
     TransferKind,
     finalize,
     min_hidden_search,
+    own_margins,
     train,
 )
 
@@ -344,9 +345,7 @@ def _score(raw: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     hi = raw.max(axis=(-2, -1), keepdims=True)
     matrix = np.divide(raw - lo, hi - lo, out=np.zeros_like(raw),
                        where=hi > lo)
-    off = np.where(np.eye(n, dtype=bool), -np.inf, matrix)
-    margins = np.diagonal(matrix, axis1=-2, axis2=-1) - off.max(axis=-1)
-    return matrix, margins
+    return matrix, own_margins(matrix, np.arange(n))
 
 
 def evaluate(network, corpus: Corpus) -> EvaluationResult:

@@ -10,13 +10,11 @@ sum of the bar currents.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, WriteError
+from .errors import ConfigError, DomainError
 
 SCHEMA = "crossbar/1"
 
@@ -128,6 +126,8 @@ class CrossbarArray:
             raise ConfigError("g_plus and g_minus shapes differ")
         if self.dummy_plus.shape != self.dummy_minus.shape:
             raise ConfigError("dummy shapes differ")
+        if self.dummy_plus.shape[:-1] != self.g_plus.shape[:-1]:
+            raise ConfigError("dummy and conductance rows differ")
         self.g_tr_plus = (self.g_plus.sum(axis=-1)
                           + self.dummy_plus.sum(axis=-1))
         self.g_tr_minus = (self.g_minus.sum(axis=-1)
@@ -212,48 +212,45 @@ class CrossbarArray:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "CrossbarArray":
+        """Rebuild an array from its `to_dict` document.
+
+        A missing key, or a conductance that is negative or not finite,
+        is a ConfigError.
+        """
         if doc.get("schema") != SCHEMA:
             raise ConfigError(f"expected schema {SCHEMA}, got {doc.get('schema')!r}")
-        rng = ConductanceRange(
-            g_min=doc["range"]["g_min_s"],
-            g_max=doc["range"]["g_max_s"],
-            levels=doc["range"]["levels"],
-            g_off=doc["range"]["g_off_s"],
-        )
-        report = None
-        if "mapping" in doc:
-            report = MappingReport(
-                scale=doc["mapping"]["scale_s_per_weight"],
-                pruned=doc["mapping"]["pruned"],
-                max_abs_weight=doc["mapping"]["max_abs_weight"],
+        try:
+            rng = ConductanceRange(
+                g_min=doc["range"]["g_min_s"],
+                g_max=doc["range"]["g_max_s"],
+                levels=doc["range"]["levels"],
+                g_off=doc["range"]["g_off_s"],
             )
-        nominal = None
-        if "nominal" in doc:
-            nom = doc["nominal"]
-            nominal = cls(
-                g_plus=np.array(nom["g_plus_s"]),
-                g_minus=np.array(nom["g_minus_s"]),
-                dummy_plus=np.array(nom["dummy_plus_s"]),
-                dummy_minus=np.array(nom["dummy_minus_s"]),
-                range=rng,
-                report=report,
-            )
-        return cls(
-            g_plus=np.array(doc["g_plus_s"]),
-            g_minus=np.array(doc["g_minus_s"]),
-            dummy_plus=np.array(doc["dummy_plus_s"]),
-            dummy_minus=np.array(doc["dummy_minus_s"]),
-            range=rng,
-            report=report,
-            nominal=nominal,
-        )
+            report = None
+            if "mapping" in doc:
+                report = MappingReport(
+                    scale=doc["mapping"]["scale_s_per_weight"],
+                    pruned=doc["mapping"]["pruned"],
+                    max_abs_weight=doc["mapping"]["max_abs_weight"],
+                )
+            nominal = None
+            if "nominal" in doc:
+                nominal = cls(*_conductances(doc["nominal"]), range=rng,
+                              report=report)
+            return cls(*_conductances(doc), range=rng, report=report,
+                       nominal=nominal)
+        except KeyError as exc:
+            raise ConfigError(f"crossbar document lacks key {exc}") from None
 
-    def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=1) + "\n")
 
-    @classmethod
-    def load(cls, path) -> "CrossbarArray":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+def _conductances(doc: dict) -> list[np.ndarray]:
+    """A document's g_plus, g_minus, dummy_plus and dummy_minus, checked
+    finite and non-negative."""
+    fields = [np.array(doc[f"{name}_s"], dtype=float)
+              for name in ("g_plus", "g_minus", "dummy_plus", "dummy_minus")]
+    if not all(np.all(np.isfinite(g) & (g >= 0.0)) for g in fields):
+        raise ConfigError("conductances must be finite and >= 0")
+    return fields
 
 
 def map_weights(
@@ -361,67 +358,3 @@ def inject_variation(array: CrossbarArray, sigma: float,
         report=array.report,
         nominal=array.nominal if array.nominal is not None else array,
     )
-
-
-@dataclass(frozen=True)
-class WriteParams:
-    """Adjustable-pulse-width write scheme parameters.
-
-    A constant write current ramps the cell resistance; a comparator
-    against a DAC-quantized threshold stops the ramp. The ramp rate is
-    specified at i_reference and scales linearly with the write current,
-    so a smaller current tunes more finely. r_start and t_pulse pin down
-    the discrete simulation; they are behavioral stand-ins, not material
-    constants.
-    """
-
-    write_current: float = 10e-6
-    ramp_rate: float = 1e12  # ohm/s at i_reference
-    comparator_resolution: float = 10.0  # ohm, DAC step
-    max_pulses: int = 100_000
-    i_reference: float = 10e-6
-    t_pulse: float = 1e-9
-    r_start: float = 32e3
-
-    def __post_init__(self):
-        for name in ("write_current", "ramp_rate", "comparator_resolution",
-                     "i_reference", "t_pulse", "r_start"):
-            if getattr(self, name) <= 0.0:
-                raise ConfigError(f"{name} must be positive")
-        if self.max_pulses <= 0:
-            raise ConfigError("max_pulses must be positive")
-
-
-def program_cell(
-    target_g: float,
-    params: WriteParams,
-    rng: ConductanceRange | None = None,
-) -> tuple[float, int, float]:
-    """Program one cell to target_g; returns (achieved_g, pulses, energy).
-
-    Pulses shrink the resistance by ramp_rate*(I/i_ref)*t_pulse each until
-    it crosses the comparator threshold (the target resistance rounded to
-    the DAC step). Write energy integrates I^2*R over the pulses at the
-    pre-pulse resistance.
-    """
-    rng = rng or ConductanceRange()
-    if not (rng.g_min <= target_g <= rng.g_max):
-        raise DomainError(
-            f"target conductance {target_g} outside [{rng.g_min}, {rng.g_max}]"
-        )
-    r_threshold = round((1.0 / target_g) / params.comparator_resolution) \
-        * params.comparator_resolution
-    dr = params.ramp_rate * (params.write_current / params.i_reference) \
-        * params.t_pulse
-    r = params.r_start
-    pulses = 0
-    energy = 0.0
-    while r > r_threshold:
-        if pulses >= params.max_pulses:
-            raise WriteError(
-                f"no convergence to {r_threshold} ohm in {params.max_pulses} pulses"
-            )
-        energy += params.write_current ** 2 * r * params.t_pulse
-        r -= dr
-        pulses += 1
-    return 1.0 / r, pulses, energy

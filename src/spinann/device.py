@@ -262,11 +262,6 @@ class VelocityTable:
             return cls.from_csv(path)
 
 
-def dw_velocity(j: float, table: VelocityTable) -> float:
-    """Wall velocity (m/s) for current-density magnitude j (A/m^2)."""
-    return table.velocity(j)
-
-
 @dataclass
 class NeuronState:
     """Mutable wall midpoint position of one neuron, meters."""
@@ -373,14 +368,6 @@ class NeuronDevice:
         x = self.state.x + (step if i > 0.0 else -step)
         self.state.x = min(max(x, self.geometry.x_min), self.geometry.x_max)
         return self.state.x
-
-    def reset(self, i: float = -50e-6, dt: float = 1e-9) -> float:
-        """Drive the wall back to the minimum-output end; returns the new x.
-
-        With the default -50 uA / 1 ns pulse the table velocity exceeds the
-        full travel in one pulse, so the wall parks exactly at x_min.
-        """
-        return self.apply_pulse(i, dt)
 
     def sense(self, i_sense: float = 25e-6) -> float:
         """Non-destructive read of the output voltage.

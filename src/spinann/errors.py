@@ -20,14 +20,6 @@ class DisturbanceError(SpinAnnError):
     """
 
 
-class WriteError(SpinAnnError):
-    """A memristor write did not converge within the allowed pulse budget."""
-
-
-class TieError(SpinAnnError):
-    """Two output neurons tied at machine precision; the winner is undefined."""
-
-
 class SearchError(SpinAnnError):
     """A hidden-size search hit its cap without reaching the target accuracy."""
 

@@ -445,34 +445,27 @@ def output_activations(result: TrainResult, features) -> np.ndarray:
     return _forward(_augment(x), result.w1, result.w2, result.kind)[3]
 
 
-def predict(result: TrainResult, features) -> np.ndarray:
-    """Predicted labels; a tied row maximum counts as no decision (-1)."""
-    return _strict_argmax(output_activations(result, features))
+def own_margins(a: np.ndarray, labels) -> np.ndarray:
+    """Each row's labelled entry minus its best other entry.
 
-
-def _strict_argmax(a2: np.ndarray) -> np.ndarray:
-    """Row argmax, or -1 where the maximum is not unique.
-
-    Saturating transfers can pin several outputs to the same rail; a tie
-    is a wrong answer, mirroring the hardware readout's tie rule.
+    `a` is `[..., n, k]` and `labels` holds the `n` rows' labels; the
+    result is `[..., n]`. A row is decided correctly only when its margin
+    is positive, so a tie at the top is a wrong answer: saturating
+    transfers can pin several outputs to the same rail.
     """
-    winners = np.argmax(a2, axis=1)
-    top = a2[np.arange(len(a2)), winners]
-    tied = (a2 == top[:, None]).sum(axis=1) > 1
-    return np.where(tied, -1, winners)
+    idx = np.arange(a.shape[-2])
+    rest = a.copy()
+    rest[..., idx, labels] = -np.inf
+    return a[..., idx, labels] - rest.max(axis=-1)
 
 
 def _accuracy(a2: np.ndarray, labels: np.ndarray) -> float:
-    return float(np.mean(_strict_argmax(a2) == labels))
+    return float(np.mean(own_margins(a2, labels) > 0.0))
 
 
 def _margin(a2: np.ndarray, labels: np.ndarray) -> float:
     """Smallest own-class-vs-runner-up activation gap over the batch."""
-    idx = np.arange(len(labels))
-    own = a2[idx, labels]
-    rest = a2.copy()
-    rest[idx, labels] = -np.inf
-    return float(np.min(own - rest.max(axis=1)))
+    return float(np.min(own_margins(a2, labels)))
 
 
 def _fit(dataset: Dataset, kind: TransferKind, cfg: TrainConfig,

@@ -1,4 +1,4 @@
-"""Crossbar mapping, weighted-sum, variation, and write-scheme tests."""
+"""Crossbar mapping, weighted-sum, variation, and serialization tests."""
 
 import hashlib
 import json
@@ -13,12 +13,10 @@ from spinann.crossbar import (
     ConductanceRange,
     CrossbarArray,
     MappingReport,
-    WriteParams,
     inject_variation,
     map_weights,
-    program_cell,
 )
-from spinann.errors import ConfigError, DomainError, WriteError
+from spinann.errors import ConfigError, DomainError
 from spinann.network import build_network
 
 G_MIN = 1.0 / 32e3
@@ -380,80 +378,12 @@ class TestVariation:
             inject_variation(arr, sigma, seed=0)
 
 
-class TestProgramCell:
-    def test_target_at_start_needs_no_pulses(self):
-        params = WriteParams()
-        g, pulses, energy = program_cell(1.0 / params.r_start, params)
-        assert pulses == 0
-        assert energy == 0.0
-        assert g == pytest.approx(1.0 / params.r_start, rel=1e-12)
-
-    def test_matches_closed_form_ramp(self):
-        params = WriteParams(write_current=8e-6)
-        dr = params.ramp_rate * (params.write_current / params.i_reference) \
-            * params.t_pulse
-        for r_target in (1500.0, 5000.0, 9400.0, 20000.0, 31000.0):
-            g, pulses, energy = program_cell(1.0 / r_target, params)
-            threshold = round(r_target / params.comparator_resolution) \
-                * params.comparator_resolution
-            # Smallest n with r_start - n*dr <= threshold, evaluated with
-            # the same float arithmetic as the pulse loop.
-            n = math.ceil((params.r_start - threshold) / dr)
-            while params.r_start - n * dr > threshold:
-                n += 1
-            while n > 0 and params.r_start - (n - 1) * dr <= threshold:
-                n -= 1
-            assert pulses == n
-            assert 1.0 / g == pytest.approx(params.r_start - n * dr, rel=1e-12)
-            expected_energy = params.write_current ** 2 * params.t_pulse \
-                * (n * params.r_start - dr * n * (n - 1) / 2)
-            assert energy == pytest.approx(expected_energy, rel=1e-12)
-
-    def test_achieved_within_ramp_and_comparator_step(self):
-        params = WriteParams(write_current=7e-6)
-        dr = params.ramp_rate * (params.write_current / params.i_reference) \
-            * params.t_pulse
-        gen = np.random.default_rng(17)
-        for r_target in gen.uniform(1000.0, 32000.0, size=20):
-            g, _, _ = program_cell(1.0 / r_target, params)
-            assert abs(1.0 / g - r_target) <= dr + \
-                0.5 * params.comparator_resolution
-
-    def test_lower_current_tunes_finer(self):
-        r_target = 9400.0
-        coarse, _, _ = program_cell(
-            1.0 / r_target, WriteParams(write_current=8e-6))
-        fine, _, _ = program_cell(
-            1.0 / r_target, WriteParams(write_current=4e-6))
-        err_coarse = abs(1.0 / coarse - r_target)
-        err_fine = abs(1.0 / fine - r_target)
-        assert err_fine < err_coarse
-
-    def test_out_of_range_target_rejected(self):
-        with pytest.raises(DomainError):
-            program_cell(0.5 * G_MIN, WriteParams())
-        with pytest.raises(DomainError):
-            program_cell(1.5 * G_MAX, WriteParams())
-
-    def test_pulse_budget_enforced(self):
-        with pytest.raises(WriteError):
-            program_cell(G_MAX, WriteParams(max_pulses=3))
-
-    def test_bad_params_rejected(self):
-        with pytest.raises(ConfigError):
-            WriteParams(write_current=0.0)
-        with pytest.raises(ConfigError):
-            WriteParams(max_pulses=0)
-
-
 class TestSerialization:
-    def test_round_trip(self, tmp_path):
+    def test_round_trip(self):
         arr = map_weights(np.random.default_rng(10).uniform(-1, 1, (5, 4)))
-        path = tmp_path / "bar.json"
-        arr.save(path)
-        doc = json.loads(path.read_text())
+        doc = json.loads(json.dumps(arr.to_dict()))
         assert doc["schema"] == "crossbar/1"
-        back = CrossbarArray.load(path)
+        back = CrossbarArray.from_dict(doc)
         assert np.array_equal(back.g_plus, arr.g_plus)
         assert np.array_equal(back.g_minus, arr.g_minus)
         assert np.array_equal(back.dummy_plus, arr.dummy_plus)
@@ -461,12 +391,10 @@ class TestSerialization:
         assert back.range == arr.range
         assert back.report == arr.report
 
-    def test_perturbed_document_keeps_nominal(self, tmp_path):
+    def test_perturbed_document_keeps_nominal(self):
         arr = map_weights(np.random.default_rng(12).uniform(-1, 1, (4, 3)))
         varied = inject_variation(arr, 0.05, seed=5)
-        path = tmp_path / "varied.json"
-        varied.save(path)
-        back = CrossbarArray.load(path)
+        back = CrossbarArray.from_dict(json.loads(json.dumps(varied.to_dict())))
         assert back.nominal is not None
         assert np.array_equal(back.nominal.g_plus, arr.g_plus)
         assert np.array_equal(back.g_plus, varied.g_plus)

@@ -12,7 +12,6 @@ from spinann.device import (
     NeuronDevice,
     NeuronGeometry,
     VelocityTable,
-    dw_velocity,
     neuron_energy,
     neuron_resistance,
     output_voltage,
@@ -20,6 +19,7 @@ from spinann.device import (
     read_voltage,
 )
 from spinann.errors import ConfigError, DisturbanceError, DomainError
+from spinann.network import I_RESET
 
 
 @pytest.fixture
@@ -119,18 +119,18 @@ class TestReadout:
 class TestVelocityTable:
     def test_below_threshold_is_zero(self):
         table = VelocityTable.default()
-        assert dw_velocity(3e11, table) == 0.0
-        assert dw_velocity(table.j_th, table) == 0.0
+        assert table.velocity(3e11) == 0.0
+        assert table.velocity(table.j_th) == 0.0
 
     def test_anchors_exact(self):
         table = VelocityTable.default()
         for j, v in table.anchors:
-            assert dw_velocity(j, table) == pytest.approx(v, abs=0.0)
+            assert table.velocity(j) == pytest.approx(v, abs=0.0)
 
     def test_clamps_beyond_last_anchor(self):
         table = VelocityTable.default()
         j_last, v_last = table.anchors[-1]
-        assert dw_velocity(10 * j_last, table) == v_last
+        assert table.velocity(10 * j_last) == v_last
 
     def test_interpolates_between_anchors(self):
         table = VelocityTable([(6e11, 0.0), (8e11, 50.0)])
@@ -173,11 +173,13 @@ class TestPulses:
         assert device.state.x == x0
 
     def test_reset_from_anywhere(self, device):
+        """The network's 1 ns reset pulse at I_RESET walks the wall past
+        its full travel, so the wall parks exactly at x_min."""
         device.state.x = device.geometry.x_max
-        device.reset()
+        device.apply_pulse(-I_RESET, 1e-9)
         assert device.state.x == device.geometry.x_min
         device.state.x = 0.5 * (device.geometry.x_min + device.geometry.x_max)
-        device.reset()
+        device.apply_pulse(-I_RESET, 1e-9)
         assert device.state.x == device.geometry.x_min
 
     def test_advance_matches_table(self, device):

@@ -1,20 +1,21 @@
-"""Network assembly, clocked phases, energy ledger, and readout tests."""
+"""Network assembly, clocked phases, energy ledger, and serialization tests."""
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from spinann.benchmark import monte_carlo
-from spinann.errors import ConfigError, DomainError, TieError
+from spinann.crossbar import CrossbarArray
+from spinann.errors import ConfigError, DomainError
 from spinann.network import (
     EnergyReport,
     PhaseSchedule,
     build_network,
     load_network,
-    readout,
     save_network,
 )
 from spinann.trainer import (
@@ -35,6 +36,36 @@ def _toy_result(w1, w2, kind=None):
         kind=kind or TransferKind.stt_snn(), config=TrainConfig(),
         accuracy=0.0, converged=False, epochs_run=0, history=None,
     )
+
+
+def _cut_dummy_rows(doc):
+    for key in ("dummy_plus_s", "dummy_minus_s"):
+        doc[key] = doc[key][:1]
+
+
+def _fill(key, value):
+    def edit(doc):
+        doc[key] = np.full(np.shape(doc[key]), value).tolist()
+    return edit
+
+
+def _drop(*keys):
+    def edit(doc):
+        for key in keys[:-1]:
+            doc = doc[key]
+        del doc[keys[-1]]
+    return edit
+
+
+# Edits that each break one crossbar-array document in place.
+MALFORMED_ARRAYS = [
+    pytest.param(_cut_dummy_rows, id="dummy-rows-mismatch"),
+    pytest.param(_fill("g_plus_s", math.nan), id="nan"),
+    pytest.param(_fill("dummy_minus_s", math.inf), id="inf"),
+    pytest.param(_fill("g_minus_s", -1e-5), id="negative"),
+    pytest.param(_drop("g_minus_s"), id="missing-conductances"),
+    pytest.param(_drop("range", "levels"), id="missing-range-key"),
+]
 
 
 @pytest.fixture(scope="module")
@@ -268,43 +299,6 @@ class TestVariation:
                                           back.array.g_plus)
 
 
-class TestReadout:
-    def test_winner_and_margin(self):
-        label, margin = readout([0.052, 0.069, 0.060])
-        assert label == 1
-        assert margin == pytest.approx(0.009)
-
-    def test_tie_is_an_error(self):
-        with pytest.raises(TieError):
-            readout([0.06, 0.07, 0.07])
-
-    def test_single_neuron(self):
-        assert readout([0.055]) == (0, 0.055)
-
-    def test_bits_mode(self):
-        bits = readout([0.052, 0.069, 0.060], mode="bits", v_threshold=0.065)
-        np.testing.assert_array_equal(bits, [1, 0, 1])
-
-    def test_bits_mode_needs_threshold(self):
-        with pytest.raises(ConfigError):
-            readout([0.05, 0.06], mode="bits")
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ConfigError):
-            readout([0.05, 0.06], mode="softmax")
-
-    def test_empty_vector_rejected(self):
-        with pytest.raises(DomainError):
-            readout([])
-
-    def test_recognizer_readout_agrees_with_labels(self, network, corpus):
-        for i, f in enumerate(corpus.features):
-            v, _ = network.forward(f)
-            label, margin = readout(v)
-            assert label == i
-            assert margin > 0.0
-
-
 class TestSerialization:
     def test_round_trip_preserves_behavior(self, network, corpus, tmp_path):
         path = tmp_path / "network.json"
@@ -333,6 +327,19 @@ class TestSerialization:
         restored = loaded.with_variation(0.0, seed=0)
         np.testing.assert_array_equal(restored.layers[0].array.g_plus,
                                       network.layers[0].array.g_plus)
+
+    @pytest.mark.parametrize("corrupt", MALFORMED_ARRAYS)
+    def test_malformed_array_rejected(self, network, tmp_path, corrupt):
+        """Misshapen dummies, non-finite or negative conductances and
+        missing keys are refused, alone and inside a network file."""
+        payload = network.to_dict()
+        corrupt(payload["layers"][0]["array"])
+        with pytest.raises(ConfigError):
+            CrossbarArray.from_dict(payload["layers"][0]["array"])
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ConfigError):
+            load_network(path)
 
     def test_bad_schema_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -1,14 +1,18 @@
 """The package points only at things that exist: pyproject.toml's
-scripts and data globs, and every name a module exports."""
+scripts and data globs, every name a module exports, and every error
+type some code raises."""
 
 import glob
 import importlib
+import inspect
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
 
 import spinann
+from spinann import errors
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -41,3 +45,12 @@ def test_every_exported_name_resolves():
     for module in modules:
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_every_error_type_is_raised():
+    source = "\n".join(path.read_text()
+                       for path in (ROOT / "src" / "spinann").glob("*.py"))
+    for name, cls in inspect.getmembers(errors, inspect.isclass):
+        if issubclass(cls, errors.SpinAnnError) \
+                and cls is not errors.SpinAnnError:
+            assert re.search(rf"raise {name}\b", source), name

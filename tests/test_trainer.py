@@ -6,10 +6,13 @@ import json
 import numpy as np
 import pytest
 
+from spinann.benchmark import _score
 from spinann.crossbar import map_weights
 from spinann.device import NeuronDevice
 from spinann.errors import ConfigError, DomainError, SearchError
 from spinann.trainer import (
+    _accuracy,
+    _margin,
     Dataset,
     TrainConfig,
     TransferKind,
@@ -18,7 +21,7 @@ from spinann.trainer import (
     load_weights,
     min_hidden_search,
     output_activations,
-    predict,
+    own_margins,
     quantize_weights,
     save_weights,
     train,
@@ -225,14 +228,41 @@ class TestGradientCheck:
             assert activation_derivative(z, k) == fd == 0.0
 
 
+CLEAR = [[1.0, 0.2, 0.0], [0.1, 0.9, 0.3], [0.0, 0.4, 0.8]]
+MISSED = [[0.3, 1.0, 0.0], [0.0, 0.8, 0.2], [0.1, 0.2, 0.7]]
+
+
+# Every matrix spans exactly [0, 1], so `_score`'s min-max normalization
+# leaves it unchanged and all three scorers read the same numbers.
+@pytest.mark.parametrize("a, want", [
+    pytest.param(CLEAR, [0.8, 0.6, 0.4], id="clear-winner"),
+    pytest.param([[1.0, 1.0, 0.0], [0.0, 1.0, 0.5], [0.2, 0.0, 0.9]],
+                 [0.0, 0.5, 0.7], id="tie-at-top"),
+    pytest.param(MISSED, [-0.7, 0.6, 0.5], id="misclassified"),
+    pytest.param([CLEAR, MISSED], [[0.8, 0.6, 0.4], [-0.7, 0.6, 0.5]],
+                 id="stacked"),
+])
+def test_own_margins_is_the_one_decision_rule(a, want):
+    a = np.array(a)
+    labels = np.arange(3)
+    margins = own_margins(a, labels)
+    np.testing.assert_allclose(margins, want, rtol=0.0, atol=1e-12)
+    matrix, scored = _score(a, 3)
+    np.testing.assert_array_equal(matrix, a)
+    np.testing.assert_array_equal(scored, margins)
+    # A tie at the top is a margin of 0, which counts as wrong.
+    assert _accuracy(a, labels) == np.mean(np.array(want) > 0.0)
+    assert _margin(a, labels) == margins.min()
+
+
 class TestTrain:
     def test_separable_toy_with_one_hidden_sigmoid(self, separable):
         cfg = TrainConfig(learning_rate=1.0, epochs=2000, seed=1)
         res = train(separable, 1, TransferKind.sigmoid(), cfg)
         assert res.converged
         assert res.accuracy == 1.0
-        assert np.array_equal(predict(res, separable.features),
-                              separable.labels)
+        assert np.all(own_margins(output_activations(res, separable.features),
+                                  separable.labels) > 0.0)
 
     def test_deterministic_per_seed(self, separable):
         cfg = TrainConfig(learning_rate=1.0, epochs=200, seed=7)
