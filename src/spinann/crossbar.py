@@ -145,23 +145,22 @@ class CrossbarArray:
     def n_dummy(self) -> int:
         return self.dummy_plus.shape[-1]
 
-    def weighted_sum(self, i_in_plus, i_in_minus) -> np.ndarray:
-        """Column currents sum_i [I+ * g+ - I- * g-] / g_tr, dummies excluded.
+    def weighted_sum(self, i_in) -> np.ndarray:
+        """Column currents sum_i I * (g+/g_tr+ - g-/g_tr-), dummies excluded.
 
-        Each bar is a current divider: the fraction of the bar current
-        reaching column j is that cell's share of the bar total. The two
-        input arrays share one shape `[..., n_inputs]`, every leading
-        index one independent drive, and the result is `[..., n_outputs]`.
+        Each input drives both of its bars with the current I, and each
+        bar is a current divider: the fraction of the bar current
+        reaching column j is that cell's share of the bar total. The
+        drive has shape `[..., n_inputs]`, every leading index one
+        independent drive, and the result is `[..., n_outputs]`.
         A stacked array of T copies inserts its trial axis before the
         drive axis: drives `[n, n_inputs]`, shared by every copy, or
         `[T, n, n_inputs]` give `[T, n, n_outputs]`.
         """
-        i_in_plus = np.asarray(i_in_plus, dtype=float)
-        i_in_minus = np.asarray(i_in_minus, dtype=float)
-        if (i_in_plus.shape != i_in_minus.shape
-                or i_in_plus.shape[-1:] != (self.n_inputs,)):
+        i_in = np.asarray(i_in, dtype=float)
+        if i_in.shape[-1:] != (self.n_inputs,):
             raise DomainError(
-                f"input currents must share one shape [..., {self.n_inputs}]"
+                f"input currents must have shape [..., {self.n_inputs}]"
             )
         g_plus, g_minus = self.g_plus, self.g_minus
         g_tr_plus, g_tr_minus = self.g_tr_plus, self.g_tr_minus
@@ -169,8 +168,8 @@ class CrossbarArray:
             g_plus, g_minus = g_plus[:, None], g_minus[:, None]
             g_tr_plus, g_tr_minus = g_tr_plus[:, None], g_tr_minus[:, None]
         # A bar with zero total conductance carries no current at all.
-        pos = _row_products(_safe_divide(i_in_plus, g_tr_plus), g_plus)
-        neg = _row_products(_safe_divide(i_in_minus, g_tr_minus), g_minus)
+        pos = _row_products(_safe_divide(i_in, g_tr_plus), g_plus)
+        neg = _row_products(_safe_divide(i_in, g_tr_minus), g_minus)
         return pos - neg
 
     def decode_weights(self) -> np.ndarray:

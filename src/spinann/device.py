@@ -22,6 +22,9 @@ from .errors import ConfigError, DisturbanceError, DomainError
 
 # Fraction of the vertical critical current considered non-disturbing.
 SENSE_SAFETY_FRACTION = 0.5
+# Width of the programming pulse, s: the neuron curve is sampled at it
+# and the network charges its program phase for it.
+T_PROGRAM = 1e-9
 
 
 @dataclass(frozen=True)
@@ -334,7 +337,7 @@ class NeuronDevice:
         """Lateral current (A) at the depinning density; no motion below it."""
         return self.velocity_table.j_th * self.geometry.cross_section
 
-    def saturation_current(self, t_prog: float = 1e-9) -> float:
+    def saturation_current(self, t_prog: float = T_PROGRAM) -> float:
         """Minimum current that walks the wall end to end within t_prog."""
         v_needed = (self.geometry.length - self.geometry.dw_length) / t_prog
         j = self.velocity_table.density_for_velocity(v_needed)
@@ -384,7 +387,7 @@ class NeuronDevice:
             )
         return output_voltage(self.state.x, self.geometry, self.mtj)
 
-    def transfer(self, i_prog: float, t_prog: float = 1e-9) -> float:
+    def transfer(self, i_prog: float, t_prog: float = T_PROGRAM) -> float:
         """Output voltage after reset -> program pulse -> sense.
 
         The soft-limiting neuron curve: flat at the minimum below the

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .crossbar import ConductanceRange
-from .device import NeuronDevice
+from .device import T_PROGRAM, NeuronDevice
 from .errors import ConfigError, DomainError, SearchError
 
 WEIGHTS_SCHEMA = "spin-ann/1"
@@ -86,26 +86,21 @@ class TransferKind:
         return cls("sigmoid")
 
     @classmethod
-    def stt_snn(
-        cls,
-        device: NeuronDevice | None = None,
-        t_prog: float = 1e-9,
-        drive_current: float | None = None,
-        n_nodes: int = STT_TABLE_NODES,
-    ) -> "TransferKind":
-        """Sample the simulated neuron transfer into a lookup table.
+    def stt_snn(cls, n_nodes: int = STT_TABLE_NODES) -> "TransferKind":
+        """Sample the default neuron's transfer at the T_PROGRAM pulse
+        into a lookup table.
 
         Nodes are 0 plus a uniform grid over [th1, th2]; between nodes
-        the activation is linearly interpolated. drive_current defaults
-        to th2, so a net input of 1.0 saturates the neuron.
+        the activation is linearly interpolated. drive_current is th2,
+        so a net input of 1.0 saturates the neuron.
         """
-        device = device or NeuronDevice()
+        device = NeuronDevice()
         th1 = device.depinning_current
-        th2 = device.saturation_current(t_prog)
+        th2 = device.saturation_current(T_PROGRAM)
         v_min = device.v_out_min
         v_max = device.v_out_max
         i_nodes = np.concatenate(([0.0], np.linspace(th1, th2, n_nodes - 1)))
-        volts = np.array([device.transfer(i, t_prog) for i in i_nodes])
+        volts = np.array([device.transfer(i, T_PROGRAM) for i in i_nodes])
         a_nodes = (volts - v_min) / (v_max - v_min)
         a_nodes = np.maximum.accumulate(np.clip(a_nodes, 0.0, 1.0))
         a_nodes[i_nodes <= th1] = 0.0
@@ -116,7 +111,7 @@ class TransferKind:
             th2=th2,
             v_min=v_min,
             v_max=v_max,
-            drive_current=drive_current if drive_current is not None else th2,
+            drive_current=th2,
             i_nodes=i_nodes,
             a_nodes=a_nodes,
         )

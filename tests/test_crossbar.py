@@ -47,8 +47,9 @@ def mapping_oracle(w: np.ndarray, rng: ConductanceRange):
     return g_plus, g_minus, scale
 
 
-def dot_product_oracle(array: CrossbarArray, i_plus, i_minus) -> np.ndarray:
-    """Brute-force per-cell current-divider sum, dummies only in totals."""
+def dot_product_oracle(array: CrossbarArray, i_in) -> np.ndarray:
+    """Brute-force per-cell current-divider sum, dummies only in totals;
+    each input drives both of its bars."""
     out = np.zeros(array.n_outputs)
     for j in range(array.n_outputs):
         acc = 0.0
@@ -56,9 +57,9 @@ def dot_product_oracle(array: CrossbarArray, i_plus, i_minus) -> np.ndarray:
             tr_p = array.g_plus[i].sum() + array.dummy_plus[i].sum()
             tr_m = array.g_minus[i].sum() + array.dummy_minus[i].sum()
             if tr_p > 0.0:
-                acc += i_plus[i] * array.g_plus[i, j] / tr_p
+                acc += i_in[i] * array.g_plus[i, j] / tr_p
             if tr_m > 0.0:
-                acc -= i_minus[i] * array.g_minus[i, j] / tr_m
+                acc -= i_in[i] * array.g_minus[i, j] / tr_m
         out[j] = acc
     return out
 
@@ -219,7 +220,7 @@ class TestWeightedSum:
             dummy_minus=np.zeros((1, 1)),
             range=rng,
         )
-        out = arr.weighted_sum([37e-6], [0.0])
+        out = arr.weighted_sum([37e-6])
         assert out[0] == 37e-6
 
     def test_matches_dense_oracle(self):
@@ -227,33 +228,31 @@ class TestWeightedSum:
         for _ in range(20):
             w = gen.uniform(-1.0, 1.0, size=(8, 4))
             arr = map_weights(w)
-            i_plus = gen.uniform(0.0, 100e-6, size=8)
-            i_minus = gen.uniform(0.0, 100e-6, size=8)
-            got = arr.weighted_sum(i_plus, i_minus)
-            expected = dot_product_oracle(arr, i_plus, i_minus)
+            i_in = gen.uniform(0.0, 100e-6, size=8)
+            got = arr.weighted_sum(i_in)
+            expected = dot_product_oracle(arr, i_in)
             np.testing.assert_allclose(got, expected, rtol=1e-12,
                                        atol=1e-18)
 
     def test_zero_inputs_zero_outputs(self):
         arr = map_weights(np.random.default_rng(2).uniform(-1, 1, (5, 3)))
-        out = arr.weighted_sum(np.zeros(5), np.zeros(5))
+        out = arr.weighted_sum(np.zeros(5))
         assert np.all(out == 0.0)
 
     def test_superposition(self):
         gen = np.random.default_rng(31)
         arr = map_weights(gen.uniform(-1.0, 1.0, size=(6, 4)))
-        a_p, a_m = gen.uniform(0, 1e-4, 6), gen.uniform(0, 1e-4, 6)
-        b_p, b_m = gen.uniform(0, 1e-4, 6), gen.uniform(0, 1e-4, 6)
-        combined = arr.weighted_sum(a_p + b_p, a_m + b_m)
-        split = arr.weighted_sum(a_p, a_m) + arr.weighted_sum(b_p, b_m)
+        a, b = gen.uniform(0, 1e-4, 6), gen.uniform(0, 1e-4, 6)
+        combined = arr.weighted_sum(a + b)
+        split = arr.weighted_sum(a) + arr.weighted_sum(b)
         np.testing.assert_allclose(combined, split, rtol=1e-12, atol=1e-20)
 
     def test_dimension_mismatch_rejected(self):
         arr = map_weights(np.ones((4, 2)))
         with pytest.raises(DomainError):
-            arr.weighted_sum(np.zeros(3), np.zeros(4))
+            arr.weighted_sum(np.zeros(3))
         with pytest.raises(DomainError):
-            arr.weighted_sum(np.zeros(4), np.zeros(5))
+            arr.weighted_sum(np.zeros(5))
 
     def test_batch_matches_row_by_row(self, recognizer, corpus):
         """The recognizer's perturbed input layer reads a [26, 65] batch
@@ -262,14 +261,12 @@ class TestWeightedSum:
         layer = varied.layers[0]
         arr = layer.array
         rows = layer.i_unit * np.hstack([corpus.features, np.ones((26, 1))])
-        batch = arr.weighted_sum(rows, 0.5 * rows)
+        batch = arr.weighted_sum(rows)
         assert batch.shape == (26, arr.n_outputs)
         np.testing.assert_array_equal(
-            batch, np.stack([arr.weighted_sum(r, 0.5 * r) for r in rows]))
+            batch, np.stack([arr.weighted_sum(r) for r in rows]))
         with pytest.raises(DomainError):
-            arr.weighted_sum(rows[:, :-1], rows[:, :-1])
-        with pytest.raises(DomainError):
-            arr.weighted_sum(rows, rows[:13])
+            arr.weighted_sum(rows[:, :-1])
 
 
 class TestVariation:
@@ -319,11 +316,11 @@ class TestVariation:
         shared = gen.uniform(0.0, 1e-5, (5, 6))
         own = gen.uniform(0.0, 1e-5, (3, 5, 6))
         np.testing.assert_array_equal(
-            stack.weighted_sum(shared, 0.5 * shared),
-            [a.weighted_sum(shared, 0.5 * shared) for a in singles])
+            stack.weighted_sum(shared),
+            [a.weighted_sum(shared) for a in singles])
         np.testing.assert_array_equal(
-            stack.weighted_sum(own, own),
-            [a.weighted_sum(x, x) for a, x in zip(singles, own)])
+            stack.weighted_sum(own),
+            [a.weighted_sum(x) for a, x in zip(singles, own)])
 
     def test_five_percent_statistics(self):
         w = np.ones((100, 100))

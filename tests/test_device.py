@@ -19,7 +19,7 @@ from spinann.device import (
     read_voltage,
 )
 from spinann.errors import ConfigError, DisturbanceError, DomainError
-from spinann.network import I_RESET
+from spinann.network import I_RESET, T_RESET
 
 
 @pytest.fixture
@@ -173,13 +173,13 @@ class TestPulses:
         assert device.state.x == x0
 
     def test_reset_from_anywhere(self, device):
-        """The network's 1 ns reset pulse at I_RESET walks the wall past
-        its full travel, so the wall parks exactly at x_min."""
+        """The network's reset pulse, I_RESET for T_RESET, walks the wall
+        past its full travel, so the wall parks exactly at x_min."""
         device.state.x = device.geometry.x_max
-        device.apply_pulse(-I_RESET, 1e-9)
+        device.apply_pulse(-I_RESET, T_RESET)
         assert device.state.x == device.geometry.x_min
         device.state.x = 0.5 * (device.geometry.x_min + device.geometry.x_max)
-        device.apply_pulse(-I_RESET, 1e-9)
+        device.apply_pulse(-I_RESET, T_RESET)
         assert device.state.x == device.geometry.x_min
 
     def test_advance_matches_table(self, device):

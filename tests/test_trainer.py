@@ -10,6 +10,7 @@ from spinann.benchmark import _score
 from spinann.crossbar import map_weights
 from spinann.device import NeuronDevice
 from spinann.errors import ConfigError, DomainError, SearchError
+from spinann.network import T_PROGRAM
 from spinann.trainer import (
     _accuracy,
     _margin,
@@ -51,6 +52,11 @@ class TestSttTable:
         assert stt_kind.v_min == pytest.approx(dev.v_out_min, rel=1e-12)
         assert stt_kind.v_max == pytest.approx(dev.v_out_max, rel=1e-12)
         assert stt_kind.drive_current == pytest.approx(stt_kind.th2)
+
+    def test_table_saturates_at_the_program_pulse(self, stt_kind):
+        """The table's full-travel current is the one that walks the wall
+        end to end within the network's programming pulse."""
+        assert stt_kind.th2 == NeuronDevice().saturation_current(T_PROGRAM)
 
     def test_table_shape_and_anchors(self, stt_kind):
         assert len(stt_kind.i_nodes) == 1024
