@@ -300,8 +300,9 @@ def neuron_energy(
     Programming and reset dissipate I^2*R*t in the lateral strip path;
     sensing draws |I|*V*t from the divider supply.
     """
-    if min(t_prog, t_sense, t_reset) < 0.0:
-        raise DomainError("phase durations must be >= 0")
+    if not all(math.isfinite(t) and t >= 0.0
+               for t in (t_prog, t_sense, t_reset)):
+        raise DomainError("phase durations must be finite and >= 0")
     return EnergyBreakdown(
         program=i_prog * i_prog * r_lateral * t_prog,
         sense=abs(i_sense) * v_sense * t_sense,

@@ -160,8 +160,10 @@ class SpinAnnNetwork:
 
         # Each layer cycles reset -> program -> sense; the unused paths are
         # floated in each phase, so the phases' energies simply add.
-        per = neuron_energy(0.0, 0.0, I_SENSE, T_SENSE, I_RESET, T_RESET,
-                            R_PROGRAM, v_sense=V_SENSE_SUPPLY)
+        # neuron_energy checks all three durations; the program phase
+        # depends on each neuron's current and is charged per layer below.
+        per = neuron_energy(0.0, T_PROGRAM, I_SENSE, T_SENSE, I_RESET,
+                            T_RESET, R_PROGRAM, v_sense=V_SENSE_SUPPLY)
         energy = EnergyReport()
         activations = u
         for layer in self.layers:

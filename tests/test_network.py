@@ -91,6 +91,25 @@ def network(recognizer):
     return build_network(recognizer)
 
 
+def test_negative_duration_rejected(network, corpus, monkeypatch):
+    """The ledger refuses a negative phase duration."""
+    monkeypatch.setattr("spinann.network.T_PROGRAM", -1e-9)
+    with pytest.raises(DomainError):
+        network.forward(corpus.features[0])
+
+
+@pytest.mark.parametrize("phase", ["T_PROGRAM", "T_SENSE", "T_RESET"],
+                         ids=["t_program", "t_sense", "t_reset"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_duration_rejected(network, corpus, monkeypatch,
+                                      phase, bad):
+    """Each of the three phase durations the ledger charges is checked
+    to be finite."""
+    monkeypatch.setattr(f"spinann.network.{phase}", bad)
+    with pytest.raises(DomainError):
+        network.forward(corpus.features[0])
+
+
 class TestForward:
     def test_matches_float_training_arithmetic(self, recognizer, corpus):
         """Unquantized hardware chain reproduces the trainer's outputs
@@ -225,6 +244,26 @@ class TestEnergy:
         total = parts.pop("total")
         assert all(v > 0.0 for v in parts.values())
         assert total == pytest.approx(sum(parts.values()), rel=1e-12)
+
+    def test_program_phase_energy_scales_with_duration(
+            self, network, corpus, monkeypatch):
+        """The program-phase entries are charged for one T_PROGRAM pulse;
+        the sense entry does not depend on it."""
+        _, e1 = network.forward(corpus.features[0])
+        monkeypatch.setattr("spinann.network.T_PROGRAM", 2e-9)
+        _, e2 = network.forward(corpus.features[0])
+        assert e2.neuron_program == pytest.approx(2 * e1.neuron_program)
+        assert e2.crossbar_static == pytest.approx(2 * e1.crossbar_static)
+        assert e2.dtcs_static == pytest.approx(2 * e1.dtcs_static)
+        assert e2.neuron_sense == pytest.approx(e1.neuron_sense)
+
+    def test_zero_duration_schedule_spends_nothing(
+            self, network, corpus, monkeypatch):
+        """Every ledger entry is charged over one of the three phases."""
+        for phase in ("T_PROGRAM", "T_SENSE", "T_RESET"):
+            monkeypatch.setattr(f"spinann.network.{phase}", 0.0)
+        _, e = network.forward(corpus.features[0])
+        assert e.total == 0.0
 
 
 class TestVariation:
