@@ -35,7 +35,13 @@ from spinann.benchmark import (
 )
 from spinann.errors import ConfigError, DomainError
 from spinann.network import build_network
-from spinann.trainer import load_weights, quantize_weights, train
+from spinann.trainer import (
+    TransferKind,
+    finalize,
+    load_weights,
+    quantize_weights,
+    train,
+)
 
 STORED_RECOGNIZER = (Path(__file__).resolve().parents[1]
                      / "perfbench" / "data" / "recognizer_seed17.json")
@@ -505,6 +511,43 @@ class TestRecognizerRecipe:
         network = build_network(recognizer)
         mc = monte_carlo(network, corpus, trials=100, sigma=0.05, seed=0)
         assert mc.fully_correct_fraction >= 0.95
+
+    # SHA-256 of (w1, w2), epochs_run and accuracy after each stage of a
+    # 60/20/20-epoch run of the seed-17 schedule.
+    SHORT_GOLDEN = {
+        "base": (
+            "22eba0b559887efaf7881137491e9a079a61b881aa91615a72403bc1f2fcfae5",
+            "43fa58be34aa6a955761a936455d5224da25b1213677f0e70cf0e0a46d4e1e4d",
+            60, 12 / 26),
+        "harden": (
+            "f7371544b3cc89728c8dea611cc2b1987c465c0da480d364c992e0a774623330",
+            "e06cf5d49a24f0fb2d587d707200573c30db956b2df9fb5b9920c723fbaee03d",
+            20, 16 / 26),
+        "refine": (
+            "022c2e1334ba7227d5da01e96895f13bf5ba567992d94685b45ec9dd9dbeb995",
+            "774f5b3b936f2252b6ae16892dfb8f8c0860555ca64e77eedbba1e397112c57d",
+            20, 16 / 26),
+    }
+
+    def test_short_schedule_pinned(self, corpus):
+        """A short run of all three stages trains exactly the pinned
+        weights, so a change to the noise-aware float and grid paths
+        fails here in well under a second, not only in the full recipe."""
+        base, harden, refine = recognizer_configs(seed=17)
+        data = corpus.dataset
+        floated = train(data, HIDDEN_NEURONS, TransferKind.stt_snn(),
+                        replace(base, epochs=60))
+        hardened = finalize(floated, data, levels=None,
+                            cfg=replace(harden, epochs=20))
+        refined = finalize(hardened, data, levels=32,
+                           cfg=replace(refine, epochs=20))
+        for name, res in (("base", floated), ("harden", hardened),
+                          ("refine", refined)):
+            digests = tuple(hashlib.sha256(np.ascontiguousarray(
+                w, dtype="<f8").tobytes()).hexdigest()
+                for w in (res.w1, res.w2))
+            assert (*digests, res.epochs_run, res.accuracy) == \
+                self.SHORT_GOLDEN[name], name
 
 
 class TestComparisonConfigs:
