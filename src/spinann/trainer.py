@@ -17,6 +17,7 @@ later maps onto a crossbar row like any other synapse.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -370,7 +371,10 @@ class TrainResult:
 
 
 def _augment(x: np.ndarray) -> np.ndarray:
-    return np.hstack([x, np.ones((len(x), 1))])
+    """`[..., n, k]` inputs plus the always-on column: `[..., n, k + 1]`."""
+    out = np.ones((*x.shape[:-1], x.shape[-1] + 1))
+    out[..., :-1] = x
+    return out
 
 
 def _active_window(kind: TransferKind) -> tuple[float, float] | None:
@@ -405,6 +409,8 @@ def _revive_dead_rows(w: np.ndarray, z: np.ndarray,
     dead_low = np.all(z <= z_lo, axis=0)
     dead_high = np.all(z >= z_hi, axis=0)
     dead = dead_low | dead_high
+    if not dead.any():
+        return
     w[:-1, dead] *= 1.0 - REVIVE_RATE
     w[-1, dead_low] += REVIVE_RATE
     w[-1, dead_high] -= REVIVE_RATE
@@ -427,7 +433,8 @@ def _unfold_offset(w: np.ndarray, offset: np.ndarray) -> np.ndarray:
 def _forward(x_aug: np.ndarray, w1: np.ndarray, w2: np.ndarray,
              kind: TransferKind):
     """Float forward pass on bias-augmented inputs: (z1, a1_aug, z2, a2),
-    with a1_aug the hidden activations plus the always-on column."""
+    with a1_aug the hidden activations plus the always-on column. Weights
+    stacked `[K, rows, cols]` give each copy's 2-D pass, bit for bit."""
     z1 = x_aug @ w1
     a1_aug = _augment(activation(z1, kind))
     z2 = a1_aug @ w2
@@ -463,6 +470,19 @@ def _margin(a2: np.ndarray, labels: np.ndarray) -> float:
     return float(np.min(own_margins(a2, labels)))
 
 
+def _ensemble_key(z2: np.ndarray, a2: np.ndarray,
+                  labels: np.ndarray) -> tuple[float, float]:
+    """Snapshot key of a stacked `[K, n, k]` ensemble: the fraction of
+    copies deciding every sample right, then the mean worst net-input
+    margin. The margins add as floats in copy order; np.sum (pairwise)
+    and, from Python 3.12, the builtin sum could round differently."""
+    perfect = int(np.all(own_margins(a2, labels) > 0.0, axis=-1).sum())
+    margin_sum = 0.0
+    for m in own_margins(z2, labels).min(axis=-1).tolist():
+        margin_sum += m
+    return perfect / len(a2), margin_sum / len(a2)
+
+
 def _fit(dataset: Dataset, kind: TransferKind, cfg: TrainConfig,
          rng: np.random.Generator, w1: np.ndarray, w2: np.ndarray,
          levels: int | None, snapshot_from_start: bool) -> TrainResult:
@@ -475,6 +495,10 @@ def _fit(dataset: Dataset, kind: TransferKind, cfg: TrainConfig,
     estimator). Snapshot tracking keeps the epoch with the best
     (accuracy, margin) pair; train() arms it once full accuracy is
     reached, finalize() from the first epoch.
+
+    A noise-aware epoch is one stacked forward pass: copy 0 is jittered
+    for the loss and gradient, copy 1 is clean for the accuracy and the
+    rest are the frozen snapshot-ranking ensemble.
 
     The first layer is optimized in mean-removed input coordinates.
     All-positive feature vectors share a large common component that
@@ -524,35 +548,23 @@ def _fit(dataset: Dataset, kind: TransferKind, cfg: TrainConfig,
         return shortfall, runner
 
     def batch_loss(z_out, a_out):
+        """(loss, its margin_residual or None), for the gradient to reuse."""
         loss = float(np.mean(err_weight * (a_out - targets) ** 2))
-        if cfg.margin_target > 0.0:
-            shortfall, _ = margin_residual(z_out)
-            loss += cfg.margin_weight * float(np.mean(shortfall ** 2))
-        return loss
+        if cfg.margin_target <= 0.0:
+            return loss, None
+        residual = margin_residual(z_out)
+        return (loss + cfg.margin_weight * float(np.mean(residual[0] ** 2)),
+                residual)
 
     noisy = cfg.train_sigma > 0.0
     if noisy:
-        # Frozen perturbation ensemble for snapshot ranking: the same
-        # draws every epoch, so ranks compare geometry, not luck.
-        ens1 = rng.standard_normal((NOISE_ENSEMBLE, *w1.shape))
-        ens2 = rng.standard_normal((NOISE_ENSEMBLE, *w2.shape))
-
-    def jitter(m, eps):
-        return m * (1.0 + cfg.train_sigma * eps)
-
-    def ensemble_snap(f1, f2, clean_acc):
-        """Snapshot key under the frozen ensemble: clean accuracy
-        first, then the perfect-classification fraction, then the mean
-        worst-pair net-input margin across the perturbed copies."""
-        perfect = 0
-        margin_sum = 0.0
-        for k in range(NOISE_ENSEMBLE):
-            _, _, zk2, ak2 = _forward(x, jitter(f1, ens1[k]),
-                                      jitter(f2, ens2[k]), kind)
-            perfect += _accuracy(ak2, labels) == 1.0
-            margin_sum += _margin(zk2, labels)
-        return (clean_acc, perfect / NOISE_ENSEMBLE,
-                margin_sum / NOISE_ENSEMBLE)
+        # Jitter factors of the stacked copies: copy 1 is exactly 1.0, and
+        # the frozen ensemble (copies 2..) keeps its draws every epoch, so
+        # ranks compare geometry, not luck.
+        g1 = np.ones((2 + NOISE_ENSEMBLE, *w1.shape))
+        g2 = np.ones((2 + NOISE_ENSEMBLE, *w2.shape))
+        g1[2:] += cfg.train_sigma * rng.standard_normal(g1[2:].shape)
+        g2[2:] += cfg.train_sigma * rng.standard_normal(g2[2:].shape)
 
     v1 = np.zeros_like(w1)
     v2 = np.zeros_like(w2)
@@ -575,15 +587,16 @@ def _fit(dataset: Dataset, kind: TransferKind, cfg: TrainConfig,
             # Fresh forward jitter each epoch: gradients are taken on
             # the perturbed network, so descent favors weight
             # configurations whose decisions survive the perturbation.
-            e1 = rng.standard_normal(w1.shape)
-            e2 = rng.standard_normal(w2.shape)
-            n1, n2 = jitter(f1, e1), jitter(f2, e2)
+            g1[0] = 1.0 + cfg.train_sigma * rng.standard_normal(w1.shape)
+            g2[0] = 1.0 + cfg.train_sigma * rng.standard_normal(w2.shape)
+            s2 = f2 * g2
+            stack = _forward(x, f1 * g1, s2, kind)
+            z1, a1_aug, z2, a2 = (s[0] for s in stack)
+            n2, a2_clean = s2[0], stack[3][1]
         else:
-            n1, n2 = f1, f2
-        z1, a1_aug, z2, a2 = _forward(x, n1, n2, kind)
-
-        loss = batch_loss(z2, a2)
-        a2_clean = _forward(x, f1, f2, kind)[3] if noisy else a2
+            z1, a1_aug, z2, a2 = _forward(x, f1, f2, kind)
+            n2, a2_clean = f2, a2
+        loss, residual = batch_loss(z2, a2)
         accuracy = _accuracy(a2_clean, labels)
         history.append((epoch, loss, accuracy))
         epochs_run = epoch
@@ -594,7 +607,8 @@ def _fit(dataset: Dataset, kind: TransferKind, cfg: TrainConfig,
             # device noise consume: the net-input margin, or under
             # noise-aware training the frozen-ensemble survival.
             if noisy:
-                snap = ensemble_snap(f1, f2, accuracy)
+                snap = (accuracy,
+                        *_ensemble_key(stack[2][2:], stack[3][2:], labels))
             else:
                 snap = (accuracy, _margin(z2, labels))
             if best_snap is None or snap > best_snap[:len(snap)]:
@@ -643,12 +657,12 @@ def _fit(dataset: Dataset, kind: TransferKind, cfg: TrainConfig,
 
         err = err_weight * (a2 - targets)
         delta2 = err * activation_derivative(z2, kind)
-        if cfg.margin_target > 0.0:
+        if residual is not None:
             # Push each sample's own net input up and its runner-up's
             # down until the gap reaches margin_target. Applied past
             # the activation derivative so a saturated runner-up keeps
             # moving away instead of parking just over the rail.
-            shortfall, runner = margin_residual(z2)
+            shortfall, runner = residual
             delta2[idx, labels] -= cfg.margin_weight * shortfall
             delta2[idx, runner] += cfg.margin_weight * shortfall
         grad2 = a1_aug.T @ delta2 / n
@@ -664,9 +678,9 @@ def _fit(dataset: Dataset, kind: TransferKind, cfg: TrainConfig,
         if noisy:
             # Same jitter as this epoch's forward, so the comparison
             # isolates the effect of the step.
-            c1, c2 = jitter(c1, e1), jitter(c2, e2)
+            c1, c2 = c1 * g1[0], c2 * g2[0]
         _, _, z2_next, a2_next = _forward(x, c1, c2, kind)
-        next_loss = batch_loss(z2_next, a2_next)
+        next_loss = batch_loss(z2_next, a2_next)[0]
         if next_loss > loss * LOSS_SPIKE:
             # Overshoot: discard the step, cool down, clear momentum.
             lr *= LR_DOWN
@@ -755,6 +769,10 @@ class QuantizationReport:
     rms_error: float
 
 
+# quantize_weights runs once per epoch of grid-aware training.
+_conductance_grid = functools.lru_cache(maxsize=8)(ConductanceRange)
+
+
 def quantize_weights(weights, levels: int = 32):
     """Snap weights onto the crossbar's representable magnitudes.
 
@@ -769,7 +787,7 @@ def quantize_weights(weights, levels: int = 32):
         raise DomainError("weights must be finite")
     if w_max == 0.0:
         raise DomainError("all-zero weights cannot be quantized")
-    crange = ConductanceRange(levels=levels)
+    crange = _conductance_grid(levels=levels)
     scale = crange.g_max / w_max
     mag = crange.quantize(np.abs(w) * scale) / scale
     quantized = np.sign(w) * mag

@@ -2,18 +2,26 @@
 
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spinann.benchmark import _score
+from spinann import trainer
+from spinann.benchmark import HIDDEN_NEURONS, _score, recognizer_configs
 from spinann.crossbar import map_weights
 from spinann.device import NeuronDevice
 from spinann.errors import ConfigError, DomainError, SearchError
 from spinann.network import T_PROGRAM
 from spinann.trainer import (
+    NOISE_ENSEMBLE,
+    REVIVE_RATE,
     _accuracy,
+    _augment,
+    _ensemble_key,
+    _forward,
     _margin,
+    _revive_dead_rows,
     Dataset,
     TrainConfig,
     TransferKind,
@@ -25,8 +33,12 @@ from spinann.trainer import (
     own_margins,
     quantize_weights,
     save_weights,
+    finalize,
     train,
 )
+
+STORED_RECOGNIZER = (Path(__file__).resolve().parents[1]
+                     / "perfbench" / "data" / "recognizer_seed17.json")
 
 TH1 = 24e-6
 TH2 = 4.4925238268017153e-05
@@ -259,6 +271,87 @@ def test_own_margins_is_the_one_decision_rule(a, want):
     # A tie at the top is a margin of 0, which counts as wrong.
     assert _accuracy(a, labels) == np.mean(np.array(want) > 0.0)
     assert _margin(a, labels) == margins.min()
+
+
+class TestStackedEpoch:
+    """The noise-aware epoch runs its jittered, clean and ensemble copies
+    as one stacked forward pass; it must score exactly as one 2-D pass
+    per copy."""
+
+    @pytest.fixture(scope="class")
+    def copies(self, corpus):
+        """Stored recognizer weights jittered at relative widths 0..30%,
+        so some copies decide every letter and some do not."""
+        stored = load_weights(STORED_RECOGNIZER)
+        rng = np.random.default_rng(5)
+        sigma = np.linspace(0.0, 0.3, NOISE_ENSEMBLE)[:, None, None]
+        w1 = stored.w1 * (1.0 + sigma * rng.standard_normal(
+            (NOISE_ENSEMBLE, *stored.w1.shape)))
+        w2 = stored.w2 * (1.0 + sigma * rng.standard_normal(
+            (NOISE_ENSEMBLE, *stored.w2.shape)))
+        return _augment(corpus.features), w1, w2, stored.kind
+
+    def test_slices_equal_the_2d_pass(self, copies):
+        x, w1, w2, kind = copies
+        stacked = _forward(x, w1, w2, kind)
+        for k in range(NOISE_ENSEMBLE):
+            for got, want in zip(stacked, _forward(x, w1[k], w2[k], kind)):
+                assert np.array_equal(got[k], want)
+
+    def test_ensemble_key_equals_per_copy_loop(self, copies, corpus):
+        x, w1, w2, kind = copies
+        labels = corpus.labels
+        perfect, margin_sum = 0, 0.0
+        for k in range(NOISE_ENSEMBLE):
+            _, _, z2, a2 = _forward(x, w1[k], w2[k], kind)
+            perfect += _accuracy(a2, labels) == 1.0
+            margin_sum += _margin(z2, labels)
+        assert 0 < perfect < NOISE_ENSEMBLE
+        _, _, z2, a2 = _forward(x, w1, w2, kind)
+        assert _ensemble_key(z2, a2, labels) == (
+            perfect / NOISE_ENSEMBLE, margin_sum / NOISE_ENSEMBLE)
+
+    @pytest.mark.parametrize("levels", [None, 32])
+    def test_one_stacked_pass_per_noisy_epoch(self, corpus, monkeypatch,
+                                              levels):
+        """Each noisy epoch makes two forward calls, the stacked pass and
+        the adaptive-rate probe; the last epoch stops before its probe."""
+        base, harden, _ = recognizer_configs(seed=17)
+        start = train(corpus.dataset, HIDDEN_NEURONS, TransferKind.stt_snn(),
+                      dataclasses.replace(base, epochs=10))
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1].ndim)
+            return _forward(*args)
+
+        monkeypatch.setattr(trainer, "_forward", counted)
+        res = finalize(start, corpus.dataset, levels=levels,
+                       cfg=dataclasses.replace(harden, epochs=20))
+        assert res.epochs_run == 20
+        assert calls == [3, 2] * 20 + [3]
+
+
+class TestReviveDeadRows:
+    WINDOW = (0.0, 1.0)
+
+    def test_live_neurons_untouched(self):
+        w = np.arange(12.0).reshape(4, 3)
+        z = np.array([[0.5, -1.0, 2.0], [-1.0, 0.5, 0.5]])
+        _revive_dead_rows(w, z, self.WINDOW)
+        assert np.array_equal(w, np.arange(12.0).reshape(4, 3))
+
+    def test_dead_neurons_pulled_back(self):
+        """Column 0 is dead low, column 1 live and column 2 dead high."""
+        before = np.arange(12.0).reshape(4, 3) / 7.0
+        w = before.copy()
+        z = np.array([[0.0, 0.5, 1.0], [-2.0, 3.0, 4.0]])
+        _revive_dead_rows(w, z, self.WINDOW)
+        assert np.array_equal(w[:, 1], before[:, 1])
+        for col, step in ((0, REVIVE_RATE), (2, -REVIVE_RATE)):
+            assert np.array_equal(w[:-1, col],
+                                  before[:-1, col] * (1.0 - REVIVE_RATE))
+            assert w[-1, col] == before[-1, col] + step
 
 
 class TestTrain:
