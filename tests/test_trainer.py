@@ -1,6 +1,7 @@
 """Transfer functions, gradient checks, training, and search tests."""
 
 import dataclasses
+import hashlib
 import json
 from pathlib import Path
 
@@ -330,6 +331,41 @@ class TestStackedEpoch:
                        cfg=dataclasses.replace(harden, epochs=20))
         assert res.epochs_run == 20
         assert calls == [3, 2] * 20 + [3]
+
+
+class TestCleanEpoch:
+    """Clean epochs (train_sigma == 0) outside the seed-17 schedule: a
+    grid-aware finalize, whose snapped weights are copies of the shadow
+    weights, and a polish run with margin_target == 0, which ranks its
+    snapshots by _margin."""
+
+    # SHA-256 of (w1, w2), epochs_run and accuracy of each short run.
+    GOLDEN = {
+        "grid": (
+            "900f13cb56d0030ae7346bf147bb5f3495acb09cac07b1f4072476ec65cdf42e",
+            "ceab6ebd73bbce1d4a37af8ea5fd98103f0e43f45d00e1a8d4ed71d638946a62",
+            20, 15 / 26),
+        # Converges at epoch 37; the polish moves the snapshot.
+        "polish": (
+            "c78bedd33399cb90b89d6677611a5e8c31a63b704492690ab9c139d10b91740c",
+            "01ac408c96347f177bb172eb10a4200fa6368039e32336fdd04ec1678364ef69",
+            67, 1.0),
+    }
+
+    @pytest.mark.parametrize("name", list(GOLDEN))
+    def test_short_run_pinned(self, name, corpus, separable, stt_kind):
+        if name == "grid":
+            base = recognizer_configs(seed=17)[0]
+            start = train(corpus.dataset, HIDDEN_NEURONS, stt_kind,
+                          dataclasses.replace(base, epochs=60))
+            res = finalize(start, corpus.dataset, levels=32,
+                           cfg=dataclasses.replace(base, epochs=20))
+        else:
+            res = train(separable, 2, stt_kind, TrainConfig(
+                learning_rate=1.0, epochs=2000, seed=0, polish_epochs=30))
+        digests = tuple(hashlib.sha256(np.ascontiguousarray(
+            w, dtype="<f8").tobytes()).hexdigest() for w in (res.w1, res.w2))
+        assert (*digests, res.epochs_run, res.accuracy) == self.GOLDEN[name]
 
 
 class TestReviveDeadRows:
