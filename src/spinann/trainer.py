@@ -71,6 +71,15 @@ class TransferKind:
                 raise ConfigError("spin-neuron kind needs its sampled table")
             if len(self.i_nodes) != len(self.a_nodes):
                 raise ConfigError("i_nodes and a_nodes differ in length")
+            # np.interp needs a finite, increasing table; on any other it
+            # returns wrong values without an error.
+            if not (np.isfinite(self.i_nodes).all()
+                    and np.isfinite(self.a_nodes).all()):
+                raise ConfigError("the sampled table must be finite")
+            if not ((np.diff(self.i_nodes) > 0.0).all()
+                    and (np.diff(self.a_nodes) >= 0.0).all()):
+                raise ConfigError("need strictly increasing i_nodes and "
+                                  "nondecreasing a_nodes")
             object.__setattr__(self, "slopes",
                                np.diff(self.a_nodes) / np.diff(self.i_nodes))
 
@@ -406,8 +415,8 @@ def _revive_dead_rows(w: np.ndarray, z: np.ndarray,
     are untouched.
     """
     z_lo, z_hi = window
-    dead_low = np.all(z <= z_lo, axis=0)
-    dead_high = np.all(z >= z_hi, axis=0)
+    dead_low = z.max(0) <= z_lo
+    dead_high = z.min(0) >= z_hi
     dead = dead_low | dead_high
     if not dead.any():
         return
@@ -462,7 +471,8 @@ def own_margins(a: np.ndarray, labels) -> np.ndarray:
 
 
 def _accuracy(a2: np.ndarray, labels: np.ndarray) -> float:
-    return float(np.mean(own_margins(a2, labels) > 0.0))
+    hits = own_margins(a2, labels) > 0.0
+    return float(np.count_nonzero(hits)) / hits.size
 
 
 def _margin(a2: np.ndarray, labels: np.ndarray) -> float:
@@ -500,6 +510,13 @@ def _fit(dataset: Dataset, kind: TransferKind, cfg: TrainConfig,
     for the loss and gradient, copy 1 is clean for the accuracy and the
     rest are the frozen snapshot-ranking ensemble.
 
+    An accepted step's probe carries into the next epoch: its snapped
+    weights before jitter (with `levels=None` the shadow arrays, which
+    the dead-row revival edits in place only after the forward pass)
+    and, for a clean epoch, its forward pass and loss. A noisy epoch's
+    fresh jitter needs a pass of its own. A rejected step or a kick
+    carries nothing.
+
     The first layer is optimized in mean-removed input coordinates.
     All-positive feature vectors share a large common component that
     makes their gradient directions nearly collinear; removing the
@@ -526,35 +543,42 @@ def _fit(dataset: Dataset, kind: TransferKind, cfg: TrainConfig,
     def fwd_weights(m1, m2):
         if levels is None:
             return m1, m2
-        q1 = quantize_weights(_fold_offset(m1, offset), levels)[0]
-        return _unfold_offset(q1, offset), quantize_weights(m2, levels)[0]
+        q1 = _snap_weights(_fold_offset(m1, offset), levels)
+        return _unfold_offset(q1, offset), _snap_weights(m2, levels)
+
+    def clip(m):
+        return np.minimum(np.maximum(m, -cfg.weight_clip), cfg.weight_clip)
 
     def _clip_layer1(m1):
         """Clip in raw form so the folded threshold row obeys the same
         bound as every other weight, then return to fit coordinates."""
-        raw = np.clip(_fold_offset(m1, offset),
-                      -cfg.weight_clip, cfg.weight_clip)
-        return _unfold_offset(raw, offset)
+        return _unfold_offset(clip(_fold_offset(m1, offset)), offset)
 
     def margin_residual(z_out):
         """Hinge per sample: how far the own-vs-runner-up net-input gap
-        falls short of margin_target, and which output is the runner."""
-        own = z_out[idx, labels]
+        falls short of margin_target, the runner-up's index and the gap."""
         rest = z_out.copy()
         rest[idx, labels] = -np.inf
         runner = np.argmax(rest, axis=1)
-        shortfall = np.maximum(
-            0.0, cfg.margin_target - (own - rest[idx, runner]))
-        return shortfall, runner
+        gap = z_out[idx, labels] - rest[idx, runner]
+        return np.maximum(0.0, cfg.margin_target - gap), runner, gap
+
+    def mean(e):
+        # np.mean's own sum and division, without its dispatch.
+        return float(np.add.reduce(e, axis=None)) / e.size
 
     def batch_loss(z_out, a_out):
         """(loss, its margin_residual or None), for the gradient to reuse."""
-        loss = float(np.mean(err_weight * (a_out - targets) ** 2))
+        loss = mean(err_weight * (a_out - targets) ** 2)
         if cfg.margin_target <= 0.0:
             return loss, None
         residual = margin_residual(z_out)
-        return (loss + cfg.margin_weight * float(np.mean(residual[0] ** 2)),
-                residual)
+        return loss + cfg.margin_weight * mean(residual[0] ** 2), residual
+
+    def scored(m1, m2):
+        """((z1, a1_aug, z2, a2), (loss, residual)) of one 2-D pass."""
+        out = _forward(x, m1, m2, kind)
+        return out, batch_loss(out[2], out[3])
 
     noisy = cfg.train_sigma > 0.0
     if noisy:
@@ -575,14 +599,14 @@ def _fit(dataset: Dataset, kind: TransferKind, cfg: TrainConfig,
     best_snap = None
     polish_left = None
     history = []
-    accuracy = 0.0
     converged = False
-    epochs_run = 0
+    carry = None
 
     # One measurement per epoch boundary: epoch k's row describes the
     # weights after k updates.
     for epoch in range(cfg.epochs + 1):
-        f1, f2 = fwd_weights(w1, w2)
+        f1, f2, probe = carry or (*fwd_weights(w1, w2), None)
+        carry = None
         if noisy:
             # Fresh forward jitter each epoch: gradients are taken on
             # the perturbed network, so descent favors weight
@@ -593,10 +617,10 @@ def _fit(dataset: Dataset, kind: TransferKind, cfg: TrainConfig,
             stack = _forward(x, f1 * g1, s2, kind)
             z1, a1_aug, z2, a2 = (s[0] for s in stack)
             n2, a2_clean = s2[0], stack[3][1]
+            loss, residual = batch_loss(z2, a2)
         else:
-            z1, a1_aug, z2, a2 = _forward(x, f1, f2, kind)
+            (z1, a1_aug, z2, a2), (loss, residual) = probe or scored(f1, f2)
             n2, a2_clean = f2, a2
-        loss, residual = batch_loss(z2, a2)
         accuracy = _accuracy(a2_clean, labels)
         history.append((epoch, loss, accuracy))
         epochs_run = epoch
@@ -610,7 +634,8 @@ def _fit(dataset: Dataset, kind: TransferKind, cfg: TrainConfig,
                 snap = (accuracy,
                         *_ensemble_key(stack[2][2:], stack[3][2:], labels))
             else:
-                snap = (accuracy, _margin(z2, labels))
+                snap = (accuracy, _margin(z2, labels) if residual is None
+                        else float(residual[2].min()))
             if best_snap is None or snap > best_snap[:len(snap)]:
                 best_snap = (*snap, f1.copy(), f2.copy())
         if accuracy == 1.0:
@@ -639,10 +664,8 @@ def _fit(dataset: Dataset, kind: TransferKind, cfg: TrainConfig,
             w1 = _clip_layer1(
                 w1 + rng.uniform(-KICK_SCALE, KICK_SCALE, w1.shape)
                 / np.sqrt(dataset.n_features))
-            w2 = np.clip(
-                w2 + rng.uniform(-KICK_SCALE, KICK_SCALE, w2.shape)
-                / np.sqrt(n_hidden),
-                -cfg.weight_clip, cfg.weight_clip)
+            w2 = clip(w2 + rng.uniform(-KICK_SCALE, KICK_SCALE, w2.shape)
+                      / np.sqrt(n_hidden))
             v1 = np.zeros_like(v1)
             v2 = np.zeros_like(v2)
             lr = cfg.learning_rate
@@ -662,7 +685,7 @@ def _fit(dataset: Dataset, kind: TransferKind, cfg: TrainConfig,
             # down until the gap reaches margin_target. Applied past
             # the activation derivative so a saturated runner-up keeps
             # moving away instead of parking just over the rail.
-            shortfall, runner = residual
+            shortfall, runner, _ = residual
             delta2[idx, labels] -= cfg.margin_weight * shortfall
             delta2[idx, runner] += cfg.margin_weight * shortfall
         grad2 = a1_aug.T @ delta2 / n
@@ -672,15 +695,13 @@ def _fit(dataset: Dataset, kind: TransferKind, cfg: TrainConfig,
         v1_next = MOMENTUM * v1 - lr * grad1
         v2_next = MOMENTUM * v2 - lr * grad2
         w1_next = _clip_layer1(w1 + v1_next)
-        w2_next = np.clip(w2 + v2_next, -cfg.weight_clip, cfg.weight_clip)
+        w2_next = clip(w2 + v2_next)
 
-        c1, c2 = fwd_weights(w1_next, w2_next)
-        if noisy:
-            # Same jitter as this epoch's forward, so the comparison
-            # isolates the effect of the step.
-            c1, c2 = c1 * g1[0], c2 * g2[0]
-        _, _, z2_next, a2_next = _forward(x, c1, c2, kind)
-        next_loss = batch_loss(z2_next, a2_next)[0]
+        q1, q2 = fwd_weights(w1_next, w2_next)
+        # Same jitter as this epoch's forward, so the comparison
+        # isolates the effect of the step.
+        probe = scored(q1 * g1[0], q2 * g2[0]) if noisy else scored(q1, q2)
+        next_loss = probe[1][0]
         if next_loss > loss * LOSS_SPIKE:
             # Overshoot: discard the step, cool down, clear momentum.
             lr *= LR_DOWN
@@ -690,6 +711,7 @@ def _fit(dataset: Dataset, kind: TransferKind, cfg: TrainConfig,
         if next_loss < loss:
             lr *= LR_UP
         v1, v2, w1, w2 = v1_next, v2_next, w1_next, w2_next
+        carry = q1, q2, None if noisy else probe
 
     if best_snap is not None:
         accuracy = best_snap[0]
@@ -769,8 +791,22 @@ class QuantizationReport:
     rms_error: float
 
 
-# quantize_weights runs once per epoch of grid-aware training.
+# The grid snap runs for both layers of every grid-aware epoch.
 _conductance_grid = functools.lru_cache(maxsize=8)(ConductanceRange)
+
+
+def _snap_weights(w: np.ndarray, levels: int) -> np.ndarray:
+    """quantize_weights' snapped array alone, for the training loop."""
+    mag = np.abs(w)
+    w_max = float(mag.max())
+    # The largest magnitude is NaN or inf exactly when some weight is.
+    if not np.isfinite(w_max):
+        raise DomainError("weights must be finite")
+    if w_max == 0.0:
+        raise DomainError("all-zero weights cannot be quantized")
+    crange = _conductance_grid(levels=levels)
+    scale = crange.g_max / w_max
+    return np.sign(w) * (crange.quantize(mag * scale) / scale)
 
 
 def quantize_weights(weights, levels: int = 32):
@@ -781,16 +817,7 @@ def quantize_weights(weights, levels: int = 32):
     zero, signs are untouched. Returns (quantized, report).
     """
     w = np.asarray(weights, dtype=float)
-    w_max = float(np.max(np.abs(w)))
-    # The largest magnitude is NaN or inf exactly when some weight is.
-    if not np.isfinite(w_max):
-        raise DomainError("weights must be finite")
-    if w_max == 0.0:
-        raise DomainError("all-zero weights cannot be quantized")
-    crange = _conductance_grid(levels=levels)
-    scale = crange.g_max / w_max
-    mag = crange.quantize(np.abs(w) * scale) / scale
-    quantized = np.sign(w) * mag
+    quantized = _snap_weights(w, levels)
     err = np.abs(quantized - w)
     report = QuantizationReport(
         levels=levels,
@@ -856,6 +883,7 @@ def save_weights(path, result: TrainResult, extra: dict | None = None) -> None:
         "converged": result.converged,
         "epochs_run": result.epochs_run,
         "config": dataclasses.asdict(result.config),
+        "history": result.history.tolist(),
     }
     if extra:
         doc.update(extra)
@@ -895,5 +923,5 @@ def load_weights(path) -> TrainResult:
         accuracy=doc["accuracy"],
         converged=doc["converged"],
         epochs_run=doc["epochs_run"],
-        history=np.zeros((0, 3)),
+        history=np.array(doc.get("history", []), dtype=float).reshape(-1, 3),
     )

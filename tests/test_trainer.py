@@ -148,6 +148,28 @@ class TestSttTable:
         with pytest.raises(ConfigError):
             TransferKind.from_dict(doc)
 
+    # Edits of (i_nodes, a_nodes) that np.interp would take without a
+    # word; a repeated node also divides by zero in the slopes.
+    MALFORMED = {
+        "reversed-i_nodes": lambda i, a: (i[::-1], a),
+        "repeated-i_node": lambda i, a: (np.r_[i[:3], i[2:-1]], a),
+        "inf-i_node": lambda i, a: (np.r_[i[:-1], np.inf], a),
+        "nan-a_node": lambda i, a: (i, np.r_[a[:5], np.nan, a[6:]]),
+        "inf-a_node": lambda i, a: (i, np.r_[a[:-1], np.inf]),
+        "falling-a_nodes": lambda i, a: (i, np.r_[a[:-1], 0.5]),
+    }
+
+    @pytest.mark.parametrize("name", list(MALFORMED))
+    def test_malformed_table_rejected(self, stt_kind, name):
+        i_nodes, a_nodes = self.MALFORMED[name](stt_kind.i_nodes,
+                                                stt_kind.a_nodes)
+        doc = stt_kind.to_dict()
+        doc.update(i_nodes_a=i_nodes.tolist(), a_nodes=a_nodes.tolist())
+        with pytest.raises(ConfigError):
+            TransferKind.from_dict(doc)
+        with pytest.raises(ConfigError):
+            dataclasses.replace(stt_kind, i_nodes=i_nodes, a_nodes=a_nodes)
+
 
 class TestActivationAnchors:
     def test_step(self):
@@ -312,6 +334,14 @@ class TestStackedEpoch:
         assert _ensemble_key(z2, a2, labels) == (
             perfect / NOISE_ENSEMBLE, margin_sum / NOISE_ENSEMBLE)
 
+    def test_accuracy_of_a_stack_is_the_mean_hit_rate(self, copies, corpus):
+        x, w1, w2, kind = copies
+        a2 = _forward(x, w1, w2, kind)[3]
+        want = float(np.mean(own_margins(a2, corpus.labels) > 0.0))
+        got = _accuracy(a2, corpus.labels)
+        assert type(got) is float and got == want
+        assert 0.0 < got < 1.0
+
     @pytest.mark.parametrize("levels", [None, 32])
     def test_one_stacked_pass_per_noisy_epoch(self, corpus, monkeypatch,
                                               levels):
@@ -366,6 +396,58 @@ class TestCleanEpoch:
         digests = tuple(hashlib.sha256(np.ascontiguousarray(
             w, dtype="<f8").tobytes()).hexdigest() for w in (res.w1, res.w2))
         assert (*digests, res.epochs_run, res.accuracy) == self.GOLDEN[name]
+
+    @pytest.mark.parametrize("levels", [None, 32])
+    def test_accepted_step_carries_its_probe(self, corpus, monkeypatch,
+                                             levels):
+        """After an accepted step a clean epoch's only forward pass is its
+        own probe, with one snap per layer on the grid; after a rejected
+        step it first reruns, and resnaps, its weights. The shadow w2
+        that the epoch revives is the previous probe's candidate exactly
+        when that step was accepted."""
+        cfg = dataclasses.replace(recognizer_configs(seed=17)[0], epochs=20)
+        kind = TransferKind.stt_snn()
+        start = train(corpus.dataset, HIDDEN_NEURONS, kind, cfg)
+        log = []
+
+        def logged(tag, fn, arg):
+            def wrapper(*args):
+                log.append((tag, args[arg]))
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(trainer, "_forward", logged("pass", _forward, 2))
+        monkeypatch.setattr(trainer, "_snap_weights",
+                            logged("snap", trainer._snap_weights, 0))
+        monkeypatch.setattr(trainer, "_revive_dead_rows",
+                            logged("revive", _revive_dead_rows, 0))
+        if levels is None:
+            res = train(corpus.dataset, HIDDEN_NEURONS, kind, cfg)
+        else:
+            res = finalize(start, corpus.dataset, levels=levels, cfg=cfg)
+        assert res.epochs_run == 20
+
+        # Split the log at each epoch's revival of w2; the events before
+        # it are the previous epoch's probe and then this epoch's own pass.
+        shape2 = start.w2.shape
+        epochs, events = [], []
+        for tag, w in log:
+            if tag != "revive":
+                events.append((tag, w))
+            elif w.shape == shape2:
+                epochs.append((w, events))
+                events = []
+        snaps_per_pass = 0 if levels is None else 2
+        accepted = 0
+        for w2, events in epochs[1:]:
+            candidate = next(w for _, w in events if w.shape == shape2)
+            passes = 1 if w2 is candidate else 2
+            accepted += passes == 1
+            assert [tag for tag, _ in events].count("pass") == passes
+            assert [tag for tag, _ in events].count("snap") == \
+                snaps_per_pass * passes
+        assert len(epochs) == 20
+        assert 0 < accepted < 19
 
 
 class TestReviveDeadRows:
@@ -564,6 +646,30 @@ class TestWeightsFile:
         out = output_activations(back, separable.features)
         np.testing.assert_array_equal(
             out, output_activations(res, separable.features))
+
+    def test_history_round_trip(self, tmp_path, separable, stt_kind):
+        res = train(separable, 2, stt_kind,
+                    TrainConfig(learning_rate=1.0, epochs=50, seed=0))
+        path = tmp_path / "weights.json"
+        save_weights(path, res)
+        assert len(res.history) == res.epochs_run + 1
+        np.testing.assert_array_equal(load_weights(path).history,
+                                      res.history)
+
+    def test_file_without_history_loads_empty(self):
+        assert load_weights(STORED_RECOGNIZER).history.shape == (0, 3)
+
+    def test_malformed_table_in_file_rejected(self, tmp_path, separable,
+                                              stt_kind):
+        res = train(separable, 2, stt_kind,
+                    TrainConfig(learning_rate=1.0, epochs=5, seed=0))
+        path = tmp_path / "weights.json"
+        save_weights(path, res)
+        doc = json.loads(path.read_text())
+        doc["transfer"]["i_nodes_a"].reverse()
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError):
+            load_weights(path)
 
     def test_wrong_schema_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
