@@ -71,6 +71,23 @@ class TestSttTable:
         end to end within the network's programming pulse."""
         assert stt_kind.th2 == NeuronDevice().saturation_current(T_PROGRAM)
 
+    @pytest.mark.parametrize("n_nodes, digest", [
+        (trainer.STT_TABLE_NODES,
+         "15da972205a567a8dbc02d427ea665abded4724709e2a0353a92052869993ef4"),
+        (64,
+         "c475efca78cc20af1404d8f9fe23a2f2a9b76b1d7c4c8281f2310dcc13312101"),
+    ])
+    def test_table_pinned(self, n_nodes, digest):
+        """SHA-256 over the <f8 bytes of i_nodes, a_nodes, then
+        [th1, th2, v_min, v_max]: any change to the device curve or its
+        sampling moves it."""
+        kind = TransferKind.stt_snn(n_nodes=n_nodes)
+        h = hashlib.sha256()
+        for part in (kind.i_nodes, kind.a_nodes,
+                     [kind.th1, kind.th2, kind.v_min, kind.v_max]):
+            h.update(np.asarray(part, dtype="<f8").tobytes())
+        assert h.hexdigest() == digest
+
     def test_table_shape_and_anchors(self, stt_kind):
         assert len(stt_kind.i_nodes) == 1024
         assert len(stt_kind.a_nodes) == 1024
