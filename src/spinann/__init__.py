@@ -9,7 +9,6 @@ per-phase energy accounting.
 __version__ = "0.1.0"
 
 from .device import (
-    MaterialParams,
     MtjStack,
     NeuronDevice,
     NeuronGeometry,
@@ -17,7 +16,6 @@ from .device import (
 )
 
 __all__ = [
-    "MaterialParams",
     "MtjStack",
     "NeuronDevice",
     "NeuronGeometry",

@@ -25,38 +25,10 @@ SENSE_SAFETY_FRACTION = 0.5
 # Width of the programming pulse, s: the neuron curve is sampled at it
 # and the network charges its program phase for it.
 T_PROGRAM = 1e-9
-
-
-@dataclass(frozen=True)
-class MaterialParams:
-    """Magnetic material constants of the free layer.
-
-    damping:       Gilbert damping coefficient, dimensionless, in (0, 1)
-    k_u:           uniaxial anisotropy constant, J/m^3
-    m_s:           saturation magnetization, A/m
-    a_ex:          exchange stiffness, J/m
-    polarization:  spin polarization, dimensionless, in (0, 1]
-    """
-
-    damping: float = 0.02
-    k_u: float = 3.5e5
-    m_s: float = 6.8e5
-    a_ex: float = 1.1e-11
-    polarization: float = 0.6
-
-    def __post_init__(self):
-        if not (0.0 < self.damping < 1.0):
-            raise ConfigError(f"damping must be in (0,1), got {self.damping}")
-        if not (0.0 < self.polarization <= 1.0):
-            raise ConfigError(f"polarization must be in (0,1], got {self.polarization}")
-        for name in ("k_u", "m_s", "a_ex"):
-            if getattr(self, name) <= 0.0:
-                raise ConfigError(f"{name} must be positive")
-
-    @property
-    def wall_length(self) -> float:
-        """Equilibrium domain-wall length pi*sqrt(a_ex/k_u), m."""
-        return math.pi * math.sqrt(self.a_ex / self.k_u)
+# Sense current (A) and divider supply (V): the one sense operating point,
+# checked against read-disturb here and charged by the network's ledger.
+I_SENSE = 25e-6
+V_SENSE_SUPPLY = 0.100
 
 
 @dataclass(frozen=True)
@@ -70,6 +42,7 @@ class NeuronGeometry:
     length: float = 100e-9
     width: float = 20e-9
     thickness: float = 2e-9
+    # pi*sqrt(a_ex/k_u) for a_ex = 1.1e-11 J/m and k_u = 3.5e5 J/m^3.
     dw_length: float = 17.612142597974271e-9
 
     def __post_init__(self):
@@ -79,18 +52,6 @@ class NeuronGeometry:
             raise ConfigError(
                 f"need 0 < dw_length < length, got {self.dw_length} vs {self.length}"
             )
-
-    @classmethod
-    def from_material(
-        cls,
-        material: MaterialParams,
-        length: float = 100e-9,
-        width: float = 20e-9,
-        thickness: float = 2e-9,
-    ) -> "NeuronGeometry":
-        """Geometry with the wall length derived from material constants."""
-        return cls(length=length, width=width, thickness=thickness,
-                   dw_length=material.wall_length)
 
     @property
     def x_min(self) -> float:
@@ -112,21 +73,20 @@ class MtjStack:
 
     ra_ap, ra_dw, ra_p: resistance-area products (ohm*um^2) of the
     anti-parallel, wall, and parallel segments. r_ref is the reference
-    MTJ of the read divider; v_sense the total divider supply swing.
+    MTJ of the read divider, whose supply is V_SENSE_SUPPLY.
     """
 
     ra_ap: float = 5.0
     ra_dw: float = 3.5
     ra_p: float = 2.0
     r_ref: float = 2500.0
-    v_sense: float = 0.100
     i_crit_vertical: float = 100e-6
 
     def __post_init__(self):
         if not (self.ra_ap > self.ra_dw > self.ra_p > 0.0):
             raise ConfigError("need ra_ap > ra_dw > ra_p > 0")
-        if self.r_ref <= 0.0 or self.v_sense <= 0.0:
-            raise ConfigError("r_ref and v_sense must be positive")
+        if self.r_ref <= 0.0:
+            raise ConfigError("r_ref must be positive")
         if self.i_crit_vertical <= 0.0:
             raise ConfigError("i_crit_vertical must be positive")
 
@@ -169,8 +129,8 @@ def neuron_resistance(x: float, geom: NeuronGeometry, mtj: MtjStack) -> float:
 
 
 def read_voltage(resistance: float, mtj: MtjStack) -> float:
-    """Divider output v_sense * r_ref / (r_ref + resistance), volts."""
-    return mtj.v_sense * mtj.r_ref / (mtj.r_ref + resistance)
+    """Divider output V_SENSE_SUPPLY * r_ref / (r_ref + resistance), volts."""
+    return V_SENSE_SUPPLY * mtj.r_ref / (mtj.r_ref + resistance)
 
 
 def output_voltage(x: float, geom: NeuronGeometry, mtj: MtjStack) -> float:
@@ -266,13 +226,6 @@ class VelocityTable:
 
 
 @dataclass
-class NeuronState:
-    """Mutable wall midpoint position of one neuron, meters."""
-
-    x: float
-
-
-@dataclass
 class EnergyBreakdown:
     """Per-phase energy of one neuron cycle, joules."""
 
@@ -293,54 +246,42 @@ def neuron_energy(
     i_reset: float,
     t_reset: float,
     r_lateral: float,
-    v_sense: float = 0.100,
 ) -> EnergyBreakdown:
     """Closed-form phase energies of one neuron cycle.
 
     Programming and reset dissipate I^2*R*t in the lateral strip path;
-    sensing draws |I|*V*t from the divider supply.
+    sensing draws |I|*V_SENSE_SUPPLY*t from the divider supply.
     """
     if not all(math.isfinite(t) and t >= 0.0
                for t in (t_prog, t_sense, t_reset)):
         raise DomainError("phase durations must be finite and >= 0")
     return EnergyBreakdown(
         program=i_prog * i_prog * r_lateral * t_prog,
-        sense=abs(i_sense) * v_sense * t_sense,
+        sense=abs(i_sense) * V_SENSE_SUPPLY * t_sense,
         reset=i_reset * i_reset * r_lateral * t_reset,
     )
 
 
+@dataclass(frozen=True, eq=False)
 class NeuronDevice:
-    """One spin-torque neuron: parameters plus mutable wall position.
+    """One spin-torque neuron: geometry, MTJ stack and velocity table.
 
-    Single-owner mutable state; concurrent use requires independent
-    instances. The pure helpers (resistance, voltage, velocity) are
-    reentrant.
+    Holds no wall position: every transfer starts from the reset state,
+    so one instance is safe to share.
     """
 
-    def __init__(
-        self,
-        geometry: NeuronGeometry | None = None,
-        material: MaterialParams | None = None,
-        mtj: MtjStack | None = None,
-        velocity_table: VelocityTable | None = None,
-    ):
-        self.material = material or MaterialParams()
-        self.geometry = geometry or NeuronGeometry.from_material(self.material)
-        self.mtj = mtj or MtjStack()
-        self.velocity_table = velocity_table or VelocityTable.default()
-        self.state = NeuronState(x=self.geometry.x_min)
-
-    # -- derived operating points ------------------------------------
+    geometry: NeuronGeometry = field(default_factory=NeuronGeometry)
+    mtj: MtjStack = field(default_factory=MtjStack)
+    velocity_table: VelocityTable = field(default_factory=VelocityTable.default)
 
     @property
     def depinning_current(self) -> float:
         """Lateral current (A) at the depinning density; no motion below it."""
         return self.velocity_table.j_th * self.geometry.cross_section
 
-    def saturation_current(self, t_prog: float = T_PROGRAM) -> float:
-        """Minimum current that walks the wall end to end within t_prog."""
-        v_needed = (self.geometry.length - self.geometry.dw_length) / t_prog
+    def saturation_current(self) -> float:
+        """Minimum current that walks the wall end to end within T_PROGRAM."""
+        v_needed = (self.geometry.length - self.geometry.dw_length) / T_PROGRAM
         j = self.velocity_table.density_for_velocity(v_needed)
         return j * self.geometry.cross_section
 
@@ -352,49 +293,23 @@ class NeuronDevice:
     def v_out_max(self) -> float:
         return output_voltage(self.geometry.x_max, self.geometry, self.mtj)
 
-    # -- state evolution ----------------------------------------------
-
-    def resistance(self) -> float:
-        return neuron_resistance(self.state.x, self.geometry, self.mtj)
-
-    def apply_pulse(self, i: float, dt: float) -> float:
-        """Move the wall under a lateral current pulse; returns the new x.
-
-        Positive current (input port toward ground) advances the wall and
-        raises the output voltage. Velocity is constant within a pulse, so
-        a single kinematic step is exact. Position clamps at the travel
-        limits.
-        """
-        if dt < 0.0:
-            raise DomainError("pulse duration must be >= 0")
-        j = abs(i) / self.geometry.cross_section
-        step = self.velocity_table.velocity(j) * dt
-        x = self.state.x + (step if i > 0.0 else -step)
-        self.state.x = min(max(x, self.geometry.x_min), self.geometry.x_max)
-        return self.state.x
-
-    def sense(self, i_sense: float = 25e-6) -> float:
-        """Non-destructive read of the output voltage.
-
-        Refuses sense currents above half the vertical critical current:
-        beyond that, vertical spin torque could move the wall, and this
-        model treats read-disturb as a hard precondition rather than a
-        drift term.
-        """
-        if abs(i_sense) > SENSE_SAFETY_FRACTION * self.mtj.i_crit_vertical:
-            raise DisturbanceError(
-                f"sense current {i_sense} exceeds "
-                f"{SENSE_SAFETY_FRACTION:.0%} of the vertical critical current"
-            )
-        return output_voltage(self.state.x, self.geometry, self.mtj)
-
-    def transfer(self, i_prog: float, t_prog: float = T_PROGRAM) -> float:
+    def transfer(self, i_prog: float) -> float:
         """Output voltage after reset -> program pulse -> sense.
 
-        The soft-limiting neuron curve: flat at the minimum below the
-        depinning current, saturated at the maximum once the pulse walks
-        the wall end to end, monotone in between.
+        Reset parks the wall at x_min; the T_PROGRAM pulse moves it one
+        exact step at the table velocity for |i_prog|, forward for positive
+        current, clamped at the travel limits. A sense current above
+        SENSE_SAFETY_FRACTION of the vertical critical current could move
+        the wall, so it is refused. The curve is flat below depinning and
+        saturated once the pulse walks the wall end to end.
         """
-        self.state.x = self.geometry.x_min
-        self.apply_pulse(i_prog, t_prog)
-        return self.sense()
+        if I_SENSE > SENSE_SAFETY_FRACTION * self.mtj.i_crit_vertical:
+            raise DisturbanceError(
+                f"sense current {I_SENSE} exceeds "
+                f"{SENSE_SAFETY_FRACTION:.0%} of the vertical critical current"
+            )
+        geom = self.geometry
+        j = abs(i_prog) / geom.cross_section
+        step = self.velocity_table.velocity(j) * T_PROGRAM
+        x = geom.x_min + (step if i_prog > 0.0 else -step)
+        return output_voltage(min(max(x, geom.x_min), geom.x_max), geom, self.mtj)

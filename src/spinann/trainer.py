@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .crossbar import ConductanceRange
-from .device import T_PROGRAM, NeuronDevice
+from .device import NeuronDevice
 from .errors import ConfigError, DomainError, SearchError
 
 WEIGHTS_SCHEMA = "spin-ann/1"
@@ -102,15 +102,18 @@ class TransferKind:
 
         Nodes are 0 plus a uniform grid over [th1, th2]; between nodes
         the activation is linearly interpolated. drive_current is th2,
-        so a net input of 1.0 saturates the neuron.
+        so a net input of 1.0 saturates the neuron. Below 3 nodes the
+        table cannot hold 0, th1 and th2 as separate nodes.
         """
+        if n_nodes < 3:
+            raise ConfigError(f"need n_nodes >= 3, got {n_nodes}")
         device = NeuronDevice()
         th1 = device.depinning_current
-        th2 = device.saturation_current(T_PROGRAM)
+        th2 = device.saturation_current()
         v_min = device.v_out_min
         v_max = device.v_out_max
         i_nodes = np.concatenate(([0.0], np.linspace(th1, th2, n_nodes - 1)))
-        volts = np.array([device.transfer(i, T_PROGRAM) for i in i_nodes])
+        volts = np.array([device.transfer(i) for i in i_nodes])
         a_nodes = (volts - v_min) / (v_max - v_min)
         a_nodes = np.maximum.accumulate(np.clip(a_nodes, 0.0, 1.0))
         a_nodes[i_nodes <= th1] = 0.0

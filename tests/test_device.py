@@ -1,4 +1,4 @@
-"""Neuron device model: resistance law, readout, kinematics, energy."""
+"""Neuron device model: resistance law, readout, transfer, energy."""
 
 import math
 
@@ -7,7 +7,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from spinann.device import (
-    MaterialParams,
+    I_SENSE,
+    SENSE_SAFETY_FRACTION,
+    T_PROGRAM,
+    V_SENSE_SUPPLY,
     MtjStack,
     NeuronDevice,
     NeuronGeometry,
@@ -24,7 +27,7 @@ from spinann.network import I_RESET, T_RESET
 
 @pytest.fixture
 def geom():
-    return NeuronGeometry.from_material(MaterialParams())
+    return NeuronGeometry()
 
 
 @pytest.fixture
@@ -54,8 +57,8 @@ def parallel_resistance_oracle(x, geom, mtj):
 
 class TestResistance:
     def test_wall_length_derivation(self, geom):
-        # pi*sqrt(a_ex/k_u) with the default material
-        assert geom.dw_length == pytest.approx(17.612142597974271e-9, rel=1e-12)
+        # pi*sqrt(a_ex/k_u) with a_ex = 1.1e-11 J/m, k_u = 3.5e5 J/m^3
+        assert geom.dw_length == math.pi * math.sqrt(1.1e-11 / 3.5e5)
 
     def test_endpoint_values(self, geom, mtj):
         # Frozen from the parallel-segment oracle with default parameters.
@@ -92,7 +95,7 @@ class TestResistance:
 
     @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
     def test_strictly_decreasing(self, a, b):
-        geom = NeuronGeometry.from_material(MaterialParams())
+        geom = NeuronGeometry()
         mtj = MtjStack()
         x1, x2 = sorted(
             geom.x_min + t * (geom.x_max - geom.x_min) for t in (a, b)
@@ -108,7 +111,7 @@ class TestReadout:
 
     def test_symmetric_divider(self, mtj):
         # Neuron resistance equal to the reference splits the supply evenly.
-        assert read_voltage(mtj.r_ref, mtj) == pytest.approx(mtj.v_sense / 2, rel=1e-15)
+        assert read_voltage(mtj.r_ref, mtj) == pytest.approx(V_SENSE_SUPPLY / 2, rel=1e-15)
 
     def test_strictly_increasing(self, geom, mtj):
         xs = np.linspace(geom.x_min, geom.x_max, 400)
@@ -167,52 +170,47 @@ class TestVelocityTable:
 
 
 class TestPulses:
+    """The program step of transfer: reset to x_min, one T_PROGRAM pulse."""
+
     def test_zero_current_leaves_position(self, device):
-        x0 = device.state.x
-        device.apply_pulse(0.0, 1e-9)
-        assert device.state.x == x0
+        assert device.transfer(0.0) == device.v_out_min
+        assert device.transfer(-I_RESET) == device.v_out_min
 
     def test_reset_from_anywhere(self, device):
         """The network's reset pulse, I_RESET for T_RESET, walks the wall
-        past its full travel, so the wall parks exactly at x_min."""
-        device.state.x = device.geometry.x_max
-        device.apply_pulse(-I_RESET, T_RESET)
-        assert device.state.x == device.geometry.x_min
-        device.state.x = 0.5 * (device.geometry.x_min + device.geometry.x_max)
-        device.apply_pulse(-I_RESET, T_RESET)
-        assert device.state.x == device.geometry.x_min
+        past its full travel, so every transfer may start from x_min."""
+        geom = device.geometry
+        v_reset = device.velocity_table.velocity(I_RESET / geom.cross_section)
+        assert v_reset * T_RESET >= geom.x_max - geom.x_min
 
     def test_advance_matches_table(self, device):
         # 26 uA over the 2 nm x 20 nm cross-section is 6.5e11 A/m^2.
-        j = 26e-6 / device.geometry.cross_section
+        geom = device.geometry
+        j = 26e-6 / geom.cross_section
         assert j == pytest.approx(6.5e11)
-        expected = device.state.x + device.velocity_table.velocity(j) * 0.5e-9
-        device.apply_pulse(26e-6, 0.5e-9)
-        assert device.state.x == pytest.approx(expected, rel=1e-12)
+        x = geom.x_min + device.velocity_table.velocity(j) * T_PROGRAM
+        assert x < geom.x_max
+        assert device.transfer(26e-6) == output_voltage(x, geom, device.mtj)
 
     def test_saturation_idempotent(self, device):
-        device.state.x = device.geometry.x_max
-        device.apply_pulse(60e-6, 1e-9)
-        assert device.state.x == device.geometry.x_max
-
-    def test_negative_duration_rejected(self, device):
-        with pytest.raises(DomainError):
-            device.apply_pulse(1e-6, -1e-9)
+        assert device.transfer(60e-6) == device.v_out_max
+        assert device.transfer(120e-6) == device.v_out_max
 
 
 class TestSense:
+    """The sense step of transfer reads at I_SENSE, within read-disturb."""
+
     def test_safe_read_does_not_move_wall(self, device):
-        device.state.x = 40e-9
-        v = device.sense(30e-6)
-        assert device.state.x == 40e-9
-        assert v == pytest.approx(output_voltage(40e-9, device.geometry, device.mtj))
+        # A limit of exactly I_SENSE still reads the undisturbed voltage.
+        at_limit = NeuronDevice(mtj=MtjStack(
+            i_crit_vertical=I_SENSE / SENSE_SAFETY_FRACTION))
+        for i in (0.0, 26e-6, 35e-6, 60e-6):
+            assert at_limit.transfer(i) == device.transfer(i)
 
-    def test_disturbing_current_refused(self, device):
+    def test_disturbing_current_refused(self):
+        weak = NeuronDevice(mtj=MtjStack(i_crit_vertical=40e-6))
         with pytest.raises(DisturbanceError):
-            device.sense(80e-6)
-
-    def test_zero_current_is_ideal_voltmeter(self, device):
-        assert device.sense(0.0) == pytest.approx(device.v_out_min)
+            weak.transfer(30e-6)
 
 
 class TestTransfer:
@@ -224,7 +222,7 @@ class TestTransfer:
         )
 
     def test_saturates_at_high_current(self, device):
-        i_sat = device.saturation_current(1e-9)
+        i_sat = device.saturation_current()
         assert device.transfer(i_sat) == pytest.approx(device.v_out_max, rel=1e-12)
         assert device.transfer(2 * i_sat) == pytest.approx(device.v_out_max, rel=1e-12)
 
@@ -232,12 +230,18 @@ class TestTransfer:
         # End-to-end travel in 1 ns needs (length - dw_length)/1ns of velocity.
         v_needed = (device.geometry.length - device.geometry.dw_length) / 1e-9
         assert v_needed == pytest.approx(83.0, rel=0.01)
-        assert device.saturation_current(1e-9) == pytest.approx(44.93e-6, rel=1e-3)
+        assert T_PROGRAM == 1e-9
+        assert device.saturation_current() == pytest.approx(44.93e-6, rel=1e-3)
 
     def test_monotone_nondecreasing(self, device):
         currents = np.linspace(0.0, 60e-6, 121)
         vs = [device.transfer(i) for i in currents]
         assert all(b >= a for a, b in zip(vs, vs[1:]))
+
+    def test_holds_no_state_between_calls(self, device):
+        fresh = device.transfer(30e-6)
+        device.transfer(60e-6)
+        assert device.transfer(30e-6) == fresh
 
 
 class TestEnergy:

@@ -69,7 +69,19 @@ class TestSttTable:
     def test_table_saturates_at_the_program_pulse(self, stt_kind):
         """The table's full-travel current is the one that walks the wall
         end to end within the network's programming pulse."""
-        assert stt_kind.th2 == NeuronDevice().saturation_current(T_PROGRAM)
+        dev = NeuronDevice()
+        assert stt_kind.th2 == dev.saturation_current()
+        v_sat = dev.velocity_table.velocity(
+            stt_kind.th2 / dev.geometry.cross_section)
+        assert v_sat * T_PROGRAM == pytest.approx(
+            dev.geometry.x_max - dev.geometry.x_min, rel=1e-12)
+
+    @pytest.mark.parametrize("n_nodes", [0, 1, 2])
+    def test_rejects_degenerate_table_size(self, n_nodes):
+        """Below 3 nodes the table cannot hold 0, th1 and th2 apart: at 2
+        it would read activation 1.0 at th1, at 1 for every input."""
+        with pytest.raises(ConfigError):
+            TransferKind.stt_snn(n_nodes=n_nodes)
 
     @pytest.mark.parametrize("n_nodes, digest", [
         (trainer.STT_TABLE_NODES,
