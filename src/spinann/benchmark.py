@@ -27,7 +27,6 @@ import functools
 import json
 from dataclasses import dataclass, field
 from importlib import resources
-from pathlib import Path
 
 import numpy as np
 
@@ -61,7 +60,6 @@ __all__ = [
     "extract_features",
     "Glyph",
     "parse_glyph",
-    "load_glyph",
     "Corpus",
     "load_corpus",
     "corpus_feature_scale",
@@ -173,15 +171,14 @@ def _stored_feature_scale() -> float:
     return float(payload["feature_scale"])
 
 
-def extract_features(bitmap: np.ndarray, scale: float | None = None) -> np.ndarray:
+def extract_features(bitmap: np.ndarray) -> np.ndarray:
     """Normalized feature vector of a bitmap, clipped to [0, 1].
 
-    `scale` defaults to the stored corpus-wide maximum raw response, so a
-    canonical glyph maps exactly into [0, 1]; inputs with stronger edge
-    content than any corpus letter saturate at 1.
+    Raw responses are divided by the stored corpus-wide maximum raw
+    response, so a canonical glyph maps exactly into [0, 1]; inputs with
+    stronger edge content than any corpus letter saturate at 1.
     """
-    if scale is None:
-        scale = _stored_feature_scale()
+    scale = _stored_feature_scale()
     if not np.isfinite(scale) or scale <= 0.0:
         raise ConfigError("feature scale must be positive and finite")
     return np.clip(raw_features(bitmap) / scale, 0.0, 1.0)
@@ -222,11 +219,6 @@ def parse_glyph(text: str, letter: str) -> Glyph:
     return Glyph(letter=letter, bitmap=np.array(rows))
 
 
-def load_glyph(path: Path | str) -> Glyph:
-    path = Path(path)
-    return parse_glyph(path.read_text(), path.stem)
-
-
 def corpus_feature_scale(glyphs: list[Glyph]) -> float:
     """Largest raw feature value over a set of glyphs."""
     return float(max(raw_features(g.bitmap).max() for g in glyphs))
@@ -240,7 +232,6 @@ class Corpus:
     glyphs: tuple[Glyph, ...]
     features: np.ndarray
     labels: np.ndarray
-    feature_scale: float
 
     @property
     def dataset(self) -> Dataset:
@@ -251,42 +242,24 @@ class Corpus:
         )
 
 
-def load_corpus(directory: Path | str | None = None) -> Corpus:
-    """Load the glyph corpus and extract normalized features.
+def load_corpus() -> Corpus:
+    """Load the packaged canonical corpus and extract its features.
 
-    With no argument the packaged canonical corpus and its stored
-    normalization constant are used.  With an explicit directory the scale
-    is recomputed from the glyphs found there (normalization.json in the
-    directory, if present, wins).
+    Features are normalized by the stored corpus-wide constant, the one
+    `extract_features` applies to every bitmap.
     """
     letters = tuple(chr(c) for c in range(ord("A"), ord("Z") + 1))
-    if directory is None:
-        base = resources.files("spinann.data").joinpath("glyphs")
-        glyphs = tuple(
-            parse_glyph(base.joinpath(f"{letter}.txt").read_text(), letter)
-            for letter in letters
-        )
-        scale = _stored_feature_scale()
-    else:
-        base = Path(directory)
-        glyphs = tuple(
-            load_glyph(base / f"{letter}.txt") for letter in letters
-        )
-        norm = base / "normalization.json"
-        if norm.exists():
-            scale = float(json.loads(norm.read_text())["feature_scale"])
-        else:
-            scale = corpus_feature_scale(list(glyphs))
-    features = np.stack(
-        [extract_features(g.bitmap, scale=scale) for g in glyphs]
+    base = resources.files("spinann.data").joinpath("glyphs")
+    glyphs = tuple(
+        parse_glyph(base.joinpath(f"{letter}.txt").read_text(), letter)
+        for letter in letters
     )
-    labels = np.arange(len(letters))
+    features = np.stack([extract_features(g.bitmap) for g in glyphs])
     return Corpus(
         letters=letters,
         glyphs=glyphs,
         features=features,
-        labels=labels,
-        feature_scale=scale,
+        labels=np.arange(len(letters)),
     )
 
 
@@ -320,13 +293,6 @@ class EvaluationResult:
         }
 
 
-def _responses(out) -> np.ndarray:
-    """The response array of a forward call that may also return a ledger."""
-    if isinstance(out, tuple):
-        out = out[0]
-    return np.asarray(out, dtype=float)
-
-
 def _score(raw: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Normalize raw response matrices and read the margins off them.
 
@@ -352,12 +318,12 @@ def evaluate(network, corpus: Corpus) -> EvaluationResult:
     """Run every corpus letter through a network and score the responses.
 
     `network` exposes ``forward(features)``, which is called once per
-    letter with one feature vector and returns the output responses,
-    alone or as the first item of a tuple.
+    letter with one feature vector and returns `(responses, ledger)`,
+    as `SpinAnnNetwork.forward` does; only the responses are read.
     """
     if not hasattr(network, "forward"):
         raise ConfigError("network must expose forward(features)")
-    raw = np.stack([_responses(network.forward(f)) for f in corpus.features])
+    raw = np.stack([network.forward(f)[0] for f in corpus.features])
     matrix, margins = _score(raw, len(corpus.letters))
     correct = margins > 0.0
     return EvaluationResult(
@@ -438,8 +404,8 @@ def monte_carlo(
     `network` must expose ``with_variation(sigma, seeds)`` taking a
     sequence of trial seeds and returning one stacked copy, whose
     ``forward`` takes the whole `[n_letters, n_features]` feature matrix
-    and returns `[n_trials, n_letters, n_letters]` responses, alone or as
-    the first item of a tuple.  Slice t must be the responses of the copy
+    and returns `(responses, ledger)` with `[n_trials, n_letters,
+    n_letters]` responses.  Slice t must be the responses of the copy
     of the block's seed t alone; a trial's scores then equal `evaluate`
     on that copy.  Trials are aggregated in a fixed order for bit-exact
     reports.
@@ -462,8 +428,7 @@ def monte_carlo(
             for trial in range(block.start, block.stop)
         ]
         perturbed = network.with_variation(sigma, seeds)
-        _, margins = _score(_responses(perturbed.forward(corpus.features)),
-                            n)
+        _, margins = _score(perturbed.forward(corpus.features)[0], n)
         correct = margins > 0.0
         accuracies[block] = correct.mean(axis=-1)
         min_margins[block] = margins.min(axis=-1)
@@ -532,16 +497,15 @@ def recognizer_configs(
 def train_recognizer(
     corpus: Corpus | None = None,
     seed: int = 17,
-    levels: int = 32,
     n_hidden: int = HIDDEN_NEURONS,
 ) -> TrainResult:
     """Train the recognizer; returned weights lie on the level grid.
 
     Runs the three-stage schedule from recognizer_configs on the glyph
-    corpus.  The returned result holds weights exactly representable
-    with `levels` conductance levels per cell, ready for mapping onto
-    crossbars.  Raises TrainingError if the float stage fails to reach
-    100% on the corpus; pick a different seed in that case.
+    corpus.  The returned result holds weights exactly representable on
+    the levels of the default ConductanceRange, the grid build_network
+    maps them onto.  Raises TrainingError if the float stage fails to
+    reach 100% on the corpus; pick a different seed in that case.
     """
     corpus = corpus or load_corpus()
     base, harden, refine = recognizer_configs(seed)
@@ -553,7 +517,7 @@ def train_recognizer(
             f"float stage stopped at {floated.accuracy:.3f} accuracy "
             f"for seed {seed}; choose another seed")
     hardened = finalize(floated, dataset, levels=None, cfg=harden)
-    return finalize(hardened, dataset, levels=levels, cfg=refine)
+    return finalize(hardened, dataset, cfg=refine)
 
 
 # -- transfer-kind comparison ------------------------------------------

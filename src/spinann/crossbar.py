@@ -16,8 +16,6 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 
-SCHEMA = "crossbar/1"
-
 
 def _safe_divide(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     out = np.zeros(np.broadcast(num, den).shape)
@@ -45,17 +43,16 @@ class ConductanceRange:
     """Programmable conductance window and resolution.
 
     Defaults follow a 1 kOhm..32 kOhm memristor with 32 levels (5-bit
-    magnitude); g_off is the ideal off state of an unprogrammed cell.
+    magnitude); an unprogrammed cell is ideally off, at 0 S.
     """
 
     g_min: float = 1.0 / 32e3
     g_max: float = 1.0 / 1e3
     levels: int = 32
-    g_off: float = 0.0
 
     def __post_init__(self):
-        if not (0.0 <= self.g_off < self.g_min < self.g_max):
-            raise ConfigError("need 0 <= g_off < g_min < g_max")
+        if not (0.0 < self.g_min < self.g_max):
+            raise ConfigError("need 0 < g_min < g_max")
         if self.levels < 2:
             raise ConfigError("need at least 2 conductance levels")
 
@@ -79,16 +76,7 @@ class ConductanceRange:
         x = (np.minimum(g, self.g_max) - self.g_min) / self.step
         idx = np.ceil(x - 0.5)  # nearest, ties toward the lower level
         quantized = self.g_min + idx * self.step
-        return np.where(g < self.g_min, self.g_off, quantized)
-
-
-@dataclass
-class MappingReport:
-    """Bookkeeping from a weight-to-conductance mapping."""
-
-    scale: float  # conductance per unit weight, S
-    pruned: int  # weights snapped to off because the target fell below g_min
-    max_abs_weight: float
+        return np.where(g < self.g_min, 0.0, quantized)
 
 
 @dataclass(eq=False)
@@ -101,6 +89,8 @@ class CrossbarArray:
     are treated as immutable after construction, so the bar totals
     g_tr_plus/g_tr_minus are computed once there; variation injection
     returns a perturbed copy that keeps a handle on the nominal array.
+    `scale` is the conductance per unit weight of the mapping that built
+    the array, S.
     A stacked array holds T perturbed copies at once: every conductance
     field is [T, rows, cols] and every bar total [T, rows].
     """
@@ -110,7 +100,7 @@ class CrossbarArray:
     dummy_plus: np.ndarray
     dummy_minus: np.ndarray
     range: ConductanceRange
-    report: MappingReport | None = None
+    scale: float | None = None
     nominal: "CrossbarArray | None" = None
     # Total conductance of each positive-/negative-rail bar, dummies
     # included.
@@ -174,89 +164,12 @@ class CrossbarArray:
 
     def decode_weights(self) -> np.ndarray:
         """Signed weights recovered at the recorded mapping scale."""
-        if self.report is None:
+        if self.scale is None:
             raise ConfigError("array was not built from a weight mapping")
-        return (self.g_plus - self.g_minus) / self.report.scale
-
-    # -- serialization -------------------------------------------------
-
-    def to_dict(self) -> dict:
-        doc = {
-            "schema": SCHEMA,
-            "range": {
-                "g_min_s": self.range.g_min,
-                "g_max_s": self.range.g_max,
-                "levels": self.range.levels,
-                "g_off_s": self.range.g_off,
-            },
-            "g_plus_s": self.g_plus.tolist(),
-            "g_minus_s": self.g_minus.tolist(),
-            "dummy_plus_s": self.dummy_plus.tolist(),
-            "dummy_minus_s": self.dummy_minus.tolist(),
-        }
-        if self.report is not None:
-            doc["mapping"] = {
-                "scale_s_per_weight": self.report.scale,
-                "pruned": self.report.pruned,
-                "max_abs_weight": self.report.max_abs_weight,
-            }
-        if self.nominal is not None:
-            doc["nominal"] = {
-                "g_plus_s": self.nominal.g_plus.tolist(),
-                "g_minus_s": self.nominal.g_minus.tolist(),
-                "dummy_plus_s": self.nominal.dummy_plus.tolist(),
-                "dummy_minus_s": self.nominal.dummy_minus.tolist(),
-            }
-        return doc
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "CrossbarArray":
-        """Rebuild an array from its `to_dict` document.
-
-        A missing key, or a conductance that is negative or not finite,
-        is a ConfigError.
-        """
-        if doc.get("schema") != SCHEMA:
-            raise ConfigError(f"expected schema {SCHEMA}, got {doc.get('schema')!r}")
-        try:
-            rng = ConductanceRange(
-                g_min=doc["range"]["g_min_s"],
-                g_max=doc["range"]["g_max_s"],
-                levels=doc["range"]["levels"],
-                g_off=doc["range"]["g_off_s"],
-            )
-            report = None
-            if "mapping" in doc:
-                report = MappingReport(
-                    scale=doc["mapping"]["scale_s_per_weight"],
-                    pruned=doc["mapping"]["pruned"],
-                    max_abs_weight=doc["mapping"]["max_abs_weight"],
-                )
-            nominal = None
-            if "nominal" in doc:
-                nominal = cls(*_conductances(doc["nominal"]), range=rng,
-                              report=report)
-            return cls(*_conductances(doc), range=rng, report=report,
-                       nominal=nominal)
-        except KeyError as exc:
-            raise ConfigError(f"crossbar document lacks key {exc}") from None
+        return (self.g_plus - self.g_minus) / self.scale
 
 
-def _conductances(doc: dict) -> list[np.ndarray]:
-    """A document's g_plus, g_minus, dummy_plus and dummy_minus, checked
-    finite and non-negative."""
-    fields = [np.array(doc[f"{name}_s"], dtype=float)
-              for name in ("g_plus", "g_minus", "dummy_plus", "dummy_minus")]
-    if not all(np.all(np.isfinite(g) & (g >= 0.0)) for g in fields):
-        raise ConfigError("conductances must be finite and >= 0")
-    return fields
-
-
-def map_weights(
-    weights,
-    rng: ConductanceRange | None = None,
-    quantize: bool = True,
-) -> CrossbarArray:
+def map_weights(weights, quantize: bool = True) -> CrossbarArray:
     """Map a signed weight matrix onto paired quantized conductances.
 
     The largest weight magnitude lands on g_max; positive weights program
@@ -265,10 +178,11 @@ def map_weights(
     rounding up, which bounds the error by the same amount without
     inflating small weights. Dummy cells then pad every bar to the
     largest bar total, split across columns so no single dummy exceeds
-    g_max. ``quantize=False`` keeps continuous conductances (ideal-mode
-    reference).
+    g_max. The level grid is the default ConductanceRange, the one
+    training snaps onto. ``quantize=False`` keeps continuous conductances
+    (ideal-mode reference).
     """
-    rng = rng or ConductanceRange()
+    crange = ConductanceRange()
     w = np.asarray(weights, dtype=float)
     if w.ndim != 2:
         raise DomainError("weights must be a 2-D matrix")
@@ -277,19 +191,14 @@ def map_weights(
     w_max = float(np.max(np.abs(w)))
     if w_max == 0.0:
         raise DomainError("all-zero weight matrix has no mapping scale")
-    scale = rng.g_max / w_max
+    scale = crange.g_max / w_max
 
     targets = np.abs(w) * scale
-    if quantize:
-        mag = rng.quantize(targets)
-        pruned = int(np.sum((w != 0.0) & (mag == rng.g_off)))
-    else:
-        # Continuous reference mapping: no level grid and no pruning, so
-        # the decoded weights reproduce the originals exactly.
-        mag = targets
-        pruned = 0
-    g_plus = np.where(w > 0.0, mag, rng.g_off)
-    g_minus = np.where(w < 0.0, mag, rng.g_off)
+    # The continuous reference mapping has no level grid and no pruning,
+    # so the decoded weights reproduce the originals exactly.
+    mag = crange.quantize(targets) if quantize else targets
+    g_plus = np.where(w > 0.0, mag, 0.0)
+    g_minus = np.where(w < 0.0, mag, 0.0)
 
     # Equalize all 2N physical bars to the global maximum bar total.
     row_plus = g_plus.sum(axis=1)
@@ -298,12 +207,12 @@ def map_weights(
     deficit_plus = target - row_plus
     deficit_minus = target - row_minus
     n_dummy = max(1, int(np.ceil(max(deficit_plus.max(), deficit_minus.max())
-                                 / rng.g_max)))
-    dummy_plus = _split_dummies(deficit_plus, n_dummy, rng.g_max)
-    dummy_minus = _split_dummies(deficit_minus, n_dummy, rng.g_max)
+                                 / crange.g_max)))
+    dummy_plus = _split_dummies(deficit_plus, n_dummy, crange.g_max)
+    dummy_minus = _split_dummies(deficit_minus, n_dummy, crange.g_max)
 
-    report = MappingReport(scale=scale, pruned=pruned, max_abs_weight=w_max)
-    return CrossbarArray(g_plus, g_minus, dummy_plus, dummy_minus, rng, report)
+    return CrossbarArray(g_plus, g_minus, dummy_plus, dummy_minus, crange,
+                         scale)
 
 
 def _split_dummies(deficits: np.ndarray, n_dummy: int, g_max: float) -> np.ndarray:
@@ -342,18 +251,17 @@ def inject_variation(array: CrossbarArray, sigma: float,
         for row, s in zip(noise, seeds):
             row[:] = np.random.default_rng(s).normal(0.0, sigma,
                                                      size=row.size)
-    lo = array.range.g_off
     hi = VARIATION_CLAMP_FACTOR * array.range.g_max
     varied = []
     for g, part in zip(fields, np.split(noise, np.cumsum(sizes)[:-1],
                                         axis=1)):
         part = part.reshape((len(seeds),) + g.shape)
-        on = g > array.range.g_off
-        out = np.where(on, np.clip(g * (1.0 + part), lo, hi), g)
+        on = g > 0.0
+        out = np.where(on, np.clip(g * (1.0 + part), 0.0, hi), g)
         varied.append(out if stacked else out[0])
     return CrossbarArray(
         *varied,
         range=array.range,
-        report=array.report,
+        scale=array.scale,
         nominal=array.nominal if array.nominal is not None else array,
     )

@@ -35,9 +35,7 @@ the neuron's response.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -47,7 +45,6 @@ from .errors import ConfigError, DomainError
 from .trainer import TrainResult, TransferKind
 
 __all__ = [
-    "NETWORK_SCHEMA",
     "R_PROGRAM",
     "I_SENSE",
     "V_SENSE_SUPPLY",
@@ -60,11 +57,7 @@ __all__ = [
     "EnergyReport",
     "SpinAnnNetwork",
     "build_network",
-    "save_network",
-    "load_network",
 ]
-
-NETWORK_SCHEMA = "spin-ann-network/3"
 
 # The neuron operating point: lateral programming-path resistance (ohm)
 # and reset current (A).
@@ -232,20 +225,6 @@ class SpinAnnNetwork:
             new_layers.append(replace(layer, array=varied))
         return replace(self, layers=new_layers)
 
-    def to_dict(self) -> dict:
-        return {
-            "schema": NETWORK_SCHEMA,
-            "kind": self.kind.to_dict(),
-            "layers": [
-                {
-                    "i_unit": layer.i_unit,
-                    "g_tr": layer.g_tr,
-                    "array": layer.array.to_dict(),
-                }
-                for layer in self.layers
-            ],
-        }
-
 
 def _build_layer(weights: np.ndarray, kind: TransferKind,
                  quantize: bool) -> Layer:
@@ -255,8 +234,7 @@ def _build_layer(weights: np.ndarray, kind: TransferKind,
     spread = g_tr - float(g_tr_rows.min())
     if spread > 1e-6 * g_tr:
         raise ConfigError("crossbar rows are not conductance-equalized")
-    scale = array.report.scale
-    i_unit = kind.drive_current * g_tr / scale
+    i_unit = kind.drive_current * g_tr / array.scale
     return Layer(array=array, i_unit=i_unit, g_tr=g_tr)
 
 
@@ -273,31 +251,3 @@ def build_network(result: TrainResult, *,
     layers = [_build_layer(w, result.kind, quantize)
               for w in (result.w1, result.w2)]
     return SpinAnnNetwork(kind=result.kind, layers=layers)
-
-
-def save_network(path: Path | str, network: SpinAnnNetwork) -> None:
-    Path(path).write_text(json.dumps(network.to_dict(), indent=2) + "\n")
-
-
-def load_network(path: Path | str) -> SpinAnnNetwork:
-    """Read a network file; a missing key, a non-stt_snn kind, no layers,
-    or an i_unit or g_tr not a positive finite number is a ConfigError."""
-    payload = json.loads(Path(path).read_text())
-    if payload.get("schema") != NETWORK_SCHEMA:
-        raise ConfigError(f"unsupported network schema {payload.get('schema')!r}")
-    try:
-        kind = TransferKind.from_dict(payload["kind"])
-        layers = [
-            Layer(array=CrossbarArray.from_dict(entry["array"]),
-                  i_unit=entry["i_unit"], g_tr=entry["g_tr"])
-            for entry in payload["layers"]
-        ]
-    except KeyError as exc:
-        raise ConfigError(f"network file lacks key {exc}") from None
-    if kind.tag != "stt_snn" or not layers:
-        raise ConfigError("a network needs the stt_snn kind and a layer")
-    for layer in layers:
-        if not all(type(x) in (int, float) and np.isfinite(x) and x > 0.0
-                   for x in (layer.i_unit, layer.g_tr)):
-            raise ConfigError("i_unit and g_tr must be positive and finite")
-    return SpinAnnNetwork(kind=kind, layers=layers)

@@ -763,7 +763,7 @@ def train(dataset: Dataset, n_hidden: int, kind: TransferKind,
 
 
 def finalize(result: TrainResult, dataset: Dataset,
-             levels: int | None = 32,
+             levels: int | None = ConductanceRange.levels,
              cfg: TrainConfig | None = None) -> TrainResult:
     """Fine-tune a trained network, by default quantization-aware.
 
@@ -812,7 +812,7 @@ def _snap_weights(w: np.ndarray, levels: int) -> np.ndarray:
     return np.sign(w) * (crange.quantize(mag * scale) / scale)
 
 
-def quantize_weights(weights, levels: int = 32):
+def quantize_weights(weights, levels: int = ConductanceRange.levels):
     """Snap weights onto the crossbar's representable magnitudes.
 
     Uses the conductance quantizer in weight space: the largest weight

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinann import benchmark
 from spinann.benchmark import (
     DIRECTIONS,
     FEATURE_COUNT,
@@ -24,8 +25,6 @@ from spinann.benchmark import (
     directional_kernels,
     evaluate,
     extract_features,
-    load_corpus,
-    load_glyph,
     monte_carlo,
     parse_glyph,
     pool_average,
@@ -184,15 +183,20 @@ class TestFeatures:
         with pytest.raises(DomainError):
             raw_features(np.ones((8, 8)))
 
-    def test_normalization_preserves_ordering(self, corpus):
+    def test_normalization_preserves_ordering(self, corpus, monkeypatch):
         raw = raw_features(corpus.glyphs[3].bitmap)
-        scaled = extract_features(corpus.glyphs[3].bitmap,
-                                  scale=2.0 * raw.max())
+        monkeypatch.setattr(benchmark, "_stored_feature_scale",
+                            lambda: 2.0 * raw.max())
+        scaled = extract_features(corpus.glyphs[3].bitmap)
         np.testing.assert_array_equal(np.argsort(raw), np.argsort(scaled))
         np.testing.assert_allclose(scaled, raw / (2.0 * raw.max()))
 
     def test_strong_responses_clip_to_one(self, corpus):
-        f = extract_features(corpus.glyphs[0].bitmap, scale=1e-3)
+        """Ink darker than a binary glyph's responds beyond the stored
+        scale and saturates at 1."""
+        bitmap = 2.0 * corpus.glyphs[0].bitmap
+        assert raw_features(bitmap).max() > benchmark._stored_feature_scale()
+        f = extract_features(bitmap)
         assert f.max() == 1.0
         assert (f <= 1.0).all()
 
@@ -200,10 +204,12 @@ class TestFeatures:
         got = np.stack([extract_features(g.bitmap) for g in corpus.glyphs])
         np.testing.assert_array_equal(got, corpus.features)
 
-    def test_bad_scale_rejected(self, corpus):
+    def test_bad_scale_rejected(self, corpus, monkeypatch):
         for scale in (0.0, -1.0, np.inf, np.nan):
+            monkeypatch.setattr(benchmark, "_stored_feature_scale",
+                                lambda: scale)
             with pytest.raises(ConfigError):
-                extract_features(corpus.glyphs[0].bitmap, scale=scale)
+                extract_features(corpus.glyphs[0].bitmap)
 
 
 class TestGlyph:
@@ -234,16 +240,6 @@ class TestGlyph:
         with pytest.raises(ConfigError):
             Glyph(letter="A", bitmap=np.full((GLYPH_SIZE, GLYPH_SIZE), 0.5))
 
-    def test_load_glyph_reads_file(self, tmp_path, corpus):
-        src = corpus.glyphs[7]
-        lines = ["".join("#" if v else "." for v in row)
-                 for row in src.bitmap]
-        path = tmp_path / "H.txt"
-        path.write_text("\n".join(lines) + "\n")
-        loaded = load_glyph(path)
-        assert loaded.letter == "H"
-        np.testing.assert_array_equal(loaded.bitmap, src.bitmap)
-
 
 class TestCorpus:
     def test_full_alphabet_in_order(self, corpus):
@@ -257,9 +253,10 @@ class TestCorpus:
         assert corpus.features.max() <= 1.0
 
     def test_stored_scale_covers_corpus(self, corpus):
+        stored = benchmark._stored_feature_scale()
         computed = corpus_feature_scale(list(corpus.glyphs))
-        assert corpus.feature_scale >= computed
-        assert computed == pytest.approx(corpus.feature_scale, rel=1e-12)
+        assert stored >= computed
+        assert computed == pytest.approx(stored, rel=1e-12)
 
     def test_letters_are_well_separated(self, corpus):
         dist = np.linalg.norm(
@@ -267,18 +264,6 @@ class TestCorpus:
         )
         np.fill_diagonal(dist, np.inf)
         assert dist.min() > 0.5
-
-    def test_load_from_directory_matches_packaged(self, tmp_path, corpus):
-        for glyph in corpus.glyphs:
-            lines = ["".join("#" if v else "." for v in row)
-                     for row in glyph.bitmap]
-            (tmp_path / f"{glyph.letter}.txt").write_text(
-                "\n".join(lines) + "\n"
-            )
-        reloaded = load_corpus(tmp_path)
-        np.testing.assert_allclose(
-            reloaded.features, corpus.features, atol=1e-12
-        )
 
     def test_dataset_view(self, corpus):
         ds = corpus.dataset
@@ -295,10 +280,11 @@ class _TableNet:
         self.features = features
 
     def forward(self, f):
-        """Rows of `matrix` for one feature vector or a batch of them;
-        a stacked fake answers from each of its matrices."""
+        """Rows of `matrix` for one feature vector or a batch of them,
+        with no ledger; a stacked fake answers from each of its
+        matrices."""
         dist = np.abs(self.features - np.asarray(f)[..., None, :]).sum(axis=-1)
-        return self.matrix[..., np.argmin(dist, axis=-1), :]
+        return self.matrix[..., np.argmin(dist, axis=-1), :], None
 
     def with_variation(self, sigma, seeds):
         """A stacked fake, one perturbed copy of `matrix` per seed."""
@@ -342,14 +328,10 @@ class TestEvaluate:
         assert result.matrix.min() == 0.0
         assert result.matrix.max() == 1.0
 
-    def test_tuple_outputs_accepted(self, corpus):
-        table = _TableNet(np.eye(26), corpus.features)
-        net = SimpleNamespace(forward=lambda f: (table.forward(f), None))
-        assert evaluate(net, corpus).accuracy == 1.0
-
     def test_wrong_output_shape_rejected(self, corpus):
         with pytest.raises(ConfigError):
-            evaluate(SimpleNamespace(forward=lambda f: np.zeros(25)), corpus)
+            evaluate(SimpleNamespace(forward=lambda f: (np.zeros(25), None)),
+                     corpus)
 
     def test_non_network_rejected(self, corpus):
         with pytest.raises(ConfigError):
