@@ -1,14 +1,14 @@
 """Character-recognition benchmark on a 26-letter glyph corpus.
 
 Each letter is a 16x16 binary bitmap shipped with the package.  A glyph is
-reduced to 64 features by directional edge extraction: the bitmap is
-convolved with four 3x3 edge kernels (horizontal, vertical, and the two
-diagonals), the responses are rectified, and each response map is averaged
-over a 4x4 grid of pooling cells.  Four directions times sixteen cells give
-the 64-component feature vector.  Features are normalized by the largest
-raw response found anywhere in the canonical corpus, a constant stored next
-to the glyphs, so extraction is deterministic and corpus features land in
-[0, 1].
+reduced to 64 features by directional edge extraction: the zero-padded
+bitmap is correlated in one pass with a stack of four 3x3 edge kernels
+(horizontal, vertical, and the two diagonals), the four responses are
+rectified, and each is averaged over a 4x4 grid of pooling cells.  Four
+directions times sixteen cells give the 64-component feature vector.
+Features are normalized by the largest raw response found anywhere in the
+canonical corpus, a constant stored next to the glyphs, so extraction is
+deterministic and corpus features land in [0, 1].
 
 `evaluate` runs a network over the corpus and builds the 26x26 response
 matrix (rows are input letters, columns are output neurons); `monte_carlo`
@@ -53,9 +53,6 @@ __all__ = [
     "POOL_GRID",
     "FEATURE_COUNT",
     "DIRECTIONS",
-    "directional_kernels",
-    "convolve_same",
-    "pool_average",
     "raw_features",
     "extract_features",
     "Glyph",
@@ -89,66 +86,29 @@ _Z95 = 1.959963984540054
 # Edge-response direction names, in feature order.
 DIRECTIONS = ("horizontal", "vertical", "diag_pos", "diag_neg")
 
-_KERNELS = {
-    # Responds to horizontal strokes (intensity gradient down the rows).
-    "horizontal": np.array(
-        [[-1.0, -2.0, -1.0], [0.0, 0.0, 0.0], [1.0, 2.0, 1.0]]
-    ),
-    # Responds to vertical strokes (gradient across the columns).
-    "vertical": np.array(
-        [[-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0], [-1.0, 0.0, 1.0]]
-    ),
+# The four 3x3 edge kernels, stacked in DIRECTIONS order. Each is
+# antisymmetric under 180-degree rotation, so after rectification the
+# flip distinction between correlation and convolution vanishes.
+_KERNELS = np.array([
+    # Horizontal strokes (intensity gradient down the rows).
+    [[-1.0, -2.0, -1.0], [0.0, 0.0, 0.0], [1.0, 2.0, 1.0]],
+    # Vertical strokes (gradient across the columns).
+    [[-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0], [-1.0, 0.0, 1.0]],
     # +45 degree diagonal strokes.
-    "diag_pos": np.array(
-        [[-2.0, -1.0, 0.0], [-1.0, 0.0, 1.0], [0.0, 1.0, 2.0]]
-    ),
+    [[-2.0, -1.0, 0.0], [-1.0, 0.0, 1.0], [0.0, 1.0, 2.0]],
     # -45 degree diagonal strokes.
-    "diag_neg": np.array(
-        [[0.0, -1.0, -2.0], [1.0, 0.0, -1.0], [2.0, 1.0, 0.0]]
-    ),
-}
-
-
-def directional_kernels() -> dict[str, np.ndarray]:
-    """Return copies of the four 3x3 edge kernels keyed by direction."""
-    return {name: k.copy() for name, k in _KERNELS.items()}
-
-
-def convolve_same(image: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Correlate `image` with a 3x3 `kernel`, zero-padded to 'same' size.
-
-    All four kernels are antisymmetric under 180-degree rotation, so after
-    rectification the flip distinction between correlation and convolution
-    vanishes.
-    """
-    image = np.asarray(image, dtype=float)
-    kernel = np.asarray(kernel, dtype=float)
-    if image.ndim != 2:
-        raise DomainError("image must be a 2-d array")
-    if kernel.shape != (3, 3):
-        raise DomainError("kernel must be 3x3")
-    padded = np.pad(image, 1, mode="constant")
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (3, 3))
-    return np.tensordot(windows, kernel, axes=([2, 3], [0, 1]))
-
-
-def pool_average(response: np.ndarray, grid: int = POOL_GRID) -> np.ndarray:
-    """Average-pool a square map over a `grid` x `grid` partition."""
-    response = np.asarray(response, dtype=float)
-    n = response.shape[0]
-    if response.ndim != 2 or response.shape[1] != n:
-        raise DomainError("response map must be square")
-    if n % grid != 0:
-        raise DomainError(f"map size {n} not divisible by pooling grid {grid}")
-    cell = n // grid
-    return response.reshape(grid, cell, grid, cell).mean(axis=(1, 3))
+    [[0.0, -1.0, -2.0], [1.0, 0.0, -1.0], [2.0, 1.0, 0.0]],
+])
 
 
 def raw_features(bitmap: np.ndarray) -> np.ndarray:
     """Unnormalized 64-component feature vector of a 16x16 bitmap.
 
     Feature order is direction-major: the 16 pooled cells (row-major) of
-    the horizontal response, then vertical, then the two diagonals.
+    the horizontal response, then vertical, then the two diagonals. On
+    an integer-valued bitmap every sum is a small exact integer and each
+    cell mean divides by 16, so the result does not depend on the order
+    of summation.
     """
     bitmap = np.asarray(bitmap, dtype=float)
     if bitmap.shape != (GLYPH_SIZE, GLYPH_SIZE):
@@ -157,11 +117,12 @@ def raw_features(bitmap: np.ndarray) -> np.ndarray:
         )
     if not bitmap.any():
         raise DomainError("glyph has no ink")
-    parts = [
-        pool_average(np.abs(convolve_same(bitmap, _KERNELS[name]))).ravel()
-        for name in DIRECTIONS
-    ]
-    return np.concatenate(parts)
+    windows = np.lib.stride_tricks.sliding_window_view(np.pad(bitmap, 1),
+                                                       (3, 3))
+    response = np.abs(np.tensordot(_KERNELS, windows, axes=([1, 2], [2, 3])))
+    cell = GLYPH_SIZE // POOL_GRID
+    return response.reshape(len(DIRECTIONS), POOL_GRID, cell, POOL_GRID,
+                            cell).mean(axis=(2, 4)).ravel()
 
 
 @functools.cache

@@ -909,7 +909,20 @@ def load_weights(path) -> TrainResult:
     if doc.get("schema") != WEIGHTS_SCHEMA:
         raise ConfigError(
             f"expected schema {WEIGHTS_SCHEMA}, got {doc.get('schema')!r}")
-    stored = dict(doc["config"])
+    try:
+        stored = dict(doc["config"])
+        kind = TransferKind.from_dict(doc["transfer"])
+        run = {k: doc[k] for k in ("accuracy", "converged", "epochs_run")}
+        layers = doc["layers"]
+        if len(layers) != 2 or layers[1]["n_inputs"] != layers[0]["n_neurons"]:
+            raise ConfigError("need two layers, the second reading the first")
+        w1, w2 = (np.array(layer["weights"]) for layer in layers)
+        for w, layer in zip((w1, w2), layers):
+            if w.shape != (layer["n_inputs"] + 1, layer["n_neurons"]):
+                raise ConfigError("layer weights must be "
+                                  "[n_inputs + 1, n_neurons]")
+    except KeyError as err:
+        raise ConfigError(f"weights file lacks key {err}") from None
     for key, fixed in _RETIRED_KEYS.items():
         if key in stored and stored.pop(key) != fixed:
             raise ConfigError(f"{key} is fixed at {fixed!r}; "
@@ -917,14 +930,11 @@ def load_weights(path) -> TrainResult:
     unknown = stored.keys() - {f.name for f in dataclasses.fields(TrainConfig)}
     if unknown:
         raise ConfigError(f"unknown training settings {sorted(unknown)}")
-    cfg = TrainConfig(**stored)
     return TrainResult(
-        w1=np.array(doc["layers"][0]["weights"]),
-        w2=np.array(doc["layers"][1]["weights"]),
-        kind=TransferKind.from_dict(doc["transfer"]),
-        config=cfg,
-        accuracy=doc["accuracy"],
-        converged=doc["converged"],
-        epochs_run=doc["epochs_run"],
+        w1=w1,
+        w2=w2,
+        kind=kind,
+        config=TrainConfig(**stored),
         history=np.array(doc.get("history", []), dtype=float).reshape(-1, 3),
+        **run,
     )

@@ -20,14 +20,11 @@ from spinann.benchmark import (
     POOL_GRID,
     Glyph,
     comparison_configs,
-    convolve_same,
     corpus_feature_scale,
-    directional_kernels,
     evaluate,
     extract_features,
     monte_carlo,
     parse_glyph,
-    pool_average,
     raw_features,
     recognizer_configs,
     wilson_interval,
@@ -47,7 +44,7 @@ STORED_RECOGNIZER = (Path(__file__).resolve().parents[1]
 
 
 def _reference_correlate(image, kernel):
-    """Nested-loop zero-padded correlation, the oracle for convolve_same."""
+    """Nested-loop zero-padded correlation, the oracle for raw_features."""
     n, m = image.shape
     out = np.zeros((n, m))
     for i in range(n):
@@ -62,59 +59,48 @@ def _reference_correlate(image, kernel):
     return out
 
 
+def _reference_features(bitmap):
+    """Rectified oracle correlations, block-averaged over the pooling cells
+    one cell at a time, in raw_features' direction-major order."""
+    cell = GLYPH_SIZE // POOL_GRID
+    feats = []
+    for kernel in benchmark._KERNELS:
+        resp = np.abs(_reference_correlate(bitmap, kernel))
+        for r in range(POOL_GRID):
+            for c in range(POOL_GRID):
+                feats.append(resp[cell * r:cell * (r + 1),
+                                  cell * c:cell * (c + 1)].mean())
+    return np.array(feats)
+
+
 class TestConvolution:
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10_000))
     def test_matches_reference_correlation(self, seed):
+        """On a real-valued bitmap the summation order differs from the
+        oracle's, so the features agree to rounding."""
         rng = np.random.default_rng(seed)
-        image = rng.uniform(-1.0, 1.0, size=(8, 8))
-        for kernel in directional_kernels().values():
-            np.testing.assert_allclose(
-                convolve_same(image, kernel),
-                _reference_correlate(image, kernel),
-                atol=1e-12,
-            )
+        bitmap = rng.uniform(-1.0, 1.0, size=(GLYPH_SIZE, GLYPH_SIZE))
+        np.testing.assert_allclose(raw_features(bitmap),
+                                   _reference_features(bitmap), atol=1e-12)
 
     def test_kernels_are_zero_sum_and_antisymmetric(self):
-        for kernel in directional_kernels().values():
+        assert benchmark._KERNELS.shape == (len(DIRECTIONS), 3, 3)
+        for kernel in benchmark._KERNELS:
             assert kernel.sum() == 0.0
             np.testing.assert_array_equal(np.rot90(kernel, 2), -kernel)
 
-    def test_output_shape_matches_input(self):
-        out = convolve_same(np.ones((16, 16)), np.ones((3, 3)))
-        assert out.shape == (16, 16)
-
-    def test_kernel_copies_are_independent(self):
-        directional_kernels()["vertical"][:] = 0.0
-        assert directional_kernels()["vertical"].any()
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(DomainError):
-            convolve_same(np.ones(16), np.ones((3, 3)))
-        with pytest.raises(DomainError):
-            convolve_same(np.ones((16, 16)), np.ones((5, 5)))
-
 
 class TestPooling:
-    def test_constant_map_pools_to_constant(self):
-        np.testing.assert_allclose(pool_average(np.full((16, 16), 0.7)), 0.7)
-
     @settings(max_examples=20, deadline=None)
-    @given(st.integers(0, 10_000))
-    def test_matches_block_means(self, seed):
-        rng = np.random.default_rng(seed)
-        resp = rng.uniform(0.0, 5.0, size=(16, 16))
-        pooled = pool_average(resp)
-        for r in range(POOL_GRID):
-            for c in range(POOL_GRID):
-                block = resp[4 * r:4 * r + 4, 4 * c:4 * c + 4]
-                assert pooled[r, c] == pytest.approx(block.mean(), rel=1e-12)
-
-    def test_rejects_bad_maps(self):
-        with pytest.raises(DomainError):
-            pool_average(np.ones((16, 8)))
-        with pytest.raises(DomainError):
-            pool_average(np.ones((15, 15)))
+    @given(st.lists(st.booleans(), min_size=GLYPH_SIZE ** 2,
+                    max_size=GLYPH_SIZE ** 2).filter(any))
+    def test_matches_block_means(self, bits):
+        """On a binary bitmap every sum is an exact integer, so the
+        features equal the oracle's bit for bit."""
+        bitmap = np.array(bits, dtype=float).reshape(GLYPH_SIZE, GLYPH_SIZE)
+        assert np.array_equal(raw_features(bitmap),
+                              _reference_features(bitmap))
 
 
 def _stroke(kind):
@@ -264,6 +250,13 @@ class TestCorpus:
         )
         np.fill_diagonal(dist, np.inf)
         assert dist.min() > 0.5
+
+    def test_features_pinned(self, corpus):
+        """SHA-256 of the corpus features as little-endian float64 in C
+        order; any change to extraction or to the stored scale moves it."""
+        data = np.ascontiguousarray(corpus.features, dtype="<f8").tobytes()
+        assert hashlib.sha256(data).hexdigest() == (
+            "7f2a03f585f6e076d3fab705ffdf44ec0e009f47bd0b1d46f2a9f1aec20d3eed")
 
     def test_dataset_view(self, corpus):
         ds = corpus.dataset

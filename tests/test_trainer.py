@@ -735,3 +735,39 @@ class TestWeightsFile:
         path = self._saved_with(tmp_path, separable, train_sigma=np.nan)
         with pytest.raises(ConfigError):
             load_weights(path)
+
+    def _stored_copy(self, tmp_path, edit):
+        doc = json.loads(STORED_RECOGNIZER.read_text())
+        edit(doc)
+        path = tmp_path / "weights.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    @pytest.mark.parametrize("path", [
+        "config", "layers", "transfer", "accuracy", "converged",
+        "epochs_run", "transfer.tag", "transfer.th1_a", "transfer.a_nodes",
+        "layers.0.n_inputs", "layers.1.weights"])
+    def test_missing_key_rejected(self, tmp_path, path):
+        *parents, key = path.split(".")
+
+        def drop(doc):
+            for step in parents:
+                doc = doc[int(step) if step.isdigit() else step]
+            del doc[key]
+        with pytest.raises(ConfigError, match=key):
+            load_weights(self._stored_copy(tmp_path, drop))
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc["layers"][1].update(
+            weights=doc["layers"][1]["weights"][:4], n_inputs=3),
+        lambda doc: doc["layers"][1].update(
+            weights=doc["layers"][1]["weights"][:4]),
+        lambda doc: doc["layers"][0].update(
+            weights=[row[:4] for row in doc["layers"][0]["weights"]]),
+        lambda doc: doc["layers"].pop(),
+        lambda doc: doc["layers"].append(doc["layers"][1]),
+    ], ids=["second_reads_3_inputs", "second_cut_to_4_rows",
+            "first_cut_to_4_cols", "one_layer", "three_layers"])
+    def test_unchained_layers_rejected(self, tmp_path, edit):
+        with pytest.raises(ConfigError, match="layer"):
+            load_weights(self._stored_copy(tmp_path, edit))
