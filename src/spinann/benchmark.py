@@ -1,10 +1,11 @@
 """Character-recognition benchmark on a 26-letter glyph corpus.
 
 Each letter is a 16x16 binary bitmap shipped with the package.  A glyph is
-reduced to 64 features by directional edge extraction: the zero-padded
-bitmap is correlated in one pass with a stack of four 3x3 edge kernels
-(horizontal, vertical, and the two diagonals), the four responses are
-rectified, and each is averaged over a 4x4 grid of pooling cells.  Four
+reduced to 64 features by directional edge extraction: one gather reads
+every 3x3 window of the zero-padded bitmap, one matrix product correlates
+them with four 3x3 edge kernels (horizontal, vertical, and the two
+diagonals), and a second product with a fixed pooling matrix averages
+each rectified response over a 4x4 grid of pooling cells.  Four
 directions times sixteen cells give the 64-component feature vector.
 Features are normalized by the largest raw response found anywhere in the
 canonical corpus, a constant stored next to the glyphs, so extraction is
@@ -101,14 +102,28 @@ _KERNELS = np.array([
 ])
 
 
+# Row k of `_WINDOWS` gathers, from the zero-padded 18x18 buffer, the
+# 3x3 window centred on pixel k: its top-left corner plus the offsets
+# that the corners of the first 3x3 pixels also are.
+_PADDED = GLYPH_SIZE + 2
+_CORNERS = np.add.outer(np.arange(GLYPH_SIZE) * _PADDED, np.arange(GLYPH_SIZE))
+_WINDOWS = _CORNERS.reshape(-1, 1) + _CORNERS[:3, :3].ravel()
+_KERNEL_COLUMNS = _KERNELS.reshape(len(DIRECTIONS), 9).T
+# Row c of `_POOL` weighs the 16 pixels of pooling cell c by 1/16.
+_BLOCKS = np.kron(np.eye(POOL_GRID), np.ones(GLYPH_SIZE // POOL_GRID))
+_POOL = np.kron(_BLOCKS, _BLOCKS) / (GLYPH_SIZE // POOL_GRID) ** 2
+
+
 def raw_features(bitmap: np.ndarray) -> np.ndarray:
     """Unnormalized 64-component feature vector of a 16x16 bitmap.
 
     Feature order is direction-major: the 16 pooled cells (row-major) of
-    the horizontal response, then vertical, then the two diagonals. On
-    an integer-valued bitmap every sum is a small exact integer and each
-    cell mean divides by 16, so the result does not depend on the order
-    of summation.
+    the horizontal response, then vertical, then the two diagonals. The
+    `[256, 9]` windows gathered by `_WINDOWS` meet the `[9, 4]` kernel
+    columns in one product, and the `[16, 256]` matrix `_POOL` pools
+    the rectified responses in a second. On an integer-valued bitmap
+    every product and sum is a small exact integer and 1/16 is a power
+    of two, so the result does not depend on the order of summation.
     """
     bitmap = np.asarray(bitmap, dtype=float)
     if bitmap.shape != (GLYPH_SIZE, GLYPH_SIZE):
@@ -117,12 +132,10 @@ def raw_features(bitmap: np.ndarray) -> np.ndarray:
         )
     if not bitmap.any():
         raise DomainError("glyph has no ink")
-    windows = np.lib.stride_tricks.sliding_window_view(np.pad(bitmap, 1),
-                                                       (3, 3))
-    response = np.abs(np.tensordot(_KERNELS, windows, axes=([1, 2], [2, 3])))
-    cell = GLYPH_SIZE // POOL_GRID
-    return response.reshape(len(DIRECTIONS), POOL_GRID, cell, POOL_GRID,
-                            cell).mean(axis=(2, 4)).ravel()
+    padded = np.zeros((_PADDED, _PADDED))
+    padded[1:-1, 1:-1] = bitmap
+    response = np.abs(padded.take(_WINDOWS) @ _KERNEL_COLUMNS)
+    return (_POOL @ response).T.ravel()
 
 
 @functools.cache
@@ -142,7 +155,7 @@ def extract_features(bitmap: np.ndarray) -> np.ndarray:
     scale = _stored_feature_scale()
     if not np.isfinite(scale) or scale <= 0.0:
         raise ConfigError("feature scale must be positive and finite")
-    return np.clip(raw_features(bitmap) / scale, 0.0, 1.0)
+    return np.minimum(np.maximum(raw_features(bitmap) / scale, 0.0), 1.0)
 
 
 @dataclass(frozen=True)

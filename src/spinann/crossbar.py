@@ -17,11 +17,6 @@ import numpy as np
 from .errors import ConfigError, DomainError
 
 
-def _safe_divide(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    out = np.zeros(np.broadcast(num, den).shape)
-    return np.divide(num, den, out=out, where=den > 0.0)
-
-
 def _row_products(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     """`x @ g` for every row of `x`, each as its own one-row product.
 
@@ -106,6 +101,10 @@ class CrossbarArray:
     # included.
     g_tr_plus: np.ndarray = field(init=False, repr=False)
     g_tr_minus: np.ndarray = field(init=False, repr=False)
+    # Each rail's divisor: its bar totals with every zero replaced by +inf,
+    # a stacked array's given a drive axis after the trial axis.
+    _div_plus: np.ndarray = field(init=False, repr=False)
+    _div_minus: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.g_plus = np.asarray(self.g_plus, dtype=float)
@@ -122,6 +121,10 @@ class CrossbarArray:
                           + self.dummy_plus.sum(axis=-1))
         self.g_tr_minus = (self.g_minus.sum(axis=-1)
                            + self.dummy_minus.sum(axis=-1))
+        rows = (slice(None), None) if self.g_plus.ndim == 3 else ()
+        self._div_plus, self._div_minus = (
+            np.where(g_tr > 0.0, g_tr, np.inf)[rows]
+            for g_tr in (self.g_tr_plus, self.g_tr_minus))
 
     @property
     def n_inputs(self) -> int:
@@ -146,6 +149,10 @@ class CrossbarArray:
         A stacked array of T copies inserts its trial axis before the
         drive axis: drives `[n, n_inputs]`, shared by every copy, or
         `[T, n, n_inputs]` give `[T, n, n_outputs]`.
+        A bar with zero total conductance divides its drive by +inf, so
+        a finite current through it carries none; a negative one gives
+        -0.0 rather than +0.0, which compares equal, and
+        `SpinAnnNetwork.forward` never drives a negative current.
         """
         i_in = np.asarray(i_in, dtype=float)
         if i_in.shape[-1:] != (self.n_inputs,):
@@ -153,13 +160,10 @@ class CrossbarArray:
                 f"input currents must have shape [..., {self.n_inputs}]"
             )
         g_plus, g_minus = self.g_plus, self.g_minus
-        g_tr_plus, g_tr_minus = self.g_tr_plus, self.g_tr_minus
         if g_plus.ndim == 3:
             g_plus, g_minus = g_plus[:, None], g_minus[:, None]
-            g_tr_plus, g_tr_minus = g_tr_plus[:, None], g_tr_minus[:, None]
-        # A bar with zero total conductance carries no current at all.
-        pos = _row_products(_safe_divide(i_in, g_tr_plus), g_plus)
-        neg = _row_products(_safe_divide(i_in, g_tr_minus), g_minus)
+        pos = _row_products(i_in / self._div_plus, g_plus)
+        neg = _row_products(i_in / self._div_minus, g_minus)
         return pos - neg
 
     def decode_weights(self) -> np.ndarray:

@@ -35,7 +35,7 @@ the neuron's response.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -98,14 +98,7 @@ class EnergyReport:
                 + self.crossbar_static + self.dtcs_static)
 
     def to_dict(self) -> dict:
-        return {
-            "neuron_program": self.neuron_program,
-            "neuron_sense": self.neuron_sense,
-            "neuron_reset": self.neuron_reset,
-            "crossbar_static": self.crossbar_static,
-            "dtcs_static": self.dtcs_static,
-            "total": self.total,
-        }
+        return {**asdict(self), "total": self.total}
 
 
 @dataclass(eq=False)
@@ -147,9 +140,10 @@ class SpinAnnNetwork:
                 f"expected {self.n_features} features per row, "
                 f"got shape {u.shape}"
             )
-        if np.any(~np.isfinite(u)) or u.min() < -1e-9 or u.max() > 1 + 1e-9:
+        # NaN and +-inf fail one of the two comparisons.
+        if not (u.min() >= -1e-9 and u.max() <= 1 + 1e-9):
             raise DomainError("features must be finite and within [0, 1]")
-        u = np.clip(u, 0.0, 1.0)
+        u = np.minimum(np.maximum(u, 0.0), 1.0)
 
         # Each layer cycles reset -> program -> sense; the unused paths are
         # floated in each phase, so the phases' energies simply add.
@@ -162,34 +156,32 @@ class SpinAnnNetwork:
         for layer in self.layers:
             # Program: axons drive the bars (the last row is the bias),
             # columns program the walls.
-            gate_u = np.ones(activations.shape[:-1]
-                             + (activations.shape[-1] + 1,))
-            gate_u[..., :-1] = activations
-            i_rows = layer.i_unit * gate_u
+            i_rows = np.empty(activations.shape[:-1]
+                              + (activations.shape[-1] + 1,))
+            np.multiply(layer.i_unit, activations, out=i_rows[..., :-1])
+            i_rows[..., -1] = layer.i_unit
             i_cols = layer.array.weighted_sum(i_rows)
             # A stacked network runs every row once per copy, so rows
             # shared by all copies count `copies` times in the ledger.
-            n = i_cols[..., 0].size
-            copies = n // i_rows[..., 0].size
-            n_out = layer.array.n_outputs
+            copies = i_cols[..., 0].size // i_rows[..., 0].size
 
             # Reset: every neuron's wall returns to the low-output end.
-            energy.neuron_reset += n * n_out * per.reset
+            energy.neuron_reset += i_cols.size * per.reset
             energy.neuron_program += float(
-                np.sum(i_cols ** 2) * R_PROGRAM * T_PROGRAM
+                (i_cols ** 2).sum() * R_PROGRAM * T_PROGRAM
             )
             # Every input drives one row per bar; each equalized row
             # dissipates I^2/g_tr (the cell-wise sum of V^2 g).
             energy.crossbar_static += float(
-                2.0 * copies * np.sum(i_rows ** 2) / layer.g_tr * T_PROGRAM
+                2.0 * copies * (i_rows ** 2).sum() / layer.g_tr * T_PROGRAM
             )
             energy.dtcs_static += float(
-                2.0 * copies * np.sum(np.abs(i_rows)) * DTCS_DELTA_V
+                2.0 * copies * np.abs(i_rows).sum() * DTCS_DELTA_V
                 * T_PROGRAM
             )
 
             # Sense: read dividers only; programming paths are floated.
-            energy.neuron_sense += n * n_out * per.sense
+            energy.neuron_sense += i_cols.size * per.sense
 
             # The sensed voltage, normalized to the output swing, is the
             # next layer's input (inter-layer level shift).

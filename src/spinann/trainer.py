@@ -34,6 +34,12 @@ WEIGHTS_SCHEMA = "spin-ann/1"
 STT_TABLE_NODES = 1024
 
 
+# Weights-file key of each spin-neuron field of a TransferKind.
+_STT_FILE_KEYS = {"th1": "th1_a", "th2": "th2_a", "v_min": "v_min_v",
+                  "v_max": "v_max_v", "drive_current": "drive_current_a",
+                  "i_nodes": "i_nodes_a", "a_nodes": "a_nodes"}
+
+
 @dataclass(frozen=True, eq=False)
 class TransferKind:
     """Neuron activation selector, with device data for the spin neuron.
@@ -132,31 +138,18 @@ class TransferKind:
     def to_dict(self) -> dict:
         doc = {"tag": self.tag}
         if self.tag == "stt_snn":
-            doc.update(
-                th1_a=self.th1,
-                th2_a=self.th2,
-                v_min_v=self.v_min,
-                v_max_v=self.v_max,
-                drive_current_a=self.drive_current,
-                i_nodes_a=self.i_nodes.tolist(),
-                a_nodes=self.a_nodes.tolist(),
-            )
+            doc.update((key, np.asarray(getattr(self, name)).tolist())
+                       for name, key in _STT_FILE_KEYS.items())
         return doc
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TransferKind":
         if doc["tag"] != "stt_snn":
             return cls(doc["tag"])
-        return cls(
-            tag="stt_snn",
-            th1=doc["th1_a"],
-            th2=doc["th2_a"],
-            v_min=doc["v_min_v"],
-            v_max=doc["v_max_v"],
-            drive_current=doc["drive_current_a"],
-            i_nodes=np.array(doc["i_nodes_a"]),
-            a_nodes=np.array(doc["a_nodes"]),
-        )
+        values = {name: doc[key] for name, key in _STT_FILE_KEYS.items()}
+        values["i_nodes"] = np.array(values["i_nodes"])
+        values["a_nodes"] = np.array(values["a_nodes"])
+        return cls(tag="stt_snn", **values)
 
 
 def _activation_array(z: np.ndarray, kind: TransferKind) -> np.ndarray:
@@ -916,13 +909,26 @@ def load_weights(path) -> TrainResult:
         layers = doc["layers"]
         if len(layers) != 2 or layers[1]["n_inputs"] != layers[0]["n_neurons"]:
             raise ConfigError("need two layers, the second reading the first")
-        w1, w2 = (np.array(layer["weights"]) for layer in layers)
+        try:
+            w1, w2 = (np.array(layer["weights"], dtype=float)
+                      for layer in layers)
+        except (TypeError, ValueError):
+            raise ConfigError("layer weights must be a rectangular array "
+                              "of numbers") from None
         for w, layer in zip((w1, w2), layers):
             if w.shape != (layer["n_inputs"] + 1, layer["n_neurons"]):
                 raise ConfigError("layer weights must be "
                                   "[n_inputs + 1, n_neurons]")
     except KeyError as err:
         raise ConfigError(f"weights file lacks key {err}") from None
+    accuracy, converged, epochs = run.values()
+    # `type` rather than `isinstance`, so that a bool passes for no number.
+    if not (type(accuracy) in (int, float) and 0.0 <= accuracy <= 1.0):
+        raise ConfigError(f"accuracy must be in [0, 1], got {accuracy!r}")
+    if type(converged) is not bool:
+        raise ConfigError(f"converged must be a bool, got {converged!r}")
+    if not (type(epochs) is int and epochs >= 0):
+        raise ConfigError(f"epochs_run must be an integer >= 0, got {epochs!r}")
     for key, fixed in _RETIRED_KEYS.items():
         if key in stored and stored.pop(key) != fixed:
             raise ConfigError(f"{key} is fixed at {fixed!r}; "

@@ -186,6 +186,20 @@ class TestFeatures:
         assert f.max() == 1.0
         assert (f <= 1.0).all()
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.booleans(), min_size=GLYPH_SIZE ** 2,
+                    max_size=GLYPH_SIZE ** 2).filter(any),
+           st.sampled_from([1.0, 2.0, 4.0]))
+    def test_matches_clipped_raw_features(self, bits, ink):
+        """Normalizing and clipping equals `np.clip` of the raw features
+        bit for bit. A unit-ink random bitmap stays below the stored
+        scale; darker ink saturates, so the upper bound bites too."""
+        bitmap = ink * np.array(bits, dtype=float).reshape(GLYPH_SIZE,
+                                                           GLYPH_SIZE)
+        scale = benchmark._stored_feature_scale()
+        assert np.array_equal(extract_features(bitmap),
+                              np.clip(raw_features(bitmap) / scale, 0.0, 1.0))
+
     def test_default_scale_reproduces_corpus_features(self, corpus):
         got = np.stack([extract_features(g.bitmap) for g in corpus.glyphs])
         np.testing.assert_array_equal(got, corpus.features)

@@ -275,6 +275,47 @@ class TestWeightedSum:
         with pytest.raises(DomainError):
             arr.weighted_sum(rows[:, :-1])
 
+    def test_dead_bar_carries_no_current(self):
+        """A bar whose total conductance is zero passes no current, on a
+        single array and on every copy of a stacked one. Bar totals are
+        powers of two and drives small integers, so every share and sum
+        is exact and the masked-divide oracle must match bit for bit."""
+        # Input 1's positive-rail bar and input 2's negative-rail bar are
+        # dead in copy 0; copy 1 swaps which inputs are dead.
+        g_plus = np.array([[[1.0, 1.0], [0.0, 0.0], [3.0, 1.0]],
+                           [[1.0, 3.0], [2.0, 2.0], [0.0, 0.0]]])
+        g_minus = np.array([[[0.0, 2.0], [1.0, 0.0], [0.0, 0.0]],
+                            [[0.0, 0.0], [0.0, 1.0], [2.0, 0.0]]])
+        dummy_plus = np.array([[[2.0], [0.0], [0.0]],
+                               [[0.0], [0.0], [0.0]]])
+        dummy_minus = np.array([[[0.0], [1.0], [0.0]],
+                                [[0.0], [1.0], [2.0]]])
+        crange = ConductanceRange()
+
+        def oracle(copy, drive):
+            rails = []
+            for g, dummy in ((g_plus, dummy_plus), (g_minus, dummy_minus)):
+                den = g[copy].sum(axis=1) + dummy[copy].sum(axis=1)
+                share = np.divide(drive, den, out=np.zeros(3),
+                                  where=den > 0.0)
+                rails.append(share @ g[copy])
+            return rails[0] - rails[1]
+
+        drives = np.array([[3.0, 5.0, 7.0], [0.0, 1.0, 2.0],
+                           [4.0, 0.0, -6.0]])
+        stack = CrossbarArray(g_plus, g_minus, dummy_plus, dummy_minus,
+                              crange)
+        own = np.stack([drives, drives[::-1]])
+        for t in range(2):
+            single = CrossbarArray(g_plus[t], g_minus[t], dummy_plus[t],
+                                   dummy_minus[t], crange)
+            for got, fed in ((single.weighted_sum(drives), drives),
+                             (stack.weighted_sum(drives)[t], drives),
+                             (stack.weighted_sum(own)[t], own[t])):
+                for row, drive in zip(got, fed):
+                    np.testing.assert_array_equal(row, oracle(t, drive))
+            assert np.isfinite(single.weighted_sum(drives[:2])).all()
+
 
 class TestVariation:
     def test_sigma_zero_is_identity(self):

@@ -100,7 +100,12 @@ class TestForward:
             network.forward(np.zeros((26, 63)))
         with pytest.raises(DomainError):
             network.forward(np.zeros((0, 64)))
-        for bad in (1.5, np.nan):
+        for bad in (np.inf, -np.inf):
+            row = corpus.features[7].copy()
+            row[3] = bad
+            with pytest.raises(DomainError):
+                network.forward(row)
+        for bad in (1.5, np.nan, np.inf, -np.inf):
             batch = corpus.features.copy()
             batch[7, 3] = bad
             with pytest.raises(DomainError):

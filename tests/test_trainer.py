@@ -771,3 +771,30 @@ class TestWeightsFile:
     def test_unchained_layers_rejected(self, tmp_path, edit):
         with pytest.raises(ConfigError, match="layer"):
             load_weights(self._stored_copy(tmp_path, edit))
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc["layers"][0]["weights"][3].pop(),
+        lambda doc: doc["layers"][1]["weights"][0].__setitem__(2, "x"),
+    ], ids=["ragged", "not_a_number"])
+    def test_malformed_weights_rejected(self, tmp_path, edit):
+        with pytest.raises(ConfigError, match="weights"):
+            load_weights(self._stored_copy(tmp_path, edit))
+
+    @pytest.mark.parametrize("value", [1.5, -0.25, float("nan"), "1.0",
+                                       True, None])
+    def test_bad_accuracy_rejected(self, tmp_path, value):
+        with pytest.raises(ConfigError, match="accuracy"):
+            load_weights(self._stored_copy(
+                tmp_path, lambda doc: doc.update(accuracy=value)))
+
+    @pytest.mark.parametrize("value", [-1, 2.5, 4000.0, "4000", True, None])
+    def test_bad_epochs_run_rejected(self, tmp_path, value):
+        with pytest.raises(ConfigError, match="epochs_run"):
+            load_weights(self._stored_copy(
+                tmp_path, lambda doc: doc.update(epochs_run=value)))
+
+    @pytest.mark.parametrize("value", [1, 0, "true", None])
+    def test_non_bool_converged_rejected(self, tmp_path, value):
+        with pytest.raises(ConfigError, match="converged"):
+            load_weights(self._stored_copy(
+                tmp_path, lambda doc: doc.update(converged=value)))
