@@ -8,17 +8,10 @@ per-phase energy accounting.
 
 __version__ = "0.1.0"
 
-from .device import (
-    MtjStack,
-    NeuronDevice,
-    NeuronGeometry,
-    VelocityTable,
-)
+from .device import NeuronDevice, VelocityTable
 
 __all__ = [
-    "MtjStack",
     "NeuronDevice",
-    "NeuronGeometry",
     "VelocityTable",
     "__version__",
 ]

@@ -30,124 +30,87 @@ T_PROGRAM = 1e-9
 I_SENSE = 25e-6
 V_SENSE_SUPPLY = 0.100
 
+# Free-layer strip geometry, m. The wall midpoint can occupy
+# [X_MIN, X_MAX] = [0.5*DW_LENGTH, LENGTH - 0.5*DW_LENGTH]; outside that
+# band one of the end segments would have negative area.
+LENGTH = 100e-9
+WIDTH = 20e-9
+THICKNESS = 2e-9
+# pi*sqrt(a_ex/k_u) for a_ex = 1.1e-11 J/m and k_u = 3.5e5 J/m^3.
+DW_LENGTH = 17.612142597974271e-9
+X_MIN = 0.5 * DW_LENGTH
+X_MAX = LENGTH - 0.5 * DW_LENGTH
+# Lateral current cross-section WIDTH*THICKNESS, m^2.
+CROSS_SECTION = WIDTH * THICKNESS
 
-@dataclass(frozen=True)
-class NeuronGeometry:
-    """Free-layer strip geometry. All lengths in meters.
+# MTJ stack and read path. RA_AP, RA_DW, RA_P: resistance-area products
+# (ohm*um^2) of the anti-parallel, wall, and parallel segments. R_REF
+# (ohm) is the reference MTJ of the read divider, whose supply is
+# V_SENSE_SUPPLY; I_CRIT_VERTICAL (A) is the vertical current that can
+# move the wall.
+RA_AP = 5.0
+RA_DW = 3.5
+RA_P = 2.0
+R_REF = 2500.0
+I_CRIT_VERTICAL = 100e-6
 
-    The wall midpoint can occupy [0.5*dw_length, length - 0.5*dw_length];
-    outside that band one of the end segments would have negative area.
-    """
-
-    length: float = 100e-9
-    width: float = 20e-9
-    thickness: float = 2e-9
-    # pi*sqrt(a_ex/k_u) for a_ex = 1.1e-11 J/m and k_u = 3.5e5 J/m^3.
-    dw_length: float = 17.612142597974271e-9
-
-    def __post_init__(self):
-        if self.width <= 0.0 or self.thickness <= 0.0:
-            raise ConfigError("width and thickness must be positive")
-        if not (0.0 < self.dw_length < self.length):
-            raise ConfigError(
-                f"need 0 < dw_length < length, got {self.dw_length} vs {self.length}"
-            )
-
-    @property
-    def x_min(self) -> float:
-        return 0.5 * self.dw_length
-
-    @property
-    def x_max(self) -> float:
-        return self.length - 0.5 * self.dw_length
-
-    @property
-    def cross_section(self) -> float:
-        """Lateral current cross-section width*thickness, m^2."""
-        return self.width * self.thickness
-
-
-@dataclass(frozen=True)
-class MtjStack:
-    """MTJ stack and read-path parameters.
-
-    ra_ap, ra_dw, ra_p: resistance-area products (ohm*um^2) of the
-    anti-parallel, wall, and parallel segments. r_ref is the reference
-    MTJ of the read divider, whose supply is V_SENSE_SUPPLY.
-    """
-
-    ra_ap: float = 5.0
-    ra_dw: float = 3.5
-    ra_p: float = 2.0
-    r_ref: float = 2500.0
-    i_crit_vertical: float = 100e-6
-
-    def __post_init__(self):
-        if not (self.ra_ap > self.ra_dw > self.ra_p > 0.0):
-            raise ConfigError("need ra_ap > ra_dw > ra_p > 0")
-        if self.r_ref <= 0.0:
-            raise ConfigError("r_ref must be positive")
-        if self.i_crit_vertical <= 0.0:
-            raise ConfigError("i_crit_vertical must be positive")
-
+# Depinning current density, A/m^2: no wall motion at or below it.
+J_TH = 6e11
 
 # ohm*um^2 -> ohm*m^2
 _RA_SI = 1e-12
 
 
-def rational_coefficients(geom: NeuronGeometry, mtj: MtjStack) -> tuple[float, float, float]:
+def rational_coefficients() -> tuple[float, float, float]:
     """Coefficients (num, slope, offset) of the resistance law num/(slope*x + offset).
 
     Algebraically identical to the parallel combination of the three MTJ
     segments (anti-parallel left, wall, parallel right), so the vertical
     resistance is a rational function of the wall position x.
     """
-    ra_ap = mtj.ra_ap * _RA_SI
-    ra_dw = mtj.ra_dw * _RA_SI
-    ra_p = mtj.ra_p * _RA_SI
-    w, l, l_dw = geom.width, geom.length, geom.dw_length
+    ra_ap = RA_AP * _RA_SI
+    ra_dw = RA_DW * _RA_SI
+    ra_p = RA_P * _RA_SI
     num = ra_ap * ra_p * ra_dw
-    slope = (ra_ap - ra_p) * ra_dw * w
-    offset = ra_p * ra_dw * w * l + (
+    slope = (ra_ap - ra_p) * ra_dw * WIDTH
+    offset = ra_p * ra_dw * WIDTH * LENGTH + (
         ra_ap * ra_p - 0.5 * ra_p * ra_dw - 0.5 * ra_ap * ra_dw
-    ) * w * l_dw
+    ) * WIDTH * DW_LENGTH
     return num, slope, offset
 
 
-def neuron_resistance(x: float, geom: NeuronGeometry, mtj: MtjStack) -> float:
+def neuron_resistance(x: float) -> float:
     """Vertical MTJ resistance (ohm) at wall midpoint position x (m).
 
     A zero-area end segment (x at either travel limit) is an open circuit;
     the rational form covers that limit without special-casing.
     """
-    if not (geom.x_min <= x <= geom.x_max):
-        raise DomainError(
-            f"wall position {x} outside [{geom.x_min}, {geom.x_max}]"
-        )
-    num, slope, offset = rational_coefficients(geom, mtj)
+    if not (X_MIN <= x <= X_MAX):
+        raise DomainError(f"wall position {x} outside [{X_MIN}, {X_MAX}]")
+    num, slope, offset = rational_coefficients()
     return num / (slope * x + offset)
 
 
-def read_voltage(resistance: float, mtj: MtjStack) -> float:
-    """Divider output V_SENSE_SUPPLY * r_ref / (r_ref + resistance), volts."""
-    return V_SENSE_SUPPLY * mtj.r_ref / (mtj.r_ref + resistance)
+def read_voltage(resistance: float) -> float:
+    """Divider output V_SENSE_SUPPLY * R_REF / (R_REF + resistance), volts."""
+    return V_SENSE_SUPPLY * R_REF / (R_REF + resistance)
 
 
-def output_voltage(x: float, geom: NeuronGeometry, mtj: MtjStack) -> float:
+def output_voltage(x: float) -> float:
     """Neuron output voltage at wall position x; strictly increasing in x."""
-    return read_voltage(neuron_resistance(x, geom, mtj), mtj)
+    return read_voltage(neuron_resistance(x))
 
 
 class VelocityTable:
     """Piecewise-linear wall velocity vs lateral current density.
 
     Calibration data digitized from measured/simulated motion curves. The
-    velocity is zero at and below the depinning density j_th, follows the
+    velocity is zero at and below the depinning density J_TH, follows the
     anchors above it, and clamps at the last anchor (no extrapolation
     outside the measured regime).
     """
 
-    def __init__(self, anchors, j_th: float = 6e11):
+    def __init__(self, anchors):
         anchors = [(float(j), float(v)) for j, v in anchors]
         if not anchors:
             raise ConfigError("velocity table is empty")
@@ -157,14 +120,11 @@ class VelocityTable:
             raise ConfigError("velocity anchors must be strictly increasing in j")
         if any(b < a for a, b in zip(vs, vs[1:])):
             raise ConfigError("velocity anchors must be nondecreasing in v")
-        if j_th <= 0.0:
-            raise ConfigError("j_th must be positive")
-        # The table must pin v(j_th) = 0 so motion starts exactly at depinning.
-        if j_th not in js:
-            raise ConfigError("anchors must include (j_th, 0)")
-        if vs[js.index(j_th)] != 0.0:
-            raise ConfigError("anchor at j_th must have zero velocity")
-        self.j_th = j_th
+        # The table must pin v(J_TH) = 0 so motion starts exactly at depinning.
+        if J_TH not in js:
+            raise ConfigError("anchors must include (J_TH, 0)")
+        if vs[js.index(J_TH)] != 0.0:
+            raise ConfigError("anchor at J_TH must have zero velocity")
         self._j = np.array(js)
         self._v = np.array(vs)
 
@@ -180,7 +140,7 @@ class VelocityTable:
         """Wall velocity (m/s) at current-density magnitude j (A/m^2)."""
         if j < 0.0:
             raise DomainError("current density magnitude must be >= 0")
-        if j <= self.j_th:
+        if j <= J_TH:
             return 0.0
         return float(np.interp(j, self._j, self._v))
 
@@ -190,7 +150,7 @@ class VelocityTable:
         Raises ConfigError if the table never reaches v.
         """
         if v <= 0.0:
-            return self.j_th
+            return J_TH
         if v > self.v_max:
             raise ConfigError(
                 f"table tops out at {self.v_max} m/s, below requested {v} m/s"
@@ -203,7 +163,7 @@ class VelocityTable:
         return float(j_lo + (v - v_lo) * (j_hi - j_lo) / (v_hi - v_lo))
 
     @classmethod
-    def from_csv(cls, path, j_th: float = 6e11) -> "VelocityTable":
+    def from_csv(cls, path) -> "VelocityTable":
         """Load anchors from a CSV with header ``j_per_m2,v_m_per_s``."""
         path = Path(path)
         with path.open(newline="") as fh:
@@ -215,7 +175,7 @@ class VelocityTable:
                 )
             anchors = [(float(row["j_per_m2"]), float(row["v_m_per_s"]))
                        for row in reader]
-        return cls(anchors, j_th=j_th)
+        return cls(anchors)
 
     @classmethod
     def default(cls) -> "VelocityTable":
@@ -264,52 +224,50 @@ def neuron_energy(
 
 @dataclass(frozen=True, eq=False)
 class NeuronDevice:
-    """One spin-torque neuron: geometry, MTJ stack and velocity table.
+    """One spin-torque neuron: the strip and stack above, moved by its
+    velocity table.
 
     Holds no wall position: every transfer starts from the reset state,
     so one instance is safe to share.
     """
 
-    geometry: NeuronGeometry = field(default_factory=NeuronGeometry)
-    mtj: MtjStack = field(default_factory=MtjStack)
     velocity_table: VelocityTable = field(default_factory=VelocityTable.default)
 
     @property
     def depinning_current(self) -> float:
         """Lateral current (A) at the depinning density; no motion below it."""
-        return self.velocity_table.j_th * self.geometry.cross_section
+        return J_TH * CROSS_SECTION
 
     def saturation_current(self) -> float:
         """Minimum current that walks the wall end to end within T_PROGRAM."""
-        v_needed = (self.geometry.length - self.geometry.dw_length) / T_PROGRAM
+        v_needed = (LENGTH - DW_LENGTH) / T_PROGRAM
         j = self.velocity_table.density_for_velocity(v_needed)
-        return j * self.geometry.cross_section
+        return j * CROSS_SECTION
 
     @property
     def v_out_min(self) -> float:
-        return output_voltage(self.geometry.x_min, self.geometry, self.mtj)
+        return output_voltage(X_MIN)
 
     @property
     def v_out_max(self) -> float:
-        return output_voltage(self.geometry.x_max, self.geometry, self.mtj)
+        return output_voltage(X_MAX)
 
     def transfer(self, i_prog: float) -> float:
         """Output voltage after reset -> program pulse -> sense.
 
-        Reset parks the wall at x_min; the T_PROGRAM pulse moves it one
+        Reset parks the wall at X_MIN; the T_PROGRAM pulse moves it one
         exact step at the table velocity for |i_prog|, forward for positive
         current, clamped at the travel limits. A sense current above
         SENSE_SAFETY_FRACTION of the vertical critical current could move
         the wall, so it is refused. The curve is flat below depinning and
         saturated once the pulse walks the wall end to end.
         """
-        if I_SENSE > SENSE_SAFETY_FRACTION * self.mtj.i_crit_vertical:
+        if I_SENSE > SENSE_SAFETY_FRACTION * I_CRIT_VERTICAL:
             raise DisturbanceError(
                 f"sense current {I_SENSE} exceeds "
                 f"{SENSE_SAFETY_FRACTION:.0%} of the vertical critical current"
             )
-        geom = self.geometry
-        j = abs(i_prog) / geom.cross_section
+        j = abs(i_prog) / CROSS_SECTION
         step = self.velocity_table.velocity(j) * T_PROGRAM
-        x = geom.x_min + (step if i_prog > 0.0 else -step)
-        return output_voltage(min(max(x, geom.x_min), geom.x_max), geom, self.mtj)
+        x = X_MIN + (step if i_prog > 0.0 else -step)
+        return output_voltage(min(max(x, X_MIN), X_MAX))

@@ -17,7 +17,6 @@ later maps onto a crossbar row like any other synapse.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -491,10 +490,10 @@ def _ensemble_key(z2: np.ndarray, a2: np.ndarray,
 
 def _fit(dataset: Dataset, kind: TransferKind, cfg: TrainConfig,
          rng: np.random.Generator, w1: np.ndarray, w2: np.ndarray,
-         levels: int | None, snapshot_from_start: bool) -> TrainResult:
+         on_grid: bool, snapshot_from_start: bool) -> TrainResult:
     """Shared gradient-descent engine behind train() and finalize().
 
-    With `levels` set, every forward pass (and the adaptive-rate probe)
+    With `on_grid`, every forward pass (and the adaptive-rate probe)
     runs through weights snapped to the representable magnitude grid
     while updates accumulate in the float shadow weights, so the
     returned weights lie exactly on the grid (straight-through
@@ -507,7 +506,7 @@ def _fit(dataset: Dataset, kind: TransferKind, cfg: TrainConfig,
     rest are the frozen snapshot-ranking ensemble.
 
     An accepted step's probe carries into the next epoch: its snapped
-    weights before jitter (with `levels=None` the shadow arrays, which
+    weights before jitter (off the grid the shadow arrays, which
     the dead-row revival edits in place only after the forward pass)
     and, for a clean epoch, its forward pass and loss. A noisy epoch's
     fresh jitter needs a pass of its own. A rejected step or a kick
@@ -537,10 +536,10 @@ def _fit(dataset: Dataset, kind: TransferKind, cfg: TrainConfig,
     idx = np.arange(n)
 
     def fwd_weights(m1, m2):
-        if levels is None:
+        if not on_grid:
             return m1, m2
-        q1 = _snap_weights(_fold_offset(m1, offset), levels)
-        return _unfold_offset(q1, offset), _snap_weights(m2, levels)
+        q1 = _snap_weights(_fold_offset(m1, offset))
+        return _unfold_offset(q1, offset), _snap_weights(m2)
 
     def clip(m):
         return np.minimum(np.maximum(m, -cfg.weight_clip), cfg.weight_clip)
@@ -712,7 +711,7 @@ def _fit(dataset: Dataset, kind: TransferKind, cfg: TrainConfig,
     if best_snap is not None:
         accuracy = best_snap[0]
         w1, w2 = best_snap[-2], best_snap[-1]
-    elif levels is not None:
+    elif on_grid:
         w1, w2 = f1, f2
 
     return TrainResult(
@@ -752,7 +751,11 @@ def train(dataset: Dataset, n_hidden: int, kind: TransferKind,
         w2[-1, :] = rng.uniform(mid - quarter, mid + quarter,
                                 dataset.n_classes)
     return _fit(dataset, kind, cfg, rng, w1, w2,
-                levels=None, snapshot_from_start=False)
+                on_grid=False, snapshot_from_start=False)
+
+
+# The crossbar's conductance grid, the one grid the weights train onto.
+_GRID = ConductanceRange()
 
 
 def finalize(result: TrainResult, dataset: Dataset,
@@ -760,23 +763,25 @@ def finalize(result: TrainResult, dataset: Dataset,
              cfg: TrainConfig | None = None) -> TrainResult:
     """Fine-tune a trained network, by default quantization-aware.
 
-    With `levels` set, re-runs the fitting loop from the trained
-    weights with every forward pass quantized to the crossbar's
-    magnitude grid, so the returned weights lie exactly on that grid
-    and the reported accuracy is the accuracy of exactly the weights a
-    crossbar can hold. With levels=None it refines in plain float,
-    which is useful as a hardening stage under a different config (for
-    example with training noise enabled). Snapshot selection starts at
-    the incoming weights, so the result never ranks below them. The
-    input result is untouched.
+    With `levels` at the crossbar's level count (the default), re-runs
+    the fitting loop from the trained weights with every forward pass
+    quantized to the crossbar's magnitude grid, so the returned weights
+    lie exactly on that grid and the reported accuracy is the accuracy
+    of exactly the weights a crossbar can hold. Any other grid would be
+    snapped again by build_network, so it is refused. With levels=None
+    it refines in plain float, which is useful as a hardening stage
+    under a different config (for example with training noise enabled).
+    Snapshot selection starts at the incoming weights, so the result
+    never ranks below them. The input result is untouched.
     """
-    if levels is not None and levels < 2:
-        raise ConfigError("need at least 2 levels")
+    if levels not in (None, _GRID.levels):
+        raise ConfigError(f"levels must be None or {_GRID.levels}, "
+                          f"got {levels!r}")
     cfg = cfg or result.config
     rng = np.random.default_rng([cfg.seed, 0 if levels is None else levels])
     return _fit(dataset, result.kind, cfg, rng,
                 result.w1.copy(), result.w2.copy(),
-                levels=levels, snapshot_from_start=True)
+                on_grid=levels is not None, snapshot_from_start=True)
 
 
 @dataclass(frozen=True)
@@ -787,11 +792,7 @@ class QuantizationReport:
     rms_error: float
 
 
-# The grid snap runs for both layers of every grid-aware epoch.
-_conductance_grid = functools.lru_cache(maxsize=8)(ConductanceRange)
-
-
-def _snap_weights(w: np.ndarray, levels: int) -> np.ndarray:
+def _snap_weights(w: np.ndarray) -> np.ndarray:
     """quantize_weights' snapped array alone, for the training loop."""
     mag = np.abs(w)
     w_max = float(mag.max())
@@ -800,9 +801,8 @@ def _snap_weights(w: np.ndarray, levels: int) -> np.ndarray:
         raise DomainError("weights must be finite")
     if w_max == 0.0:
         raise DomainError("all-zero weights cannot be quantized")
-    crange = _conductance_grid(levels=levels)
-    scale = crange.g_max / w_max
-    return np.sign(w) * (crange.quantize(mag * scale) / scale)
+    scale = _GRID.g_max / w_max
+    return np.sign(w) * (_GRID.quantize(mag * scale) / scale)
 
 
 def quantize_weights(weights, levels: int = ConductanceRange.levels):
@@ -810,10 +810,13 @@ def quantize_weights(weights, levels: int = ConductanceRange.levels):
 
     Uses the conductance quantizer in weight space: the largest weight
     magnitude maps to the top level, sub-minimum magnitudes prune to
-    zero, signs are untouched. Returns (quantized, report).
+    zero, signs are untouched. The grid is the crossbar's, so `levels`
+    must be its level count. Returns (quantized, report).
     """
+    if levels != _GRID.levels:
+        raise ConfigError(f"levels must be {_GRID.levels}, got {levels!r}")
     w = np.asarray(weights, dtype=float)
-    quantized = _snap_weights(w, levels)
+    quantized = _snap_weights(w)
     err = np.abs(quantized - w)
     report = QuantizationReport(
         levels=levels,
@@ -864,7 +867,7 @@ def min_hidden_search(
 # -- weights file ------------------------------------------------------
 
 
-def save_weights(path, result: TrainResult, extra: dict | None = None) -> None:
+def save_weights(path, result: TrainResult) -> None:
     """Write the trained network as a versioned JSON weights document."""
     doc = {
         "schema": WEIGHTS_SCHEMA,
@@ -881,8 +884,6 @@ def save_weights(path, result: TrainResult, extra: dict | None = None) -> None:
         "config": dataclasses.asdict(result.config),
         "history": result.history.tolist(),
     }
-    if extra:
-        doc.update(extra)
     Path(path).write_text(json.dumps(doc) + "\n")
 
 
@@ -898,49 +899,55 @@ _RETIRED_KEYS = {
 
 
 def load_weights(path) -> TrainResult:
-    doc = json.loads(Path(path).read_text())
-    if doc.get("schema") != WEIGHTS_SCHEMA:
-        raise ConfigError(
-            f"expected schema {WEIGHTS_SCHEMA}, got {doc.get('schema')!r}")
+    """Read a weights file written by save_weights.
+
+    Every malformed file raises ConfigError: a missing key, a value of
+    the wrong type or shape, or one that a check below refuses.
+    """
+    text = Path(path).read_text()
     try:
+        doc = json.loads(text)
+        if doc.get("schema") != WEIGHTS_SCHEMA:
+            raise ConfigError(
+                f"expected schema {WEIGHTS_SCHEMA}, got {doc.get('schema')!r}")
         stored = dict(doc["config"])
         kind = TransferKind.from_dict(doc["transfer"])
         run = {k: doc[k] for k in ("accuracy", "converged", "epochs_run")}
         layers = doc["layers"]
         if len(layers) != 2 or layers[1]["n_inputs"] != layers[0]["n_neurons"]:
             raise ConfigError("need two layers, the second reading the first")
-        try:
-            w1, w2 = (np.array(layer["weights"], dtype=float)
-                      for layer in layers)
-        except (TypeError, ValueError):
-            raise ConfigError("layer weights must be a rectangular array "
-                              "of numbers") from None
+        w1, w2 = (np.array(layer["weights"], dtype=float) for layer in layers)
         for w, layer in zip((w1, w2), layers):
             if w.shape != (layer["n_inputs"] + 1, layer["n_neurons"]):
                 raise ConfigError("layer weights must be "
                                   "[n_inputs + 1, n_neurons]")
+        accuracy, converged, epochs = run.values()
+        # `type` rather than `isinstance`, so that a bool passes for no number.
+        if not (type(accuracy) in (int, float) and 0.0 <= accuracy <= 1.0):
+            raise ConfigError(f"accuracy must be in [0, 1], got {accuracy!r}")
+        if type(converged) is not bool:
+            raise ConfigError(f"converged must be a bool, got {converged!r}")
+        if not (type(epochs) is int and epochs >= 0):
+            raise ConfigError(
+                f"epochs_run must be an integer >= 0, got {epochs!r}")
+        for key, fixed in _RETIRED_KEYS.items():
+            if key in stored and stored.pop(key) != fixed:
+                raise ConfigError(f"{key} is fixed at {fixed!r}; "
+                                  "this run cannot be reproduced")
+        unknown = stored.keys() - {
+            f.name for f in dataclasses.fields(TrainConfig)}
+        if unknown:
+            raise ConfigError(f"unknown training settings {sorted(unknown)}")
+        return TrainResult(
+            w1=w1,
+            w2=w2,
+            kind=kind,
+            config=TrainConfig(**stored),
+            history=np.array(doc.get("history", []),
+                             dtype=float).reshape(-1, 3),
+            **run,
+        )
     except KeyError as err:
         raise ConfigError(f"weights file lacks key {err}") from None
-    accuracy, converged, epochs = run.values()
-    # `type` rather than `isinstance`, so that a bool passes for no number.
-    if not (type(accuracy) in (int, float) and 0.0 <= accuracy <= 1.0):
-        raise ConfigError(f"accuracy must be in [0, 1], got {accuracy!r}")
-    if type(converged) is not bool:
-        raise ConfigError(f"converged must be a bool, got {converged!r}")
-    if not (type(epochs) is int and epochs >= 0):
-        raise ConfigError(f"epochs_run must be an integer >= 0, got {epochs!r}")
-    for key, fixed in _RETIRED_KEYS.items():
-        if key in stored and stored.pop(key) != fixed:
-            raise ConfigError(f"{key} is fixed at {fixed!r}; "
-                              "this run cannot be reproduced")
-    unknown = stored.keys() - {f.name for f in dataclasses.fields(TrainConfig)}
-    if unknown:
-        raise ConfigError(f"unknown training settings {sorted(unknown)}")
-    return TrainResult(
-        w1=w1,
-        w2=w2,
-        kind=kind,
-        config=TrainConfig(**stored),
-        history=np.array(doc.get("history", []), dtype=float).reshape(-1, 3),
-        **run,
-    )
+    except (AttributeError, TypeError, ValueError) as err:
+        raise ConfigError(f"malformed weights file: {err}") from None

@@ -6,14 +6,26 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from spinann import device as dev
 from spinann.device import (
+    CROSS_SECTION,
+    DW_LENGTH,
+    I_CRIT_VERTICAL,
     I_SENSE,
+    J_TH,
+    LENGTH,
+    R_REF,
+    RA_AP,
+    RA_DW,
+    RA_P,
     SENSE_SAFETY_FRACTION,
     T_PROGRAM,
+    THICKNESS,
     V_SENSE_SUPPLY,
-    MtjStack,
+    WIDTH,
+    X_MAX,
+    X_MIN,
     NeuronDevice,
-    NeuronGeometry,
     VelocityTable,
     neuron_energy,
     neuron_resistance,
@@ -26,96 +38,92 @@ from spinann.network import I_RESET, T_RESET
 
 
 @pytest.fixture
-def geom():
-    return NeuronGeometry()
-
-
-@pytest.fixture
-def mtj():
-    return MtjStack()
-
-
-@pytest.fixture
 def device():
     return NeuronDevice()
 
 
-def parallel_resistance_oracle(x, geom, mtj):
+def parallel_resistance_oracle(x):
     """Independent three-segment parallel combination, open at zero area."""
     ra = 1e-12  # ohm*um^2 -> ohm*m^2
     g = 0.0
-    area_left = geom.width * (geom.length - x - 0.5 * geom.dw_length)
-    area_right = geom.width * (x - 0.5 * geom.dw_length)
-    area_wall = geom.width * geom.dw_length
+    area_left = WIDTH * (LENGTH - x - 0.5 * DW_LENGTH)
+    area_right = WIDTH * (x - 0.5 * DW_LENGTH)
+    area_wall = WIDTH * DW_LENGTH
     if area_left > 0.0:
-        g += area_left / (mtj.ra_ap * ra)
+        g += area_left / (RA_AP * ra)
     if area_right > 0.0:
-        g += area_right / (mtj.ra_p * ra)
-    g += area_wall / (mtj.ra_dw * ra)
+        g += area_right / (RA_P * ra)
+    g += area_wall / (RA_DW * ra)
     return 1.0 / g
 
 
+def test_device_constants_are_physical():
+    """The strip holds the wall, the stack's segments order as the
+    resistance law needs, and the sense current cannot move the wall."""
+    assert 0.0 < DW_LENGTH < LENGTH
+    assert WIDTH > 0.0 and THICKNESS > 0.0
+    assert RA_AP > RA_DW > RA_P > 0.0
+    assert R_REF > 0.0
+    assert I_SENSE <= SENSE_SAFETY_FRACTION * I_CRIT_VERTICAL
+
+
 class TestResistance:
-    def test_wall_length_derivation(self, geom):
+    def test_wall_length_derivation(self):
         # pi*sqrt(a_ex/k_u) with a_ex = 1.1e-11 J/m, k_u = 3.5e5 J/m^3
-        assert geom.dw_length == math.pi * math.sqrt(1.1e-11 / 3.5e5)
+        assert DW_LENGTH == math.pi * math.sqrt(1.1e-11 / 3.5e5)
 
-    def test_endpoint_values(self, geom, mtj):
-        # Frozen from the parallel-segment oracle with default parameters.
-        assert neuron_resistance(geom.x_min, geom, mtj) == pytest.approx(2324.5421, rel=1e-6)
-        assert neuron_resistance(geom.x_max, geom, mtj) == pytest.approx(1081.6431, rel=1e-6)
-        assert neuron_resistance(50e-9, geom, mtj) == pytest.approx(1476.3289, rel=1e-6)
+    def test_endpoint_values(self):
+        # Frozen from the parallel-segment oracle.
+        assert neuron_resistance(X_MIN) == pytest.approx(2324.5421, rel=1e-6)
+        assert neuron_resistance(X_MAX) == pytest.approx(1081.6431, rel=1e-6)
+        assert neuron_resistance(50e-9) == pytest.approx(1476.3289, rel=1e-6)
 
-    def test_matches_parallel_oracle(self, geom, mtj):
-        for x in np.linspace(geom.x_min, geom.x_max, 1000):
-            expected = parallel_resistance_oracle(x, geom, mtj)
-            assert neuron_resistance(x, geom, mtj) == pytest.approx(expected, rel=1e-12)
+    def test_matches_parallel_oracle(self):
+        for x in np.linspace(X_MIN, X_MAX, 1000):
+            expected = parallel_resistance_oracle(x)
+            assert neuron_resistance(x) == pytest.approx(expected, rel=1e-12)
 
-    def test_open_limb_at_travel_limit(self, geom, mtj):
-        # At x_min the right segment has zero area: exactly left || wall.
+    def test_open_limb_at_travel_limit(self):
+        # At X_MIN the right segment has zero area: exactly left || wall.
         ra = 1e-12
-        r_left = mtj.ra_ap * ra / (geom.width * (geom.length - geom.dw_length))
-        r_wall = mtj.ra_dw * ra / (geom.width * geom.dw_length)
+        r_left = RA_AP * ra / (WIDTH * (LENGTH - DW_LENGTH))
+        r_wall = RA_DW * ra / (WIDTH * DW_LENGTH)
         expected = r_left * r_wall / (r_left + r_wall)
-        assert neuron_resistance(geom.x_min, geom, mtj) == pytest.approx(expected, rel=1e-12)
+        assert neuron_resistance(X_MIN) == pytest.approx(expected, rel=1e-12)
 
-    def test_rational_form_linearity(self, geom, mtj):
+    def test_rational_form_linearity(self):
         # num/R(x) - offset must be linear in x through the origin.
-        num, slope, offset = rational_coefficients(geom, mtj)
-        xs = np.linspace(geom.x_min, geom.x_max, 1000)
-        rs = np.array([neuron_resistance(x, geom, mtj) for x in xs])
+        num, slope, offset = rational_coefficients()
+        xs = np.linspace(X_MIN, X_MAX, 1000)
+        rs = np.array([neuron_resistance(x) for x in xs])
         residual = num / rs - offset - slope * xs
         assert np.max(np.abs(residual) / (slope * xs)) < 1e-10
 
-    def test_out_of_range_raises(self, geom, mtj):
+    def test_out_of_range_raises(self):
         with pytest.raises(DomainError):
-            neuron_resistance(geom.x_min - 1e-12, geom, mtj)
+            neuron_resistance(X_MIN - 1e-12)
         with pytest.raises(DomainError):
-            neuron_resistance(geom.x_max + 1e-12, geom, mtj)
+            neuron_resistance(X_MAX + 1e-12)
 
     @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
     def test_strictly_decreasing(self, a, b):
-        geom = NeuronGeometry()
-        mtj = MtjStack()
-        x1, x2 = sorted(
-            geom.x_min + t * (geom.x_max - geom.x_min) for t in (a, b)
-        )
+        x1, x2 = sorted(X_MIN + t * (X_MAX - X_MIN) for t in (a, b))
         if x2 - x1 > 1e-12:
-            assert neuron_resistance(x1, geom, mtj) > neuron_resistance(x2, geom, mtj)
+            assert neuron_resistance(x1) > neuron_resistance(x2)
 
 
 class TestReadout:
-    def test_endpoint_voltages(self, geom, mtj):
-        assert output_voltage(geom.x_min, geom, mtj) == pytest.approx(51.818e-3, rel=1e-4)
-        assert output_voltage(geom.x_max, geom, mtj) == pytest.approx(69.800e-3, rel=1e-4)
+    def test_endpoint_voltages(self):
+        assert output_voltage(X_MIN) == pytest.approx(51.818e-3, rel=1e-4)
+        assert output_voltage(X_MAX) == pytest.approx(69.800e-3, rel=1e-4)
 
-    def test_symmetric_divider(self, mtj):
+    def test_symmetric_divider(self):
         # Neuron resistance equal to the reference splits the supply evenly.
-        assert read_voltage(mtj.r_ref, mtj) == pytest.approx(V_SENSE_SUPPLY / 2, rel=1e-15)
+        assert read_voltage(R_REF) == pytest.approx(V_SENSE_SUPPLY / 2, rel=1e-15)
 
-    def test_strictly_increasing(self, geom, mtj):
-        xs = np.linspace(geom.x_min, geom.x_max, 400)
-        vs = [output_voltage(x, geom, mtj) for x in xs]
+    def test_strictly_increasing(self):
+        xs = np.linspace(X_MIN, X_MAX, 400)
+        vs = [output_voltage(x) for x in xs]
         assert all(b > a for a, b in zip(vs, vs[1:]))
 
 
@@ -123,7 +131,7 @@ class TestVelocityTable:
     def test_below_threshold_is_zero(self):
         table = VelocityTable.default()
         assert table.velocity(3e11) == 0.0
-        assert table.velocity(table.j_th) == 0.0
+        assert table.velocity(J_TH) == 0.0
 
     def test_anchors_exact(self):
         table = VelocityTable.default()
@@ -143,12 +151,12 @@ class TestVelocityTable:
         with pytest.raises(ConfigError):
             VelocityTable([])
         with pytest.raises(ConfigError):
-            VelocityTable([(8e11, 10.0), (6e11, 0.0)], j_th=6e11)
+            VelocityTable([(8e11, 10.0), (6e11, 0.0)])
         with pytest.raises(ConfigError):
             VelocityTable([(6e11, 0.0), (8e11, 50.0), (9e11, 40.0)])
         with pytest.raises(ConfigError):
-            # missing the pinned zero at j_th
-            VelocityTable([(7e11, 10.0), (8e11, 50.0)], j_th=6e11)
+            # missing the pinned zero at J_TH
+            VelocityTable([(7e11, 10.0), (8e11, 50.0)])
 
     def test_csv_round_trip(self, tmp_path):
         path = tmp_path / "vel.csv"
@@ -170,7 +178,7 @@ class TestVelocityTable:
 
 
 class TestPulses:
-    """The program step of transfer: reset to x_min, one T_PROGRAM pulse."""
+    """The program step of transfer: reset to X_MIN, one T_PROGRAM pulse."""
 
     def test_zero_current_leaves_position(self, device):
         assert device.transfer(0.0) == device.v_out_min
@@ -178,19 +186,17 @@ class TestPulses:
 
     def test_reset_from_anywhere(self, device):
         """The network's reset pulse, I_RESET for T_RESET, walks the wall
-        past its full travel, so every transfer may start from x_min."""
-        geom = device.geometry
-        v_reset = device.velocity_table.velocity(I_RESET / geom.cross_section)
-        assert v_reset * T_RESET >= geom.x_max - geom.x_min
+        past its full travel, so every transfer may start from X_MIN."""
+        v_reset = device.velocity_table.velocity(I_RESET / CROSS_SECTION)
+        assert v_reset * T_RESET >= X_MAX - X_MIN
 
     def test_advance_matches_table(self, device):
         # 26 uA over the 2 nm x 20 nm cross-section is 6.5e11 A/m^2.
-        geom = device.geometry
-        j = 26e-6 / geom.cross_section
+        j = 26e-6 / CROSS_SECTION
         assert j == pytest.approx(6.5e11)
-        x = geom.x_min + device.velocity_table.velocity(j) * T_PROGRAM
-        assert x < geom.x_max
-        assert device.transfer(26e-6) == output_voltage(x, geom, device.mtj)
+        x = X_MIN + device.velocity_table.velocity(j) * T_PROGRAM
+        assert x < X_MAX
+        assert device.transfer(26e-6) == output_voltage(x)
 
     def test_saturation_idempotent(self, device):
         assert device.transfer(60e-6) == device.v_out_max
@@ -200,17 +206,18 @@ class TestPulses:
 class TestSense:
     """The sense step of transfer reads at I_SENSE, within read-disturb."""
 
-    def test_safe_read_does_not_move_wall(self, device):
+    def test_safe_read_does_not_move_wall(self, device, monkeypatch):
         # A limit of exactly I_SENSE still reads the undisturbed voltage.
-        at_limit = NeuronDevice(mtj=MtjStack(
-            i_crit_vertical=I_SENSE / SENSE_SAFETY_FRACTION))
-        for i in (0.0, 26e-6, 35e-6, 60e-6):
-            assert at_limit.transfer(i) == device.transfer(i)
+        undisturbed = [device.transfer(i) for i in (0.0, 26e-6, 35e-6, 60e-6)]
+        monkeypatch.setattr(dev, "I_CRIT_VERTICAL",
+                            I_SENSE / SENSE_SAFETY_FRACTION)
+        assert [device.transfer(i)
+                for i in (0.0, 26e-6, 35e-6, 60e-6)] == undisturbed
 
-    def test_disturbing_current_refused(self):
-        weak = NeuronDevice(mtj=MtjStack(i_crit_vertical=40e-6))
+    def test_disturbing_current_refused(self, device, monkeypatch):
+        monkeypatch.setattr(dev, "I_CRIT_VERTICAL", 40e-6)
         with pytest.raises(DisturbanceError):
-            weak.transfer(30e-6)
+            device.transfer(30e-6)
 
 
 class TestTransfer:
@@ -228,7 +235,7 @@ class TestTransfer:
 
     def test_saturation_current_value(self, device):
         # End-to-end travel in 1 ns needs (length - dw_length)/1ns of velocity.
-        v_needed = (device.geometry.length - device.geometry.dw_length) / 1e-9
+        v_needed = (LENGTH - DW_LENGTH) / 1e-9
         assert v_needed == pytest.approx(83.0, rel=0.01)
         assert T_PROGRAM == 1e-9
         assert device.saturation_current() == pytest.approx(44.93e-6, rel=1e-3)

@@ -11,7 +11,7 @@ import pytest
 from spinann import trainer
 from spinann.benchmark import HIDDEN_NEURONS, _score, recognizer_configs
 from spinann.crossbar import map_weights
-from spinann.device import NeuronDevice
+from spinann.device import CROSS_SECTION, X_MAX, X_MIN, NeuronDevice
 from spinann.errors import ConfigError, DomainError, SearchError
 from spinann.network import T_PROGRAM
 from spinann.trainer import (
@@ -71,10 +71,8 @@ class TestSttTable:
         end to end within the network's programming pulse."""
         dev = NeuronDevice()
         assert stt_kind.th2 == dev.saturation_current()
-        v_sat = dev.velocity_table.velocity(
-            stt_kind.th2 / dev.geometry.cross_section)
-        assert v_sat * T_PROGRAM == pytest.approx(
-            dev.geometry.x_max - dev.geometry.x_min, rel=1e-12)
+        v_sat = dev.velocity_table.velocity(stt_kind.th2 / CROSS_SECTION)
+        assert v_sat * T_PROGRAM == pytest.approx(X_MAX - X_MIN, rel=1e-12)
 
     @pytest.mark.parametrize("n_nodes", [0, 1, 2])
     def test_rejects_degenerate_table_size(self, n_nodes):
@@ -626,6 +624,17 @@ class TestQuantizeWeights:
         with pytest.raises(DomainError):
             quantize_weights([[bad, 1.0]])
 
+    @pytest.mark.parametrize("levels", [2, 16, 64])
+    def test_only_the_crossbar_grid(self, separable, stt_kind, levels):
+        """build_network snaps onto the 32-level grid, so weights put on
+        any other grid would not be the weights the crossbar holds."""
+        with pytest.raises(ConfigError, match="levels"):
+            quantize_weights(np.eye(3), levels)
+        res = train(separable, 2, stt_kind,
+                    TrainConfig(learning_rate=1.0, epochs=5, seed=0))
+        with pytest.raises(ConfigError, match="levels"):
+            finalize(res, separable, levels=levels)
+
 
 class TestMinHiddenSearch:
     def test_single_class_needs_one_neuron(self):
@@ -779,6 +788,29 @@ class TestWeightsFile:
     def test_malformed_weights_rejected(self, tmp_path, edit):
         with pytest.raises(ConfigError, match="weights"):
             load_weights(self._stored_copy(tmp_path, edit))
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: {**doc, "history": [[0, 1, 2], [1, 2]]},
+        lambda doc: {**doc, "history": [1, 2, 3, 4]},
+        lambda doc: {**doc, "history": [["epoch", "loss", "accuracy"]]},
+        lambda doc: [doc],
+        lambda doc: {**doc, "transfer": "stt_snn"},
+        lambda doc: {**doc, "layers": "l1"},
+        lambda doc: {**doc, "config": [doc["config"]]},
+        lambda doc: {**doc, "layers": [doc["layers"][0], 7]},
+        lambda doc: {**doc, "transfer": {**doc["transfer"], "th1_a": "24e-6"}},
+        lambda doc: {**doc, "transfer": {
+            **doc["transfer"],
+            "i_nodes_a": [str(i) for i in doc["transfer"]["i_nodes_a"]]}},
+    ], ids=["history_ragged", "history_not_triples", "history_strings",
+            "top_level_list", "transfer_string", "layers_string",
+            "config_list", "layer_int", "th1_string", "i_nodes_strings"])
+    def test_malformed_file_rejected(self, tmp_path, edit):
+        path = tmp_path / "weights.json"
+        path.write_text(json.dumps(edit(json.loads(
+            STORED_RECOGNIZER.read_text()))))
+        with pytest.raises(ConfigError):
+            load_weights(path)
 
     @pytest.mark.parametrize("value", [1.5, -0.25, float("nan"), "1.0",
                                        True, None])
