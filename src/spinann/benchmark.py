@@ -18,7 +18,9 @@ and aggregates accuracy and margin statistics, with Wilson score intervals
 on the rates. It perturbs, runs and scores its trials in blocks of
 `MC_BLOCK_TRIALS`: one `with_variation` call with the block's seeds
 stacks the copies, and one batched forward call reads the whole corpus
-through all of them.
+through all of them. Every trial draws the same `SeedSequence` and
+`default_rng` streams as one seeded per trial, but the seeds of a call
+are derived in one vectorized pass rather than one numpy object each.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from importlib import resources
 
 import numpy as np
 
+from .crossbar import _generate_state
 from .errors import ConfigError, DomainError, TrainingError
 from .trainer import (
     Dataset,
@@ -76,9 +79,11 @@ FEATURE_COUNT = 64
 # Hidden width of the reference recognizer topology (64-5-26).
 HIDDEN_NEURONS = 5
 
-# Monte-Carlo trials perturbed and run together. Blocks of 8 or 16 run
-# slower; one stack of 200 trials runs no faster and peaks about 6 MB
-# higher.
+# Monte-Carlo trials perturbed and run together. On the stored recognizer
+# (200-trial calls, 2-vCPU shared host) blocks of 16 run about 20% slower
+# than 32, and 25-50 within noise of it. Blocks of 67-100 run 11-17%
+# faster, but a call's allocations then peak at 2.5-3.6 MB, against
+# 1.3 MB at 32; one stack of 200 runs no faster and peaks at 6.2 MB.
 MC_BLOCK_TRIALS = 32
 
 # Two-sided 95% standard-normal quantile of the Wilson score interval.
@@ -373,10 +378,13 @@ def monte_carlo(
     """Monte-Carlo variation study over conductance perturbations.
 
     Each trial scores an independently perturbed copy of `network`, whose
-    seed `SeedSequence([seed, trial])` spawns from `seed`, so the whole
-    study is deterministic.  The trials run in blocks of `MC_BLOCK_TRIALS`:
-    `network` must expose ``with_variation(sigma, seeds)`` taking a
-    sequence of trial seeds and returning one stacked copy, whose
+    seed, `generate_state(1)[0]` of numpy's `SeedSequence` over `[seed,
+    trial]`, spawns from `seed`, a non-negative integer, so the whole
+    study is deterministic.  The seeds of all trials are derived in one
+    pass, bit for bit those `SeedSequence` gives.  The trials run in
+    blocks of `MC_BLOCK_TRIALS`: `network` must expose
+    ``with_variation(sigma, seeds)`` taking a sequence of trial seeds and
+    returning one stacked copy, whose
     ``forward`` takes the whole `[n_letters, n_features]` feature matrix
     and returns `(responses, ledger)` with `[n_trials, n_letters,
     n_letters]` responses.  Slice t must be the responses of the copy
@@ -395,13 +403,10 @@ def monte_carlo(
     accuracies = np.empty(trials)
     min_margins = np.empty(trials)
     correct_counts = np.zeros(n)
+    trial_seeds = _generate_state(1, seed, np.arange(trials))[:, 0]
     for start in range(0, trials, MC_BLOCK_TRIALS):
         block = slice(start, min(start + MC_BLOCK_TRIALS, trials))
-        seeds = [
-            int(np.random.SeedSequence([seed, trial]).generate_state(1)[0])
-            for trial in range(block.start, block.stop)
-        ]
-        perturbed = network.with_variation(sigma, seeds)
+        perturbed = network.with_variation(sigma, trial_seeds[block])
         _, margins = _score(perturbed.forward(corpus.features)[0], n)
         correct = margins > 0.0
         accuracies[block] = correct.mean(axis=-1)

@@ -10,9 +10,11 @@ sum of the bar currents.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import ConfigError, DomainError
 
@@ -230,6 +232,112 @@ def _split_dummies(deficits: np.ndarray, n_dummy: int, g_max: float) -> np.ndarr
     return out
 
 
+# The constants of numpy's SeedSequence hash (numpy/random/bit_generator.pyx).
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+# For each pool word, the other three, in order.
+_OTHER_WORDS = [np.delete(np.arange(4), i) for i in range(4)]
+
+
+@functools.cache
+def _hash_constants(value: int, mult: int, n: int) -> np.ndarray:
+    """`[n + 1, 1]` uint32: value, value*mult, value*mult**2, ... mod 2**32.
+
+    Cached and shared by every call, so returned read-only.
+    """
+    out = [value]
+    for _ in range(n):
+        out.append(out[-1] * mult & _MASK32)
+    out = np.array(out, dtype=np.uint32)[:, None]
+    out.flags.writeable = False
+    return out
+
+
+def _seed_state(words: np.ndarray, n_words: int) -> np.ndarray:
+    """numpy's `SeedSequence.generate_state(n_words)` for every column of
+    entropy words.
+
+    An exact replay of numpy's hash, over the uint32 entropy words
+    `[L, n]` of n seeds at once; returns `[n, n_words]` uint32. The pool
+    holds four words: the first four entropy words fill it, every pool
+    word is mixed into every other, and each entropy word past the
+    fourth is mixed into all four. uint32 array arithmetic wraps modulo
+    2**32 as the hash does.
+    """
+    n_in = len(words)
+    a = _hash_constants(_INIT_A, _MULT_A, 4 * max(n_in, 4))
+
+    def hashmix(value, k, m):  # the hash's calls k, ..., k + m - 1
+        value = (value ^ a[k:k + m]) * a[k + 1:k + m + 1]
+        return value ^ value >> 16
+
+    def mix(x, y):
+        r = _MIX_L * x - _MIX_R * y
+        return r ^ r >> 16
+
+    pool = np.zeros((4, words.shape[1]), dtype=np.uint32)
+    pool[:n_in] = words[:4]
+    pool = hashmix(pool, 0, 4)
+    for src, dst in enumerate(_OTHER_WORDS):
+        pool[dst] = mix(pool[dst], hashmix(pool[src], 4 + 3 * src, 3))
+    for src in range(4, n_in):
+        pool = mix(pool, hashmix(words[src], 4 * src, 4))
+    b = _hash_constants(_INIT_B, _MULT_B, n_words)
+    state = (pool[np.arange(n_words) % 4] ^ b[:-1]) * b[1:]
+    return (state ^ state >> 16).T
+
+
+def _generate_state(n_words: int, *entropy) -> np.ndarray:
+    """numpy's `SeedSequence.generate_state(n_words)`, bit for bit, for the
+    entropy `[e_0, e_1, ...]` of every element of the broadcast integer
+    arrays `entropy`.
+
+    Returns `[*shape, n_words]` uint32. Each value is split into
+    little-endian uint32 words, as SeedSequence splits it (0 is one word),
+    and seeds of equal word count are hashed in one `_seed_state` call.
+    Every value must be a non-negative Python or numpy integer: a negative
+    one raises ValueError and any other TypeError, as SeedSequence does.
+    """
+    shape = np.broadcast_shapes(*(np.shape(e) for e in entropy))
+    rows, valid = [], []
+    for e in entropy:
+        rest = np.asarray(e)
+        if rest.dtype.kind not in "iu":
+            if not all(isinstance(v, (int, np.integer)) for v in rest.flat):
+                raise TypeError(f"a seed must be an integer, got {e!r}")
+            rest = rest.astype(object)
+        if (rest < 0).any():
+            raise ValueError(f"a seed must be non-negative, got {e!r}")
+        rest = np.broadcast_to(rest, shape).ravel()
+        valid.append(np.ones(rest.shape, dtype=bool))
+        while True:
+            rows.append(rest & _MASK32)
+            rest = rest >> 32
+            if not rest.any():
+                break
+            valid.append(rest != 0)
+    words, valid = np.array(rows, dtype=np.uint32), np.array(valid)
+    sizes = valid.sum(axis=0)
+    out = np.empty((len(sizes), n_words), dtype=np.uint32)
+    for size in set(sizes.tolist()):
+        cols = np.flatnonzero(sizes == size)
+        picked = words[:, cols].T[valid[:, cols].T].reshape(-1, size)
+        out[cols] = _seed_state(picked.T, n_words)
+    return out.reshape(shape + (n_words,))
+
+
+class _PresetState(ISeedSequence):
+    """Hands a bit generator state words computed beforehand."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
 def inject_variation(array: CrossbarArray, sigma: float,
                      seed) -> CrossbarArray:
     """Multiply every on-state conductance by (1 + N(0, sigma)).
@@ -238,33 +346,50 @@ def inject_variation(array: CrossbarArray, sigma: float,
     perturbed values, so the current dividers shift with the variation.
     `seed` is one seed, giving one perturbed copy, or a 1-D sequence of
     T seeds, giving a stacked array whose copy t equals the copy of
-    `seed[t]` alone. Each copy is one `default_rng(seed).normal` draw
-    over all cells, split in field order: g_plus, g_minus, dummy_plus,
-    dummy_minus. Deterministic for given seeds. sigma = 0 returns
-    identical copies.
+    `seed[t]` alone. A seed is a non-negative integer: a negative one
+    raises ValueError, any other TypeError. Each copy's noise is the
+    draw `normal(0, sigma, cells)` over all cells of numpy's
+    `default_rng` seeded with its seed, split in field order: g_plus,
+    g_minus, dummy_plus, dummy_minus. The PCG64 seeds of all T copies
+    are derived in one vectorized pass, bit for bit those `default_rng`
+    derives. Deterministic for given seeds. sigma = 0 returns identical
+    copies.
     """
     if not np.isfinite(sigma) or sigma < 0.0:
         raise DomainError("sigma must be finite and >= 0")
+    if np.ndim(seed) > 1:
+        raise TypeError("seed must be an integer or a 1-D sequence of them")
     stacked = np.ndim(seed) == 1
-    seeds = seed if stacked else [seed]
+    # PCG64 reads its seed as generate_state(4, uint64): 8 uint32 words,
+    # little-endian pairs.
+    state = _generate_state(8, seed if stacked else [seed])
+    state = state.astype("<u4").view("<u8").astype(np.uint64)
     fields = (array.g_plus, array.g_minus, array.dummy_plus,
               array.dummy_minus)
     sizes = [g.size for g in fields]
-    noise = np.zeros((len(seeds), sum(sizes)))
+    flat = np.concatenate([g.ravel() for g in fields])
+    # Each row holds one copy's noise, then, in place, its conductances:
+    # g * (1 + noise) clamped to [0, VARIATION_CLAMP_FACTOR * g_max] on cells
+    # that are on, g elsewhere. `normal(0, sigma)` returns 0 + sigma * z for
+    # the same standard-normal stream z; 0 + x differs from x only in the
+    # sign of a zero, which 1 + noise erases, so sigma * z gives the same
+    # conductances.
+    varied = np.zeros((len(state), flat.size))
     if sigma > 0.0:
-        for row, s in zip(noise, seeds):
-            row[:] = np.random.default_rng(s).normal(0.0, sigma,
-                                                     size=row.size)
-    hi = VARIATION_CLAMP_FACTOR * array.range.g_max
-    varied = []
-    for g, part in zip(fields, np.split(noise, np.cumsum(sizes)[:-1],
-                                        axis=1)):
-        part = part.reshape((len(seeds),) + g.shape)
-        on = g > 0.0
-        out = np.where(on, np.clip(g * (1.0 + part), 0.0, hi), g)
-        varied.append(out if stacked else out[0])
+        for row, words in zip(varied, state):
+            rng = np.random.Generator(np.random.PCG64(_PresetState(words)))
+            rng.standard_normal(out=row)
+        varied *= sigma
+    varied += 1.0
+    varied *= flat
+    np.clip(varied, 0.0, VARIATION_CLAMP_FACTOR * array.range.g_max,
+            out=varied)
+    off = np.flatnonzero(~(flat > 0.0))
+    varied[:, off] = flat[off]
+    parts = [part.reshape((len(state),) + g.shape) for g, part in
+             zip(fields, np.split(varied, np.cumsum(sizes)[:-1], axis=1))]
     return CrossbarArray(
-        *varied,
+        *(parts if stacked else [p[0] for p in parts]),
         range=array.range,
         scale=array.scale,
         nominal=array.nominal if array.nominal is not None else array,

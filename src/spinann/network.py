@@ -39,7 +39,8 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .crossbar import CrossbarArray, inject_variation, map_weights
+from .crossbar import (CrossbarArray, _generate_state, inject_variation,
+                       map_weights)
 from .device import I_SENSE, T_PROGRAM, V_SENSE_SUPPLY, neuron_energy
 from .errors import ConfigError, DomainError
 from .trainer import TrainResult, TransferKind
@@ -198,22 +199,26 @@ class SpinAnnNetwork:
 
         `seed` is one seed, giving one clone, or a 1-D sequence of T
         seeds, giving one network stacked from T clones whose copy t
-        equals the clone of `seed[t]` alone. Layer idx of the clone of
-        seed s draws from `SeedSequence([s, idx])`. Perturbations always
-        apply to the nominal conductances, so chained calls never
+        equals the clone of `seed[t]` alone. A seed is a non-negative
+        integer. Layer idx of the clone of seed s is perturbed with the
+        seed `generate_state(1)[0]` of numpy's `SeedSequence` over
+        `[s, idx]`; the seeds of every (seed, layer) pair are derived in
+        one pass. Perturbations
+        always apply to the nominal conductances, so chained calls never
         accumulate variation on variation.
         """
+        if np.ndim(seed) > 1:
+            raise TypeError(
+                "seed must be an integer or a 1-D sequence of them")
         stacked = np.ndim(seed) == 1
-        seeds = seed if stacked else [seed]
+        layer_seeds = _generate_state(
+            1, seed if stacked else [seed],
+            np.arange(len(self.layers))[:, None])[..., 0]
         new_layers = []
-        for idx, layer in enumerate(self.layers):
-            layer_seeds = [
-                int(np.random.SeedSequence([s, idx]).generate_state(1)[0])
-                for s in seeds
-            ]
+        for layer, seeds in zip(self.layers, layer_seeds):
             base = layer.array.nominal or layer.array
             varied = inject_variation(
-                base, sigma, seed=layer_seeds if stacked else layer_seeds[0])
+                base, sigma, seed=seeds if stacked else seeds[0])
             new_layers.append(replace(layer, array=varied))
         return replace(self, layers=new_layers)
 

@@ -285,6 +285,12 @@ class TrainConfig:
     train_sigma: float = 0.0
 
     def __post_init__(self):
+        # `type` rather than `isinstance`, so that a bool passes for no
+        # integer.
+        counts = ("epochs", "seed", "kick_patience", "polish_epochs")
+        wrong = [k for k in counts if type(getattr(self, k)) is not int]
+        if wrong:
+            raise ConfigError(f"{', '.join(wrong)} must be integers")
         # NaN passes every range check below, as each comparison is False.
         if not all(math.isfinite(v) for v in vars(self).values()
                    if isinstance(v, float)):
@@ -918,8 +924,9 @@ def load_weights(path) -> TrainResult:
             raise ConfigError("need two layers, the second reading the first")
         w1, w2 = (np.array(layer["weights"], dtype=float) for layer in layers)
         for w, layer in zip((w1, w2), layers):
-            if w.shape != (layer["n_inputs"] + 1, layer["n_neurons"]):
-                raise ConfigError("layer weights must be "
+            if (w.shape != (layer["n_inputs"] + 1, layer["n_neurons"])
+                    or not np.isfinite(w).all()):
+                raise ConfigError("layer weights must be finite and "
                                   "[n_inputs + 1, n_neurons]")
         accuracy, converged, epochs = run.values()
         # `type` rather than `isinstance`, so that a bool passes for no number.

@@ -496,6 +496,26 @@ class TestRecognizerRecipe:
             mc.letter_error_rate,
             1.0 - sum(r.correct for r in oracle) / trials)
 
+    @pytest.mark.parametrize("seed", [2**32, 2**130 + 17])
+    def test_wide_seed_matches_per_letter_evaluation(self, recognizer,
+                                                     corpus, seed):
+        """A seed of several words spawns the trial seeds
+        `SeedSequence([seed, t])` too."""
+        network = build_network(recognizer)
+        mc = monte_carlo(network, corpus, 3, sigma=0.05, seed=seed)
+        np.testing.assert_array_equal(mc.min_margins, [
+            evaluate(network.with_variation(0.05, seed=int(
+                np.random.SeedSequence([seed, t]).generate_state(1)[0])),
+                corpus).min_margin
+            for t in range(3)])
+
+    @pytest.mark.parametrize("seed, error", [(-1, ValueError),
+                                             (2.0, TypeError)])
+    def test_bad_seed_rejected(self, recognizer, corpus, seed, error):
+        with pytest.raises(error):
+            monte_carlo(build_network(recognizer), corpus, 3, sigma=0.05,
+                        seed=seed)
+
     def test_survives_conductance_variation(self, recognizer, corpus):
         network = build_network(recognizer)
         mc = monte_carlo(network, corpus, trials=100, sigma=0.05, seed=0)

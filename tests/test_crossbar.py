@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from spinann.crossbar import (
     ConductanceRange,
     CrossbarArray,
+    _generate_state,
     inject_variation,
     map_weights,
 )
@@ -19,6 +20,11 @@ from spinann.network import build_network
 
 G_MIN = 1.0 / 32e3
 G_MAX = 1.0 / 1e3
+
+# Seeds of one to five 32-bit words, so that [seed, k] spans one to six
+# words, past the four-word pool.
+WIDE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 17,
+              np.uint64(2**64 - 1)]
 
 
 def quantizer_oracle(target: float, rng: ConductanceRange) -> float:
@@ -422,3 +428,96 @@ class TestVariation:
         arr = map_weights(np.ones((2, 2)))
         with pytest.raises(DomainError):
             inject_variation(arr, sigma, seed=0)
+
+
+def _variation_oracle(arr, sigma, seed):
+    """The four perturbed fields from one `default_rng(seed).normal` draw."""
+    fields = (arr.g_plus, arr.g_minus, arr.dummy_plus, arr.dummy_minus)
+    noise = np.random.default_rng(seed).normal(
+        0.0, sigma, size=sum(g.size for g in fields))
+    out, start = [], 0
+    for g in fields:
+        part = noise[start:start + g.size].reshape(g.shape)
+        start += g.size
+        out.append(np.where(g > 0.0, np.clip(g * (1.0 + part), 0.0,
+                                              1.25 * G_MAX), g))
+    return out
+
+
+class TestSeedReplay:
+    """`_generate_state` replays numpy's SeedSequence hash bit for bit."""
+
+    @given(st.lists(st.integers(0, 2**200), min_size=1, max_size=10),
+           st.integers(1, 9))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_seed_sequence(self, entropy, n_words):
+        np.testing.assert_array_equal(
+            _generate_state(n_words, *entropy),
+            np.random.SeedSequence(entropy).generate_state(n_words))
+
+    @pytest.mark.parametrize("dtype", [np.uint32, np.int64, np.uint64])
+    def test_integer_arrays(self, dtype):
+        seeds = np.array([0, 7, 2**31, np.iinfo(dtype).max], dtype=dtype)
+        np.testing.assert_array_equal(
+            _generate_state(3, seeds),
+            [np.random.SeedSequence(s).generate_state(3) for s in seeds])
+
+    @pytest.mark.parametrize("seed", WIDE_SEEDS)
+    def test_trial_seeds(self, seed):
+        """`monte_carlo`'s seeds: `[seed, trial]` for every trial."""
+        trials = np.arange(70)
+        np.testing.assert_array_equal(
+            _generate_state(1, seed, trials)[:, 0],
+            [np.random.SeedSequence([seed, k]).generate_state(1)[0]
+             for k in trials])
+
+    def test_layer_seeds_of_mixed_widths(self):
+        """`with_variation`'s seeds: `[s, idx]` for every (seed, layer)
+        pair, seeds of different word counts in one call."""
+        got = _generate_state(1, WIDE_SEEDS, np.arange(3)[:, None])
+        assert got.shape == (3, len(WIDE_SEEDS), 1)
+        for idx in range(3):
+            np.testing.assert_array_equal(
+                got[idx, :, 0],
+                [np.random.SeedSequence([s, idx]).generate_state(1)[0]
+                 for s in WIDE_SEEDS])
+
+    def test_pcg64_words(self):
+        """`inject_variation`'s PCG64 seed: the four uint64 words that
+        `default_rng(s)` seeds its bit generator with."""
+        got = _generate_state(8, WIDE_SEEDS).astype("<u4").view("<u8")
+        np.testing.assert_array_equal(
+            got, [np.random.SeedSequence(s).generate_state(4, np.uint64)
+                  for s in WIDE_SEEDS])
+
+    @pytest.mark.parametrize("seed", WIDE_SEEDS)
+    def test_single_draw_matches_default_rng(self, seed):
+        arr = map_weights(np.random.default_rng(1).uniform(-1, 1, (6, 4)))
+        varied = inject_variation(arr, 0.05, seed=seed)
+        for got, want in zip((varied.g_plus, varied.g_minus,
+                              varied.dummy_plus, varied.dummy_minus),
+                             _variation_oracle(arr, 0.05, seed)):
+            np.testing.assert_array_equal(got, want)
+
+    def test_stacked_draws_of_mixed_widths_match_default_rng(self):
+        arr = map_weights(np.random.default_rng(2).uniform(-1, 1, (5, 3)))
+        stack = inject_variation(arr, 0.05, seed=WIDE_SEEDS)
+        for t, seed in enumerate(WIDE_SEEDS):
+            for got, want in zip((stack.g_plus, stack.g_minus,
+                                  stack.dummy_plus, stack.dummy_minus),
+                                 _variation_oracle(arr, 0.05, seed)):
+                np.testing.assert_array_equal(got[t], want)
+
+    @pytest.mark.parametrize("seed", [-1, [3, -1], np.int64(-5)])
+    def test_negative_seed_rejected(self, seed):
+        arr = map_weights(np.ones((2, 2)))
+        with pytest.raises(ValueError):
+            inject_variation(arr, 0.05, seed=seed)
+
+    @pytest.mark.parametrize("seed", [3.5, None, "7", [1, 2.5],
+                                      np.array([1.0]), [[1, 2]]])
+    @pytest.mark.parametrize("sigma", [0.0, 0.05])
+    def test_non_integer_seed_rejected(self, seed, sigma):
+        arr = map_weights(np.ones((2, 2)))
+        with pytest.raises(TypeError):
+            inject_variation(arr, sigma, seed=seed)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from spinann.benchmark import monte_carlo
+from spinann.crossbar import inject_variation
 from spinann.errors import ConfigError, DomainError
 from spinann.network import EnergyReport, build_network
 from spinann.trainer import (
@@ -251,6 +252,30 @@ class TestVariation:
             assert total == pytest.approx(want, rel=1e-12)
         one, _ = stacked.forward(corpus.features[12])
         np.testing.assert_array_equal(one, v[:, 12:13])
+
+    def test_layer_seeds_match_seed_sequence(self, network):
+        """Layer idx of the clone of seed s is `inject_variation` with
+        seed `SeedSequence([s, idx])`, for seeds of one to five words
+        stacked in one call."""
+        seeds = [0, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 17,
+                 np.uint64(7)]
+        stacked = network.with_variation(0.05, seeds)
+        for idx, (layer, varied) in enumerate(
+                zip(network.layers, stacked.layers)):
+            for t, s in enumerate(seeds):
+                want = inject_variation(layer.array, 0.05, seed=int(
+                    np.random.SeedSequence([s, idx]).generate_state(1)[0]))
+                for name in ("g_plus", "g_minus", "dummy_plus",
+                             "dummy_minus"):
+                    np.testing.assert_array_equal(
+                        getattr(varied.array, name)[t], getattr(want, name))
+
+    @pytest.mark.parametrize("seed, error", [
+        (-1, ValueError), ([4, -1], ValueError), (3.5, TypeError),
+        (None, TypeError), ([4, None], TypeError), ([[4, 5]], TypeError)])
+    def test_bad_seed_rejected(self, network, seed, error):
+        with pytest.raises(error):
+            network.with_variation(0.05, seed)
 
     def test_zero_sigma_stack_is_nominal(self, network, corpus):
         v, e = network.with_variation(0.0, [5, 6, 7]).forward(

@@ -830,3 +830,20 @@ class TestWeightsFile:
         with pytest.raises(ConfigError, match="converged"):
             load_weights(self._stored_copy(
                 tmp_path, lambda doc: doc.update(converged=value)))
+
+    @pytest.mark.parametrize("key, value", [
+        ("epochs", 2.5), ("seed", True), ("kick_patience", 1.0),
+        ("polish_epochs", False), ("epochs", "4000"), ("seed", None)])
+    def test_non_integer_count_rejected(self, tmp_path, key, value):
+        with pytest.raises(ConfigError, match=key):
+            load_weights(self._stored_copy(
+                tmp_path, lambda doc: doc["config"].update({key: value})))
+
+    @pytest.mark.parametrize("layer", [0, 1])
+    @pytest.mark.parametrize("value", [None, float("nan"), float("-inf")])
+    def test_non_finite_weight_rejected(self, tmp_path, layer, value):
+        with pytest.raises(ConfigError, match="finite"):
+            load_weights(self._stored_copy(
+                tmp_path,
+                lambda doc: doc["layers"][layer]["weights"][1].__setitem__(
+                    0, value)))
