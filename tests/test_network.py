@@ -157,6 +157,25 @@ class TestGolden:
         assert e.crossbar_static == 4.974664942578433e-12
         assert e.dtcs_static == 7.623192942311578e-12
 
+    @pytest.mark.parametrize("quantize, want", [
+        (True, "55059a4663528b3e1c57bf8eea0c404e"
+               "cf70a3e90cb2a3193011751b5a0651fe"),
+        (False, "bcaa7a75bd68ce87f93436f64ad96396"
+                "b8722a890d8d3e62935551af2febe890"),
+    ], ids=["quantized", "ideal"])
+    def test_nominal_mapping(self, quantize, want):
+        """Every layer's nominal conductances, positive rail then negative,
+        cells then dummies; the layers pad with 2 and 7 dummy columns."""
+        network = build_network(load_weights(STORED_RECOGNIZER),
+                                quantize=quantize)
+        assert [layer.array.n_dummy for layer in network.layers] == [2, 7]
+        digest = hashlib.sha256()
+        for layer in network.layers:
+            for g in (layer.array.g_plus, layer.array.g_minus,
+                      layer.array.dummy_plus, layer.array.dummy_minus):
+                digest.update(np.ascontiguousarray(g, dtype="<f8").tobytes())
+        assert digest.hexdigest() == want
+
     def test_single_clone_conductances(self, stored_network):
         clone = stored_network.with_variation(0.05, seed=3)
         digest = hashlib.sha256()
