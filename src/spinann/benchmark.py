@@ -320,9 +320,15 @@ def wilson_interval(successes, n: int) -> np.ndarray:
 
     `successes` is a count or an array of counts out of `n` trials; the
     result holds the lower and upper bounds in its last axis, clipped to
-    [0, 1] against rounding at the ends.
+    [0, 1] against rounding at the ends. Counts need not be integers, but
+    `n` must be finite and >= 1 and every count within [0, n].
     """
-    p = np.asarray(successes, dtype=float) / n
+    successes = np.asarray(successes, dtype=float)
+    # NaN fails every comparison, so it is refused with the rest.
+    if not (1 <= n < np.inf and np.all((successes >= 0) & (successes <= n))):
+        raise DomainError(f"need 0 <= successes <= n and 1 <= n < inf, "
+                          f"got n = {n!r}")
+    p = successes / n
     z2 = _Z95 * _Z95
     center = (p + z2 / (2 * n)) / (1 + z2 / n)
     half = _Z95 * np.sqrt(p * (1 - p) / n + z2 / (4 * n * n)) / (1 + z2 / n)
@@ -392,8 +398,10 @@ def monte_carlo(
     on that copy.  Trials are aggregated in a fixed order for bit-exact
     reports.
     """
-    if trials < 1:
-        raise ConfigError("trials must be >= 1")
+    # A bool is an int, but no count of trials.
+    if (not isinstance(trials, (int, np.integer)) or isinstance(trials, bool)
+            or trials < 1):
+        raise ConfigError(f"trials must be an integer >= 1, got {trials!r}")
     if not np.isfinite(sigma) or sigma < 0.0:
         raise ConfigError("sigma must be finite and >= 0")
     if not hasattr(network, "with_variation"):
@@ -482,7 +490,7 @@ def train_recognizer(
 
     Runs the three-stage schedule from recognizer_configs on the glyph
     corpus.  The returned result holds weights exactly representable on
-    the levels of the default ConductanceRange, the grid build_network
+    the levels of the crossbar's GRID, the grid build_network
     maps them onto.  Raises TrainingError if the float stage fails to
     reach 100% on the corpus; pick a different seed in that case.
     """

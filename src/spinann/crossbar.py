@@ -1,8 +1,8 @@
 """Memristor crossbar synapse array.
 
 Signed weights are stored as paired conductances: the positive-rail bar of
-input i carries g_plus[i][j], the negative-rail bar carries g_minus[i][j],
-and at most one of the pair is on for any weight. Dummy cells pad every
+input i carries g[0, i, j], the negative-rail bar carries g[1, i, j], and
+at most one of the pair is on for any weight. Dummy cells pad every
 physical bar to a common total conductance so the current divider is
 uniform across inputs, and the column current is the conductance-weighted
 sum of the bar currents.
@@ -76,77 +76,71 @@ class ConductanceRange:
         return np.where(g < self.g_min, 0.0, quantized)
 
 
+# The one conductance grid: mapping quantizes onto it, variation clamps to
+# its g_max and training snaps weights onto it.
+GRID = ConductanceRange()
+
+
 @dataclass(eq=False)
 class CrossbarArray:
     """Paired-conductance crossbar with dummy-equalized bar totals.
 
-    g_plus/g_minus are [inputs x neurons] matrices (one physical bar per
-    input per polarity); dummy_plus/dummy_minus are [inputs x n_dummy]
-    pads bringing every bar total to the common g_tr target. Instances
-    are treated as immutable after construction, so the bar totals
-    g_tr_plus/g_tr_minus are computed once there; variation injection
-    returns a perturbed copy that keeps a handle on the nominal array.
-    `scale` is the conductance per unit weight of the mapping that built
-    the array, S.
-    A stacked array holds T perturbed copies at once: every conductance
-    field is [T, rows, cols] and every bar total [T, rows].
+    The rail is an array axis: `g` is [2, inputs, neurons] and `dummy`
+    [2, inputs, n_dummy], rail 0 the positive bars and rail 1 the
+    negative bars, one physical bar per input per rail. The dummies pad
+    every bar total to the common target. Instances are treated as
+    immutable after construction, so the bar totals `g_tr` [2, inputs]
+    are computed once there; variation injection returns a perturbed
+    copy that keeps a handle on the nominal array. `scale` is the
+    conductance per unit weight of the mapping that built the array, S.
+    A stacked array holds T perturbed copies at once, the trial axis
+    first: `g` is [T, 2, inputs, neurons], `dummy` [T, 2, inputs,
+    n_dummy] and `g_tr` [T, 2, inputs].
     """
 
-    g_plus: np.ndarray
-    g_minus: np.ndarray
-    dummy_plus: np.ndarray
-    dummy_minus: np.ndarray
-    range: ConductanceRange
+    g: np.ndarray
+    dummy: np.ndarray
     scale: float | None = None
     nominal: "CrossbarArray | None" = None
-    # Total conductance of each positive-/negative-rail bar, dummies
-    # included.
-    g_tr_plus: np.ndarray = field(init=False, repr=False)
-    g_tr_minus: np.ndarray = field(init=False, repr=False)
-    # Each rail's divisor: its bar totals with every zero replaced by +inf,
-    # a stacked array's given a drive axis after the trial axis.
-    _div_plus: np.ndarray = field(init=False, repr=False)
-    _div_minus: np.ndarray = field(init=False, repr=False)
+    # Total conductance of each bar, dummies included.
+    g_tr: np.ndarray = field(init=False, repr=False)
+    # The divisor of each bar's drive: its total with every zero replaced
+    # by +inf, a stacked array's given a drive axis after the trial axis.
+    _div: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.g_plus = np.asarray(self.g_plus, dtype=float)
-        self.g_minus = np.asarray(self.g_minus, dtype=float)
-        self.dummy_plus = np.asarray(self.dummy_plus, dtype=float)
-        self.dummy_minus = np.asarray(self.dummy_minus, dtype=float)
-        if self.g_plus.shape != self.g_minus.shape:
-            raise ConfigError("g_plus and g_minus shapes differ")
-        if self.dummy_plus.shape != self.dummy_minus.shape:
-            raise ConfigError("dummy shapes differ")
-        if self.dummy_plus.shape[:-1] != self.g_plus.shape[:-1]:
-            raise ConfigError("dummy and conductance rows differ")
-        self.g_tr_plus = (self.g_plus.sum(axis=-1)
-                          + self.dummy_plus.sum(axis=-1))
-        self.g_tr_minus = (self.g_minus.sum(axis=-1)
-                           + self.dummy_minus.sum(axis=-1))
-        rows = (slice(None), None) if self.g_plus.ndim == 3 else ()
-        self._div_plus, self._div_minus = (
-            np.where(g_tr > 0.0, g_tr, np.inf)[rows]
-            for g_tr in (self.g_tr_plus, self.g_tr_minus))
+        self.g = np.asarray(self.g, dtype=float)
+        self.dummy = np.asarray(self.dummy, dtype=float)
+        if self.g.ndim not in (3, 4) or self.g.shape[-3] != 2:
+            raise ConfigError("g needs a rail axis of 2 before its bars")
+        if self.dummy.shape[:-1] != self.g.shape[:-1]:
+            raise ConfigError("dummy and conductance bars differ")
+        self.g_tr = self.g.sum(axis=-1) + self.dummy.sum(axis=-1)
+        rows = (slice(None), None) if self.g.ndim == 4 else ()
+        self._div = np.where(self.g_tr > 0.0, self.g_tr, np.inf)[rows]
 
     @property
     def n_inputs(self) -> int:
-        return self.g_plus.shape[-2]
+        return self.g.shape[-2]
 
     @property
     def n_outputs(self) -> int:
-        return self.g_plus.shape[-1]
+        return self.g.shape[-1]
 
     @property
     def n_dummy(self) -> int:
-        return self.dummy_plus.shape[-1]
+        return self.dummy.shape[-1]
 
     def weighted_sum(self, i_in) -> np.ndarray:
-        """Column currents sum_i I * (g+/g_tr+ - g-/g_tr-), dummies excluded.
+        """Column currents sum_i I * (g[0]/g_tr[0] - g[1]/g_tr[1]), dummies
+        excluded.
 
         Each input drives both of its bars with the current I, and each
         bar is a current divider: the fraction of the bar current
-        reaching column j is that cell's share of the bar total. The
-        drive has shape `[..., n_inputs]`, every leading index one
+        reaching column j is that cell's share of the bar total. Both
+        rails run as one divide and one product over the rail axis, and
+        the negative rail's columns are subtracted from the positive's.
+        The drive has shape `[..., n_inputs]`, every leading index one
         independent drive, and the result is `[..., n_outputs]`.
         A stacked array of T copies inserts its trial axis before the
         drive axis: drives `[n, n_inputs]`, shared by every copy, or
@@ -161,18 +155,15 @@ class CrossbarArray:
             raise DomainError(
                 f"input currents must have shape [..., {self.n_inputs}]"
             )
-        g_plus, g_minus = self.g_plus, self.g_minus
-        if g_plus.ndim == 3:
-            g_plus, g_minus = g_plus[:, None], g_minus[:, None]
-        pos = _row_products(i_in / self._div_plus, g_plus)
-        neg = _row_products(i_in / self._div_minus, g_minus)
-        return pos - neg
+        g = self.g if self.g.ndim == 3 else self.g[:, None]
+        rails = _row_products(i_in[..., None, :] / self._div, g)
+        return rails[..., 0, :] - rails[..., 1, :]
 
     def decode_weights(self) -> np.ndarray:
         """Signed weights recovered at the recorded mapping scale."""
         if self.scale is None:
             raise ConfigError("array was not built from a weight mapping")
-        return (self.g_plus - self.g_minus) / self.scale
+        return (self.g[..., 0, :, :] - self.g[..., 1, :, :]) / self.scale
 
 
 def map_weights(weights, quantize: bool = True) -> CrossbarArray:
@@ -184,11 +175,9 @@ def map_weights(weights, quantize: bool = True) -> CrossbarArray:
     rounding up, which bounds the error by the same amount without
     inflating small weights. Dummy cells then pad every bar to the
     largest bar total, split across columns so no single dummy exceeds
-    g_max. The level grid is the default ConductanceRange, the one
-    training snaps onto. ``quantize=False`` keeps continuous conductances
-    (ideal-mode reference).
+    g_max. The level grid is GRID, the one training snaps onto.
+    ``quantize=False`` keeps continuous conductances (ideal-mode reference).
     """
-    crange = ConductanceRange()
     w = np.asarray(weights, dtype=float)
     if w.ndim != 2:
         raise DomainError("weights must be a 2-D matrix")
@@ -197,39 +186,24 @@ def map_weights(weights, quantize: bool = True) -> CrossbarArray:
     w_max = float(np.max(np.abs(w)))
     if w_max == 0.0:
         raise DomainError("all-zero weight matrix has no mapping scale")
-    scale = crange.g_max / w_max
+    scale = GRID.g_max / w_max
 
     targets = np.abs(w) * scale
     # The continuous reference mapping has no level grid and no pruning,
     # so the decoded weights reproduce the originals exactly.
-    mag = crange.quantize(targets) if quantize else targets
-    g_plus = np.where(w > 0.0, mag, 0.0)
-    g_minus = np.where(w < 0.0, mag, 0.0)
+    mag = GRID.quantize(targets) if quantize else targets
+    g = np.where([w > 0.0, w < 0.0], mag, 0.0)
 
-    # Equalize all 2N physical bars to the global maximum bar total.
-    row_plus = g_plus.sum(axis=1)
-    row_minus = g_minus.sum(axis=1)
-    target = float(max(row_plus.max(), row_minus.max()))
-    deficit_plus = target - row_plus
-    deficit_minus = target - row_minus
-    n_dummy = max(1, int(np.ceil(max(deficit_plus.max(), deficit_minus.max())
-                                 / crange.g_max)))
-    dummy_plus = _split_dummies(deficit_plus, n_dummy, crange.g_max)
-    dummy_minus = _split_dummies(deficit_minus, n_dummy, crange.g_max)
-
-    return CrossbarArray(g_plus, g_minus, dummy_plus, dummy_minus, crange,
-                         scale)
-
-
-def _split_dummies(deficits: np.ndarray, n_dummy: int, g_max: float) -> np.ndarray:
-    """Spread each bar's deficit over dummy columns, each cell <= g_max."""
-    out = np.zeros((len(deficits), n_dummy))
-    for i, d in enumerate(deficits):
-        remaining = d
-        for k in range(n_dummy):
-            out[i, k] = min(remaining, g_max)
-            remaining -= out[i, k]
-    return out
+    # Equalize all 2N physical bars to the global maximum bar total,
+    # filling each bar's dummy columns in order, none above g_max.
+    bars = g.sum(axis=-1)
+    deficit = bars.max() - bars
+    n_dummy = max(1, int(np.ceil(deficit.max() / GRID.g_max)))
+    dummy = np.empty(bars.shape + (n_dummy,))
+    for k in range(n_dummy):
+        dummy[..., k] = np.minimum(deficit, GRID.g_max)
+        deficit -= dummy[..., k]
+    return CrossbarArray(g, dummy, scale)
 
 
 # The constants of numpy's SeedSequence hash (numpy/random/bit_generator.pyx).
@@ -344,16 +318,18 @@ def inject_variation(array: CrossbarArray, sigma: float,
 
     Dummy cells vary too, and the bar totals are recomputed from the
     perturbed values, so the current dividers shift with the variation.
+    Perturbed cells are clamped to [0, VARIATION_CLAMP_FACTOR * GRID.g_max].
     `seed` is one seed, giving one perturbed copy, or a 1-D sequence of
     T seeds, giving a stacked array whose copy t equals the copy of
     `seed[t]` alone. A seed is a non-negative integer: a negative one
     raises ValueError, any other TypeError. Each copy's noise is the
     draw `normal(0, sigma, cells)` over all cells of numpy's
-    `default_rng` seeded with its seed, split in field order: g_plus,
-    g_minus, dummy_plus, dummy_minus. The PCG64 seeds of all T copies
-    are derived in one vectorized pass, bit for bit those `default_rng`
-    derives. Deterministic for given seeds. sigma = 0 returns identical
-    copies.
+    `default_rng` seeded with its seed, taken in this order: rail 0's
+    cells (`g[0]`), rail 1's cells (`g[1]`), then rail 0's and rail 1's
+    dummies (`dummy[0]`, `dummy[1]`), each in row-major order. The
+    PCG64 seeds of all T copies are derived in one vectorized pass, bit
+    for bit those `default_rng` derives. Deterministic for given seeds.
+    sigma = 0 returns identical copies.
     """
     if not np.isfinite(sigma) or sigma < 0.0:
         raise DomainError("sigma must be finite and >= 0")
@@ -364,10 +340,8 @@ def inject_variation(array: CrossbarArray, sigma: float,
     # little-endian pairs.
     state = _generate_state(8, seed if stacked else [seed])
     state = state.astype("<u4").view("<u8").astype(np.uint64)
-    fields = (array.g_plus, array.g_minus, array.dummy_plus,
-              array.dummy_minus)
-    sizes = [g.size for g in fields]
-    flat = np.concatenate([g.ravel() for g in fields])
+    fields = (array.g, array.dummy)
+    flat = np.concatenate([f.ravel() for f in fields])
     # Each row holds one copy's noise, then, in place, its conductances:
     # g * (1 + noise) clamped to [0, VARIATION_CLAMP_FACTOR * g_max] on cells
     # that are on, g elsewhere. `normal(0, sigma)` returns 0 + sigma * z for
@@ -382,15 +356,13 @@ def inject_variation(array: CrossbarArray, sigma: float,
         varied *= sigma
     varied += 1.0
     varied *= flat
-    np.clip(varied, 0.0, VARIATION_CLAMP_FACTOR * array.range.g_max,
-            out=varied)
+    np.clip(varied, 0.0, VARIATION_CLAMP_FACTOR * GRID.g_max, out=varied)
     off = np.flatnonzero(~(flat > 0.0))
     varied[:, off] = flat[off]
-    parts = [part.reshape((len(state),) + g.shape) for g, part in
-             zip(fields, np.split(varied, np.cumsum(sizes)[:-1], axis=1))]
+    parts = [part.reshape((len(state),) + f.shape) for f, part in
+             zip(fields, np.split(varied, [array.g.size], axis=1))]
     return CrossbarArray(
         *(parts if stacked else [p[0] for p in parts]),
-        range=array.range,
         scale=array.scale,
         nominal=array.nominal if array.nominal is not None else array,
     )

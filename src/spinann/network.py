@@ -226,9 +226,8 @@ class SpinAnnNetwork:
 def _build_layer(weights: np.ndarray, kind: TransferKind,
                  quantize: bool) -> Layer:
     array = map_weights(weights, quantize=quantize)
-    g_tr_rows = np.concatenate([array.g_tr_plus, array.g_tr_minus])
-    g_tr = float(g_tr_rows.max())
-    spread = g_tr - float(g_tr_rows.min())
+    g_tr = float(array.g_tr.max())
+    spread = g_tr - float(array.g_tr.min())
     if spread > 1e-6 * g_tr:
         raise ConfigError("crossbar rows are not conductance-equalized")
     i_unit = kind.drive_current * g_tr / array.scale
@@ -241,7 +240,7 @@ def build_network(result: TrainResult, *,
 
     quantize=False maps the exact float weights (ideal mode); the
     default snaps conductances onto the programmable levels of the
-    default ConductanceRange, the grid that training quantizes onto.
+    crossbar's GRID, the grid that training quantizes onto.
     """
     if result.kind.tag != "stt_snn":
         raise ConfigError("hardware neurons require the stt_snn transfer")

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .crossbar import ConductanceRange
+from .crossbar import GRID
 from .device import NeuronDevice
 from .errors import ConfigError, DomainError, SearchError
 
@@ -760,12 +760,8 @@ def train(dataset: Dataset, n_hidden: int, kind: TransferKind,
                 on_grid=False, snapshot_from_start=False)
 
 
-# The crossbar's conductance grid, the one grid the weights train onto.
-_GRID = ConductanceRange()
-
-
 def finalize(result: TrainResult, dataset: Dataset,
-             levels: int | None = ConductanceRange.levels,
+             levels: int | None = GRID.levels,
              cfg: TrainConfig | None = None) -> TrainResult:
     """Fine-tune a trained network, by default quantization-aware.
 
@@ -780,8 +776,8 @@ def finalize(result: TrainResult, dataset: Dataset,
     Snapshot selection starts at the incoming weights, so the result
     never ranks below them. The input result is untouched.
     """
-    if levels not in (None, _GRID.levels):
-        raise ConfigError(f"levels must be None or {_GRID.levels}, "
+    if levels not in (None, GRID.levels):
+        raise ConfigError(f"levels must be None or {GRID.levels}, "
                           f"got {levels!r}")
     cfg = cfg or result.config
     rng = np.random.default_rng([cfg.seed, 0 if levels is None else levels])
@@ -807,11 +803,11 @@ def _snap_weights(w: np.ndarray) -> np.ndarray:
         raise DomainError("weights must be finite")
     if w_max == 0.0:
         raise DomainError("all-zero weights cannot be quantized")
-    scale = _GRID.g_max / w_max
-    return np.sign(w) * (_GRID.quantize(mag * scale) / scale)
+    scale = GRID.g_max / w_max
+    return np.sign(w) * (GRID.quantize(mag * scale) / scale)
 
 
-def quantize_weights(weights, levels: int = ConductanceRange.levels):
+def quantize_weights(weights, levels: int = GRID.levels):
     """Snap weights onto the crossbar's representable magnitudes.
 
     Uses the conductance quantizer in weight space: the largest weight
@@ -819,8 +815,8 @@ def quantize_weights(weights, levels: int = ConductanceRange.levels):
     zero, signs are untouched. The grid is the crossbar's, so `levels`
     must be its level count. Returns (quantized, report).
     """
-    if levels != _GRID.levels:
-        raise ConfigError(f"levels must be {_GRID.levels}, got {levels!r}")
+    if levels != GRID.levels:
+        raise ConfigError(f"levels must be {GRID.levels}, got {levels!r}")
     w = np.asarray(weights, dtype=float)
     quantized = _snap_weights(w)
     err = np.abs(quantized - w)

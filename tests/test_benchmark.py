@@ -395,8 +395,11 @@ class TestMonteCarlo:
 
     def test_validation(self, corpus):
         net = _TableNet(np.eye(26), corpus.features)
-        with pytest.raises(ConfigError):
-            monte_carlo(net, corpus, trials=0, sigma=0.1)
+        for trials in (0, 2.5, 3.0, True, "5", None):
+            with pytest.raises(ConfigError):
+                monte_carlo(net, corpus, trials=trials, sigma=0.1)
+        assert monte_carlo(net, corpus, trials=np.int64(3),
+                           sigma=0.1).trials == 3
         with pytest.raises(ConfigError):
             monte_carlo(net, corpus, trials=5, sigma=-0.1)
         with pytest.raises(ConfigError):
@@ -416,6 +419,13 @@ class TestMonteCarlo:
             [[lo, hi], [1.0 - hi, 1.0 - lo]], rtol=1e-12)
         assert wilson_interval(0, 4000)[0] >= 0.0
         assert wilson_interval(4000, 4000)[1] == 1.0
+
+    @pytest.mark.parametrize("successes, n", [
+        (0, 0), (5, 3), (-1, 10), (np.nan, 10), (np.inf, 10), (3, np.nan),
+        (3, np.inf), ([1, 11], 10), (0.5, 0.5)])
+    def test_wilson_interval_refuses_impossible_counts(self, successes, n):
+        with pytest.raises(DomainError):
+            wilson_interval(successes, n)
 
     def test_intervals_reported(self, corpus):
         matrix = np.eye(26)

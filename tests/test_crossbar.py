@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinann.crossbar import (
+    GRID,
     ConductanceRange,
     CrossbarArray,
     _generate_state,
@@ -58,12 +59,13 @@ def dot_product_oracle(array: CrossbarArray, i_in) -> np.ndarray:
     for j in range(array.n_outputs):
         acc = 0.0
         for i in range(array.n_inputs):
-            tr_p = array.g_plus[i].sum() + array.dummy_plus[i].sum()
-            tr_m = array.g_minus[i].sum() + array.dummy_minus[i].sum()
+            g_p, g_m = array.g[0, i], array.g[1, i]
+            tr_p = g_p.sum() + array.dummy[0, i].sum()
+            tr_m = g_m.sum() + array.dummy[1, i].sum()
             if tr_p > 0.0:
-                acc += i_in[i] * array.g_plus[i, j] / tr_p
+                acc += i_in[i] * g_p[j] / tr_p
             if tr_m > 0.0:
-                acc -= i_in[i] * array.g_minus[i, j] / tr_m
+                acc -= i_in[i] * g_m[j] / tr_m
         out[j] = acc
     return out
 
@@ -122,31 +124,29 @@ class TestConductanceRange:
 class TestMapWeights:
     def test_single_entry_anchors_scale(self):
         arr = map_weights(np.array([[0.0, 0.7], [0.0, 0.0]]))
-        assert arr.g_plus[0, 1] == pytest.approx(G_MAX, rel=1e-12)
-        assert arr.g_minus[0, 1] == 0.0
+        assert arr.g.shape == (2, 2, 2)
+        assert arr.g[0, 0, 1] == pytest.approx(G_MAX, rel=1e-12)
+        assert arr.g[1, 0, 1] == 0.0
         off = np.ones((2, 2), dtype=bool)
         off[0, 1] = False
-        assert np.all(arr.g_plus[off] == 0.0)
-        assert np.all(arr.g_minus[off] == 0.0)
+        assert np.all(arr.g[:, off] == 0.0)
 
     def test_matches_cellwise_oracle(self):
         gen = np.random.default_rng(7)
         for _ in range(25):
             w = gen.uniform(-1.0, 1.0, size=(6, 5))
             arr = map_weights(w)
-            g_plus, g_minus, scale = mapping_oracle(w, arr.range)
-            np.testing.assert_allclose(arr.g_plus, g_plus, rtol=1e-12, atol=0.0)
-            np.testing.assert_allclose(arr.g_minus, g_minus, rtol=1e-12, atol=0.0)
+            g_plus, g_minus, scale = mapping_oracle(w, GRID)
+            np.testing.assert_allclose(arr.g, [g_plus, g_minus], rtol=1e-12,
+                                       atol=0.0)
             assert arr.scale == pytest.approx(scale, rel=1e-12)
 
     def test_sign_separation(self):
         gen = np.random.default_rng(3)
         w = gen.uniform(-1.0, 1.0, size=(10, 8))
         arr = map_weights(w)
-        both_on = (arr.g_plus > 0.0) & (arr.g_minus > 0.0)
-        assert not both_on.any()
-        on_plus = arr.g_plus > 0.0
-        on_minus = arr.g_minus > 0.0
+        on_plus, on_minus = arr.g > 0.0
+        assert not (on_plus & on_minus).any()
         assert np.all(w[on_plus] > 0.0)
         assert np.all(w[on_minus] < 0.0)
 
@@ -155,10 +155,10 @@ class TestMapWeights:
         w = gen.uniform(-1.0, 1.0, size=(12, 7))
         arr = map_weights(w)
         decoded = arr.decode_weights()
-        half_step_w = 0.5 * arr.range.step / arr.scale
-        prune_bound_w = arr.range.g_min / arr.scale
+        half_step_w = 0.5 * GRID.step / arr.scale
+        prune_bound_w = GRID.g_min / arr.scale
         err = np.abs(decoded - w)
-        pruned = (w != 0.0) & (arr.g_plus == 0.0) & (arr.g_minus == 0.0)
+        pruned = (w != 0.0) & np.all(arr.g == 0.0, axis=0)
         assert np.all(err[~pruned] <= half_step_w * (1 + 1e-12))
         assert np.all(err[pruned] <= prune_bound_w)
 
@@ -166,9 +166,9 @@ class TestMapWeights:
         gen = np.random.default_rng(9)
         w = gen.uniform(-1.0, 1.0, size=(9, 6))
         arr = map_weights(w)
-        totals = np.concatenate([arr.g_tr_plus, arr.g_tr_minus])
-        spread = totals.max() - totals.min()
-        assert spread <= 1e-9 * totals.max()
+        assert arr.g_tr.shape == (2, 9)
+        spread = arr.g_tr.max() - arr.g_tr.min()
+        assert spread <= 1e-9 * arr.g_tr.max()
 
     def test_dummy_cells_split_below_g_max(self):
         # One input drives many strong synapses while another drives none,
@@ -176,9 +176,8 @@ class TestMapWeights:
         w = np.vstack([np.full(6, 1.0), np.full(6, 0.04)])
         arr = map_weights(w)
         assert arr.n_dummy >= 2
-        assert np.all(arr.dummy_plus <= G_MAX * (1 + 1e-12))
-        assert np.all(arr.dummy_minus <= G_MAX * (1 + 1e-12))
-        totals = np.concatenate([arr.g_tr_plus, arr.g_tr_minus])
+        assert np.all(arr.dummy <= G_MAX * (1 + 1e-12))
+        totals = arr.g_tr
         assert totals.max() - totals.min() <= 1e-9 * totals.max()
 
     def test_unquantized_mapping_is_exact(self):
@@ -188,7 +187,7 @@ class TestMapWeights:
         arr = map_weights(w, quantize=False)
         np.testing.assert_allclose(arr.decode_weights(), w, rtol=1e-12,
                                    atol=1e-18)
-        assert np.all((arr.g_plus > 0.0) | (arr.g_minus > 0.0))
+        assert np.all(np.any(arr.g > 0.0, axis=0))
 
     def test_all_zero_weights_rejected(self):
         with pytest.raises(DomainError):
@@ -201,15 +200,19 @@ class TestMapWeights:
             map_weights(np.array([[1.0, np.inf]]))
 
     def test_decode_requires_mapping_scale(self):
-        arr = CrossbarArray(
-            g_plus=np.ones((1, 1)) * G_MAX,
-            g_minus=np.zeros((1, 1)),
-            dummy_plus=np.zeros((1, 1)),
-            dummy_minus=np.zeros((1, 1)),
-            range=ConductanceRange(),
-        )
+        arr = CrossbarArray(g=[[[G_MAX]], [[0.0]]], dummy=np.zeros((2, 1, 1)))
         with pytest.raises(ConfigError):
             arr.decode_weights()
+
+    @pytest.mark.parametrize("g, dummy", [
+        (np.zeros((1, 1)), np.zeros((1, 1))),
+        (np.zeros((3, 1, 1)), np.zeros((3, 1, 1))),
+        (np.zeros((2, 2, 1)), np.zeros((2, 1, 1))),
+        (np.zeros((4, 2, 1, 1)), np.zeros((4, 1, 1, 1))),
+    ], ids=["no-rail-axis", "three-rails", "dummy-rows", "dummy-rails"])
+    def test_bad_shapes_rejected(self, g, dummy):
+        with pytest.raises(ConfigError):
+            CrossbarArray(g, dummy)
 
     @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -217,22 +220,15 @@ class TestMapWeights:
         gen = np.random.default_rng(seed)
         w = gen.uniform(-1.0, 1.0, size=(5, 4))
         arr = map_weights(w)
-        levels = arr.range.level_values
-        for g in np.concatenate([arr.g_plus.ravel(), arr.g_minus.ravel()]):
+        levels = GRID.level_values
+        for g in arr.g.ravel():
             if g > 0.0:
                 assert np.min(np.abs(levels - g)) <= 1e-12 * G_MAX
 
 
 class TestWeightedSum:
     def test_single_cell_divider_of_one(self):
-        rng = ConductanceRange()
-        arr = CrossbarArray(
-            g_plus=np.array([[G_MAX]]),
-            g_minus=np.zeros((1, 1)),
-            dummy_plus=np.zeros((1, 1)),
-            dummy_minus=np.zeros((1, 1)),
-            range=rng,
-        )
+        arr = CrossbarArray(g=[[[G_MAX]], [[0.0]]], dummy=np.zeros((2, 1, 1)))
         out = arr.weighted_sum([37e-6])
         assert out[0] == 37e-6
 
@@ -296,25 +292,26 @@ class TestWeightedSum:
                                [[0.0], [0.0], [0.0]]])
         dummy_minus = np.array([[[0.0], [1.0], [0.0]],
                                 [[0.0], [1.0], [2.0]]])
-        crange = ConductanceRange()
+        # [copy, rail, input, column]
+        g = np.stack([g_plus, g_minus], axis=1)
+        dummy = np.stack([dummy_plus, dummy_minus], axis=1)
 
         def oracle(copy, drive):
             rails = []
-            for g, dummy in ((g_plus, dummy_plus), (g_minus, dummy_minus)):
-                den = g[copy].sum(axis=1) + dummy[copy].sum(axis=1)
+            for rail in range(2):
+                den = (g[copy, rail].sum(axis=1)
+                       + dummy[copy, rail].sum(axis=1))
                 share = np.divide(drive, den, out=np.zeros(3),
                                   where=den > 0.0)
-                rails.append(share @ g[copy])
+                rails.append(share @ g[copy, rail])
             return rails[0] - rails[1]
 
         drives = np.array([[3.0, 5.0, 7.0], [0.0, 1.0, 2.0],
                            [4.0, 0.0, -6.0]])
-        stack = CrossbarArray(g_plus, g_minus, dummy_plus, dummy_minus,
-                              crange)
+        stack = CrossbarArray(g, dummy)
         own = np.stack([drives, drives[::-1]])
         for t in range(2):
-            single = CrossbarArray(g_plus[t], g_minus[t], dummy_plus[t],
-                                   dummy_minus[t], crange)
+            single = CrossbarArray(g[t], dummy[t])
             for got, fed in ((single.weighted_sum(drives), drives),
                              (stack.weighted_sum(drives)[t], drives),
                              (stack.weighted_sum(own)[t], own[t])):
@@ -327,26 +324,25 @@ class TestVariation:
     def test_sigma_zero_is_identity(self):
         arr = map_weights(np.random.default_rng(1).uniform(-1, 1, (6, 4)))
         same = inject_variation(arr, 0.0, seed=42)
-        assert np.array_equal(arr.g_plus, same.g_plus)
-        assert np.array_equal(arr.g_minus, same.g_minus)
-        assert np.array_equal(arr.dummy_plus, same.dummy_plus)
-        assert np.array_equal(arr.dummy_minus, same.dummy_minus)
+        assert np.array_equal(arr.g, same.g)
+        assert np.array_equal(arr.dummy, same.dummy)
 
     def test_deterministic_per_seed(self):
         arr = map_weights(np.random.default_rng(1).uniform(-1, 1, (6, 4)))
         a = inject_variation(arr, 0.05, seed=7)
         b = inject_variation(arr, 0.05, seed=7)
         c = inject_variation(arr, 0.05, seed=8)
-        assert np.array_equal(a.g_plus, b.g_plus)
-        assert not np.array_equal(a.g_plus, c.g_plus)
+        assert np.array_equal(a.g, b.g)
+        assert not np.array_equal(a.g, c.g)
 
     def test_single_seed_draw_pinned(self):
-        """The four perturbed arrays of one seeded draw, exactly."""
+        """Both rails' perturbed cells and dummies of one seeded draw,
+        exactly."""
         arr = map_weights(np.random.default_rng(1).uniform(-1, 1, (6, 4)))
         varied = inject_variation(arr, 0.05, seed=7)
         digest = hashlib.sha256()
-        for g in (varied.g_plus, varied.g_minus, varied.dummy_plus,
-                  varied.dummy_minus):
+        for g in (varied.g[0], varied.g[1], varied.dummy[0],
+                  varied.dummy[1]):
             digest.update(np.ascontiguousarray(g, dtype="<f8").tobytes())
         assert digest.hexdigest() == ("dc981a4ec66ee32a9f79d2395a1d878a"
                                       "d69620eb7e8ddca6bd0569d932e3d06d")
@@ -359,12 +355,11 @@ class TestVariation:
         seeds = [7, 8, 123]
         stack = inject_variation(arr, 0.05, seed=seeds)
         singles = [inject_variation(arr, 0.05, seed=s) for s in seeds]
-        assert stack.g_plus.shape == (3, 6, 4)
+        assert stack.g.shape == (3, 2, 6, 4)
         assert (stack.n_inputs, stack.n_outputs) == (6, 4)
         assert stack.n_dummy == arr.n_dummy
         assert stack.nominal is arr
-        for name in ("g_plus", "g_minus", "dummy_plus", "dummy_minus",
-                     "g_tr_plus", "g_tr_minus"):
+        for name in ("g", "dummy", "g_tr"):
             np.testing.assert_array_equal(
                 getattr(stack, name), [getattr(a, name) for a in singles])
         shared = gen.uniform(0.0, 1e-5, (5, 6))
@@ -380,34 +375,33 @@ class TestVariation:
         w = np.ones((100, 100))
         arr = map_weights(w)  # every synapse cell at g_max
         varied = inject_variation(arr, 0.05, seed=123)
-        cells = varied.g_plus.ravel()
+        cells = varied.g[0].ravel()
         assert abs(cells.mean() - G_MAX) <= 0.005 * G_MAX
         assert abs(cells.std() - 0.05 * G_MAX) <= 0.1 * 0.05 * G_MAX
 
     def test_clamped_to_physical_window(self):
         arr = map_weights(np.random.default_rng(4).uniform(-1, 1, (20, 20)))
         wild = inject_variation(arr, 5.0, seed=99)
-        for g in (wild.g_plus, wild.g_minus, wild.dummy_plus,
-                  wild.dummy_minus):
+        for g in (wild.g, wild.dummy):
             assert np.all(g >= 0.0)
             assert np.all(g <= 1.25 * G_MAX + 1e-18)
-        assert np.any(wild.g_plus == 0.0)  # some cells driven to the floor
+        assert np.any(wild.g[0] == 0.0)  # some cells driven to the floor
 
     def test_off_cells_stay_off(self):
         w = np.array([[1.0, 0.0], [-0.5, 0.0]])
         arr = map_weights(w)
         varied = inject_variation(arr, 0.05, seed=3)
-        assert varied.g_plus[0, 1] == 0.0
-        assert varied.g_minus[0, 1] == 0.0
-        assert varied.g_plus[1, 0] == 0.0  # negative weight: plus rail off
+        assert varied.g[0, 0, 1] == 0.0
+        assert varied.g[1, 0, 1] == 0.0
+        assert varied.g[0, 1, 0] == 0.0  # negative weight: plus rail off
 
     def test_bar_totals_follow_perturbation(self):
         arr = map_weights(np.random.default_rng(6).uniform(-1, 1, (6, 4)))
         varied = inject_variation(arr, 0.05, seed=11)
-        assert not np.allclose(varied.g_tr_plus, arr.g_tr_plus, rtol=1e-6)
+        assert not np.allclose(varied.g_tr[0], arr.g_tr[0], rtol=1e-6)
         np.testing.assert_allclose(
-            varied.g_tr_plus,
-            varied.g_plus.sum(axis=1) + varied.dummy_plus.sum(axis=1),
+            varied.g_tr,
+            varied.g.sum(axis=-1) + varied.dummy.sum(axis=-1),
             rtol=1e-15)
 
     def test_nominal_handle_survives_chaining(self):
@@ -430,9 +424,16 @@ class TestVariation:
             inject_variation(arr, sigma, seed=0)
 
 
+def _rail_cells(arr):
+    """Rail 0's cells, rail 1's, rail 0's dummies and rail 1's."""
+    return (arr.g[..., 0, :, :], arr.g[..., 1, :, :],
+            arr.dummy[..., 0, :, :], arr.dummy[..., 1, :, :])
+
+
 def _variation_oracle(arr, sigma, seed):
-    """The four perturbed fields from one `default_rng(seed).normal` draw."""
-    fields = (arr.g_plus, arr.g_minus, arr.dummy_plus, arr.dummy_minus)
+    """Each rail's perturbed cells and dummies, from one
+    `default_rng(seed).normal` draw taken in `_rail_cells` order."""
+    fields = _rail_cells(arr)
     noise = np.random.default_rng(seed).normal(
         0.0, sigma, size=sum(g.size for g in fields))
     out, start = [], 0
@@ -494,8 +495,7 @@ class TestSeedReplay:
     def test_single_draw_matches_default_rng(self, seed):
         arr = map_weights(np.random.default_rng(1).uniform(-1, 1, (6, 4)))
         varied = inject_variation(arr, 0.05, seed=seed)
-        for got, want in zip((varied.g_plus, varied.g_minus,
-                              varied.dummy_plus, varied.dummy_minus),
+        for got, want in zip(_rail_cells(varied),
                              _variation_oracle(arr, 0.05, seed)):
             np.testing.assert_array_equal(got, want)
 
@@ -503,8 +503,7 @@ class TestSeedReplay:
         arr = map_weights(np.random.default_rng(2).uniform(-1, 1, (5, 3)))
         stack = inject_variation(arr, 0.05, seed=WIDE_SEEDS)
         for t, seed in enumerate(WIDE_SEEDS):
-            for got, want in zip((stack.g_plus, stack.g_minus,
-                                  stack.dummy_plus, stack.dummy_minus),
+            for got, want in zip(_rail_cells(stack),
                                  _variation_oracle(arr, 0.05, seed)):
                 np.testing.assert_array_equal(got[t], want)
 

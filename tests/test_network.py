@@ -128,8 +128,7 @@ class TestForward:
 
     def test_rows_are_conductance_equalized(self, network):
         for layer in network.layers:
-            rows = np.concatenate([layer.array.g_tr_plus,
-                                   layer.array.g_tr_minus])
+            rows = layer.array.g_tr
             assert rows.max() - rows.min() <= 1e-6 * rows.max()
 
 
@@ -171,8 +170,8 @@ class TestGolden:
         assert [layer.array.n_dummy for layer in network.layers] == [2, 7]
         digest = hashlib.sha256()
         for layer in network.layers:
-            for g in (layer.array.g_plus, layer.array.g_minus,
-                      layer.array.dummy_plus, layer.array.dummy_minus):
+            array = layer.array
+            for g in (array.g[0], array.g[1], array.dummy[0], array.dummy[1]):
                 digest.update(np.ascontiguousarray(g, dtype="<f8").tobytes())
         assert digest.hexdigest() == want
 
@@ -180,8 +179,8 @@ class TestGolden:
         clone = stored_network.with_variation(0.05, seed=3)
         digest = hashlib.sha256()
         for layer in clone.layers:
-            for g in (layer.array.g_plus, layer.array.g_minus,
-                      layer.array.dummy_plus, layer.array.dummy_minus):
+            array = layer.array
+            for g in (array.g[0], array.g[1], array.dummy[0], array.dummy[1]):
                 digest.update(np.ascontiguousarray(g, dtype="<f8").tobytes())
         assert digest.hexdigest() == ("42cb323585561a070c81cc4ac205009f"
                                       "2c8ff976cbb93d71f3c38b1c1e186a10")
@@ -245,15 +244,13 @@ class TestVariation:
     def test_seed_changes_clone(self, network):
         a = network.with_variation(0.05, seed=3)
         b = network.with_variation(0.05, seed=4)
-        assert not np.array_equal(a.layers[0].array.g_plus,
-                                  b.layers[0].array.g_plus)
+        assert not np.array_equal(a.layers[0].array.g, b.layers[0].array.g)
 
     def test_zero_sigma_is_identity(self, network):
         clone = network.with_variation(0.0, seed=7)
         for orig, new in zip(network.layers, clone.layers):
-            np.testing.assert_array_equal(orig.array.g_plus, new.array.g_plus)
-            np.testing.assert_array_equal(orig.array.dummy_minus,
-                                          new.array.dummy_minus)
+            np.testing.assert_array_equal(orig.array.g, new.array.g)
+            np.testing.assert_array_equal(orig.array.dummy, new.array.dummy)
 
     def test_stacked_copies_match_single_clones(self, network, corpus):
         """Copy t of a network stacked from a seed sequence reads the
@@ -284,8 +281,7 @@ class TestVariation:
             for t, s in enumerate(seeds):
                 want = inject_variation(layer.array, 0.05, seed=int(
                     np.random.SeedSequence([s, idx]).generate_state(1)[0]))
-                for name in ("g_plus", "g_minus", "dummy_plus",
-                             "dummy_minus"):
+                for name in ("g", "dummy"):
                     np.testing.assert_array_equal(
                         getattr(varied.array, name)[t], getattr(want, name))
 
@@ -310,11 +306,10 @@ class TestVariation:
         once = network.with_variation(0.1, seed=5)
         again = once.with_variation(0.1, seed=5)
         for a, b in zip(once.layers, again.layers):
-            np.testing.assert_array_equal(a.array.g_plus, b.array.g_plus)
+            np.testing.assert_array_equal(a.array.g, b.array.g)
         restored = once.with_variation(0.0, seed=9)
         for orig, back in zip(network.layers, restored.layers):
-            np.testing.assert_array_equal(orig.array.g_plus,
-                                          back.array.g_plus)
+            np.testing.assert_array_equal(orig.array.g, back.array.g)
 
 
 class TestSerialization:
@@ -327,7 +322,7 @@ class TestSerialization:
         save_weights(path, recognizer)
         loaded = build_network(load_weights(path))
         for a, b in zip(network.layers, loaded.layers, strict=True):
-            for name in ("g_plus", "g_minus", "dummy_plus", "dummy_minus"):
+            for name in ("g", "dummy"):
                 np.testing.assert_array_equal(getattr(a.array, name),
                                               getattr(b.array, name))
             assert (a.i_unit, a.g_tr) == (b.i_unit, b.g_tr)
