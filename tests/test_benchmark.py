@@ -18,7 +18,9 @@ from spinann.benchmark import (
     HIDDEN_NEURONS,
     MC_BLOCK_TRIALS,
     POOL_GRID,
+    Corpus,
     Glyph,
+    compare_transfer_kinds,
     comparison_configs,
     corpus_feature_scale,
     evaluate,
@@ -606,6 +608,20 @@ class TestComparisonConfigs:
             "ca4f0e14cfea954ebc592a44bb5a9340"
             "6c2c2b613aed3cc1c25866b26210276a"),
     }
+
+    def test_two_letter_comparison_pinned(self, corpus):
+        """The whole search on letters A and B: per kind, the hidden
+        size found, the runs spent and the winning run's epochs."""
+        pair = Corpus(letters=corpus.letters[:2], glyphs=corpus.glyphs[:2],
+                      features=corpus.features[:2], labels=np.arange(2))
+        found = compare_transfer_kinds(pair, restarts=2, max_hidden=4)
+        assert {name: (s.n_hidden, s.attempts, s.result.epochs_run)
+                for name, s in found.items()} == {
+            "stt_snn": (1, 1, 665),
+            "sigmoid": (1, 1, 2),
+            "sat_linear": (1, 1, 21),
+            "step": (1, 1, 1236),
+        }
 
     @pytest.mark.parametrize("name", list(GOLDEN))
     def test_short_run_weights_pinned(self, name, corpus):
