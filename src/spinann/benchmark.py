@@ -41,6 +41,7 @@ from .trainer import (
     TrainConfig,
     TrainResult,
     TransferKind,
+    _is_count,
     finalize,
     min_hidden_search,
     own_margins,
@@ -398,12 +399,11 @@ def monte_carlo(
     on that copy.  Trials are aggregated in a fixed order for bit-exact
     reports.
     """
-    # A bool is an int, but no count of trials.
-    if (not isinstance(trials, (int, np.integer)) or isinstance(trials, bool)
-            or trials < 1):
+    if not _is_count(trials):
         raise ConfigError(f"trials must be an integer >= 1, got {trials!r}")
-    if not np.isfinite(sigma) or sigma < 0.0:
-        raise ConfigError("sigma must be finite and >= 0")
+    # A bool would run at sigma = 1.
+    if isinstance(sigma, (bool, np.bool_)) or not 0.0 <= sigma < np.inf:
+        raise ConfigError(f"sigma must be a finite number >= 0, got {sigma!r}")
     if not hasattr(network, "with_variation"):
         raise ConfigError("network must expose with_variation(sigma, seeds)")
 

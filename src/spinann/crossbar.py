@@ -91,7 +91,8 @@ class CrossbarArray:
     every bar total to the common target. Instances are treated as
     immutable after construction, so the bar totals `g_tr` [2, inputs]
     are computed once there; variation injection returns a perturbed
-    copy that keeps a handle on the nominal array. `scale` is the
+    copy whose `nominal` is the unperturbed array, and every later
+    injection perturbs that array instead. `scale` is the
     conductance per unit weight of the mapping that built the array, S.
     A stacked array holds T perturbed copies at once, the trial axis
     first: `g` is [T, 2, inputs, neurons], `dummy` [T, 2, inputs,
@@ -166,32 +167,36 @@ class CrossbarArray:
         return (self.g[..., 0, :, :] - self.g[..., 1, :, :]) / self.scale
 
 
+def grid_magnitudes(w, quantize: bool = True) -> tuple[np.ndarray, float]:
+    """(|w| as conductances, the largest at g_max; S per unit weight).
+
+    `quantize` snaps them onto GRID's levels, pruning targets below g_min
+    to off rather than rounding up: that bounds the error by the same
+    amount without inflating small weights."""
+    mag = np.abs(w)
+    w_max = float(mag.max())
+    # The largest magnitude is NaN or inf exactly when some weight is.
+    if not 0.0 < w_max < np.inf:
+        raise DomainError("weights must be finite and not all zero")
+    scale = GRID.g_max / w_max
+    targets = mag * scale
+    return (GRID.quantize(targets) if quantize else targets), scale
+
+
 def map_weights(weights, quantize: bool = True) -> CrossbarArray:
     """Map a signed weight matrix onto paired quantized conductances.
 
-    The largest weight magnitude lands on g_max; positive weights program
-    the positive-rail cell, negative weights the negative-rail cell, and
-    zero leaves both off. Targets below g_min prune to off rather than
-    rounding up, which bounds the error by the same amount without
-    inflating small weights. Dummy cells then pad every bar to the
-    largest bar total, split across columns so no single dummy exceeds
-    g_max. The level grid is GRID, the one training snaps onto.
-    ``quantize=False`` keeps continuous conductances (ideal-mode reference).
+    The magnitudes are `grid_magnitudes`, training's snap; positive
+    weights program the positive-rail cell, negative weights the
+    negative-rail cell, and zero leaves both off. Dummy cells then pad
+    every bar to the largest bar total, split across columns so no single
+    dummy exceeds g_max. ``quantize=False`` keeps continuous conductances
+    (ideal mode), so the decoded weights reproduce the originals exactly.
     """
     w = np.asarray(weights, dtype=float)
     if w.ndim != 2:
         raise DomainError("weights must be a 2-D matrix")
-    if not np.all(np.isfinite(w)):
-        raise DomainError("weights must be finite")
-    w_max = float(np.max(np.abs(w)))
-    if w_max == 0.0:
-        raise DomainError("all-zero weight matrix has no mapping scale")
-    scale = GRID.g_max / w_max
-
-    targets = np.abs(w) * scale
-    # The continuous reference mapping has no level grid and no pruning,
-    # so the decoded weights reproduce the originals exactly.
-    mag = GRID.quantize(targets) if quantize else targets
+    mag, scale = grid_magnitudes(w, quantize)
     g = np.where([w > 0.0, w < 0.0], mag, 0.0)
 
     # Equalize all 2N physical bars to the global maximum bar total,
@@ -314,11 +319,13 @@ class _PresetState(ISeedSequence):
 
 def inject_variation(array: CrossbarArray, sigma: float,
                      seed) -> CrossbarArray:
-    """Multiply every on-state conductance by (1 + N(0, sigma)).
+    """Multiply every on-state conductance of the nominal array
+    (`array.nominal`, else `array`) by (1 + N(0, sigma)).
 
-    Dummy cells vary too, and the bar totals are recomputed from the
-    perturbed values, so the current dividers shift with the variation.
-    Perturbed cells are clamped to [0, VARIATION_CLAMP_FACTOR * GRID.g_max].
+    Chained calls thus never accumulate variation on variation. Dummy
+    cells vary too, and the bar totals are recomputed from the perturbed
+    values, so the current dividers shift with the variation. Perturbed
+    cells are clamped to [0, VARIATION_CLAMP_FACTOR * GRID.g_max].
     `seed` is one seed, giving one perturbed copy, or a 1-D sequence of
     T seeds, giving a stacked array whose copy t equals the copy of
     `seed[t]` alone. A seed is a non-negative integer: a negative one
@@ -340,6 +347,7 @@ def inject_variation(array: CrossbarArray, sigma: float,
     # little-endian pairs.
     state = _generate_state(8, seed if stacked else [seed])
     state = state.astype("<u4").view("<u8").astype(np.uint64)
+    array = array.nominal or array
     fields = (array.g, array.dummy)
     flat = np.concatenate([f.ravel() for f in fields])
     # Each row holds one copy's noise, then, in place, its conductances:
@@ -364,5 +372,5 @@ def inject_variation(array: CrossbarArray, sigma: float,
     return CrossbarArray(
         *(parts if stacked else [p[0] for p in parts]),
         scale=array.scale,
-        nominal=array.nominal if array.nominal is not None else array,
+        nominal=array,
     )

@@ -5,13 +5,14 @@ wall (DW). A lateral current pulse moves the wall; the wall position sets
 the vertical resistance of the MTJ stack on top of the strip, which a
 voltage divider converts to the neuron output voltage. Wall kinematics are
 a 1-D position model driven by a measured velocity-vs-current-density
-table; no micromagnetic integration is performed.
+table; no micromagnetic integration is performed. The module fixes the
+pulse width and the sense point; the network's ledger
+(`network.neuron_energy`) charges each cycle's energy at them.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -183,43 +184,6 @@ class VelocityTable:
         ref = resources.files("spinann.data").joinpath("velocity_fig4d.csv")
         with resources.as_file(ref) as path:
             return cls.from_csv(path)
-
-
-@dataclass
-class EnergyBreakdown:
-    """Per-phase energy of one neuron cycle, joules."""
-
-    program: float
-    sense: float
-    reset: float
-
-    @property
-    def total(self) -> float:
-        return self.program + self.sense + self.reset
-
-
-def neuron_energy(
-    i_prog: float,
-    t_prog: float,
-    i_sense: float,
-    t_sense: float,
-    i_reset: float,
-    t_reset: float,
-    r_lateral: float,
-) -> EnergyBreakdown:
-    """Closed-form phase energies of one neuron cycle.
-
-    Programming and reset dissipate I^2*R*t in the lateral strip path;
-    sensing draws |I|*V_SENSE_SUPPLY*t from the divider supply.
-    """
-    if not all(math.isfinite(t) and t >= 0.0
-               for t in (t_prog, t_sense, t_reset)):
-        raise DomainError("phase durations must be finite and >= 0")
-    return EnergyBreakdown(
-        program=i_prog * i_prog * r_lateral * t_prog,
-        sense=abs(i_sense) * V_SENSE_SUPPLY * t_sense,
-        reset=i_reset * i_reset * r_lateral * t_reset,
-    )
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,7 +4,8 @@ A two-layer network is built from trained weights. Each layer maps its
 weight matrix onto a differential crossbar, drives the rows from
 current-source axons, and programs one spin neuron per column. A full
 inference runs each layer through the clocked three-phase cycle (reset,
-program, sense) and accumulates a per-component energy ledger. One
+program, sense) and accumulates a per-component energy ledger, whose
+neuron terms `neuron_energy` charges layer by layer. One
 forward call takes a single feature vector or a batch of them, and a
 network stacked from T perturbed copies (`with_variation` with a
 sequence of seeds) runs every batch through all T copies at once.
@@ -41,7 +42,7 @@ import numpy as np
 
 from .crossbar import (CrossbarArray, _generate_state, inject_variation,
                        map_weights)
-from .device import I_SENSE, T_PROGRAM, V_SENSE_SUPPLY, neuron_energy
+from .device import I_SENSE, T_PROGRAM, V_SENSE_SUPPLY
 from .errors import ConfigError, DomainError
 from .trainer import TrainResult, TransferKind
 
@@ -56,6 +57,7 @@ __all__ = [
     "T_RESET",
     "Layer",
     "EnergyReport",
+    "neuron_energy",
     "SpinAnnNetwork",
     "build_network",
 ]
@@ -102,12 +104,25 @@ class EnergyReport:
         return {**asdict(self), "total": self.total}
 
 
+def neuron_energy(i_cols: np.ndarray) -> tuple[float, float, float]:
+    """(program, sense, reset) energy, J, of one cycle of the neurons
+    programmed with the currents `i_cols`: program and reset dissipate
+    I^2 * R_PROGRAM * t in the lateral strip path, and sense draws
+    |I_SENSE| * V_SENSE_SUPPLY * t from the divider supply."""
+    if not (0.0 <= T_PROGRAM < np.inf and 0.0 <= T_SENSE < np.inf
+            and 0.0 <= T_RESET < np.inf):
+        raise DomainError("phase durations must be finite and >= 0")
+    return (float((i_cols ** 2).sum() * R_PROGRAM * T_PROGRAM),
+            i_cols.size * (abs(I_SENSE) * V_SENSE_SUPPLY * T_SENSE),
+            i_cols.size * (I_RESET * I_RESET * R_PROGRAM * T_RESET))
+
+
 @dataclass(eq=False)
 class SpinAnnNetwork:
     """Feed-forward spin-neuron network mapped onto crossbars.
 
-    forward() is deterministic: all randomness lives in construction
-    (programming noise) and in with_variation() clones.
+    forward() is deterministic, and so is build_network: all randomness
+    lives in with_variation() clones.
     """
 
     kind: TransferKind
@@ -148,10 +163,6 @@ class SpinAnnNetwork:
 
         # Each layer cycles reset -> program -> sense; the unused paths are
         # floated in each phase, so the phases' energies simply add.
-        # neuron_energy checks all three durations; the program phase
-        # depends on each neuron's current and is charged per layer below.
-        per = neuron_energy(0.0, T_PROGRAM, I_SENSE, T_SENSE, I_RESET,
-                            T_RESET, R_PROGRAM)
         energy = EnergyReport()
         activations = u
         for layer in self.layers:
@@ -166,11 +177,12 @@ class SpinAnnNetwork:
             # shared by all copies count `copies` times in the ledger.
             copies = i_cols[..., 0].size // i_rows[..., 0].size
 
-            # Reset: every neuron's wall returns to the low-output end.
-            energy.neuron_reset += i_cols.size * per.reset
-            energy.neuron_program += float(
-                (i_cols ** 2).sum() * R_PROGRAM * T_PROGRAM
-            )
+            # Reset parks every wall at the low-output end, program moves
+            # it, sense reads the dividers with the programming paths floated.
+            program, sense, reset = neuron_energy(i_cols)
+            energy.neuron_reset += reset
+            energy.neuron_program += program
+            energy.neuron_sense += sense
             # Every input drives one row per bar; each equalized row
             # dissipates I^2/g_tr (the cell-wise sum of V^2 g).
             energy.crossbar_static += float(
@@ -180,9 +192,6 @@ class SpinAnnNetwork:
                 2.0 * copies * np.abs(i_rows).sum() * DTCS_DELTA_V
                 * T_PROGRAM
             )
-
-            # Sense: read dividers only; programming paths are floated.
-            energy.neuron_sense += i_cols.size * per.sense
 
             # The sensed voltage, normalized to the output swing, is the
             # next layer's input (inter-layer level shift).
@@ -203,9 +212,9 @@ class SpinAnnNetwork:
         integer. Layer idx of the clone of seed s is perturbed with the
         seed `generate_state(1)[0]` of numpy's `SeedSequence` over
         `[s, idx]`; the seeds of every (seed, layer) pair are derived in
-        one pass. Perturbations
-        always apply to the nominal conductances, so chained calls never
-        accumulate variation on variation.
+        one pass. As `inject_variation` perturbs the nominal
+        conductances, chained calls never accumulate variation on
+        variation.
         """
         if np.ndim(seed) > 1:
             raise TypeError(
@@ -214,13 +223,10 @@ class SpinAnnNetwork:
         layer_seeds = _generate_state(
             1, seed if stacked else [seed],
             np.arange(len(self.layers))[:, None])[..., 0]
-        new_layers = []
-        for layer, seeds in zip(self.layers, layer_seeds):
-            base = layer.array.nominal or layer.array
-            varied = inject_variation(
-                base, sigma, seed=seeds if stacked else seeds[0])
-            new_layers.append(replace(layer, array=varied))
-        return replace(self, layers=new_layers)
+        return replace(self, layers=[
+            replace(layer, array=inject_variation(
+                layer.array, sigma, seed=seeds if stacked else seeds[0]))
+            for layer, seeds in zip(self.layers, layer_seeds)])
 
 
 def _build_layer(weights: np.ndarray, kind: TransferKind,

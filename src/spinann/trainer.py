@@ -24,13 +24,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .crossbar import GRID
+from .crossbar import GRID, grid_magnitudes
 from .device import NeuronDevice
 from .errors import ConfigError, DomainError, SearchError
 
 WEIGHTS_SCHEMA = "spin-ann/1"
 
 STT_TABLE_NODES = 1024
+
+
+def _is_count(n, least: int = 1) -> bool:
+    """Whether n is an integer >= least; a bool is an int, but no count."""
+    return (isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+            and n >= least)
 
 
 # Weights-file key of each spin-neuron field of a TransferKind.
@@ -74,17 +80,19 @@ class TransferKind:
                 raise ConfigError("drive_current must be positive and finite")
             if self.i_nodes is None or self.a_nodes is None:
                 raise ConfigError("spin-neuron kind needs its sampled table")
-            if len(self.i_nodes) != len(self.a_nodes):
-                raise ConfigError("i_nodes and a_nodes differ in length")
+            if not 0 < len(self.i_nodes) == len(self.a_nodes):
+                raise ConfigError("unequal or empty i_nodes and a_nodes")
             # np.interp needs a finite, increasing table; on any other it
-            # returns wrong values without an error.
+            # returns wrong values without an error. An activation outside
+            # [0, 1] would drive the output past the voltage swing.
             if not (np.isfinite(self.i_nodes).all()
                     and np.isfinite(self.a_nodes).all()):
                 raise ConfigError("the sampled table must be finite")
             if not ((np.diff(self.i_nodes) > 0.0).all()
-                    and (np.diff(self.a_nodes) >= 0.0).all()):
+                    and (np.diff(self.a_nodes) >= 0.0).all()
+                    and self.a_nodes[0] >= 0.0 and self.a_nodes[-1] <= 1.0):
                 raise ConfigError("need strictly increasing i_nodes and "
-                                  "nondecreasing a_nodes")
+                                  "nondecreasing a_nodes within [0, 1]")
             object.__setattr__(self, "slopes",
                                np.diff(self.a_nodes) / np.diff(self.i_nodes))
 
@@ -110,8 +118,8 @@ class TransferKind:
         so a net input of 1.0 saturates the neuron. Below 3 nodes the
         table cannot hold 0, th1 and th2 as separate nodes.
         """
-        if n_nodes < 3:
-            raise ConfigError(f"need n_nodes >= 3, got {n_nodes}")
+        if not _is_count(n_nodes, 3):
+            raise ConfigError(f"need an integer n_nodes >= 3, got {n_nodes!r}")
         device = NeuronDevice()
         th1 = device.depinning_current
         th2 = device.saturation_current()
@@ -326,18 +334,19 @@ class Dataset:
     def __post_init__(self):
         object.__setattr__(self, "features",
                            np.asarray(self.features, dtype=float))
-        object.__setattr__(self, "labels",
-                           np.asarray(self.labels, dtype=int))
+        labels = np.asarray(self.labels)
+        object.__setattr__(self, "labels", labels.astype(int))
         if self.features.ndim != 2 or len(self.features) == 0:
             raise DomainError("dataset must be a non-empty 2-D feature matrix")
         if not np.all(np.isfinite(self.features)):
             raise DomainError("features must be finite")
         if self.labels.shape != (len(self.features),):
             raise DomainError("one label per sample required")
-        if self.n_classes < 1:
-            raise DomainError("need at least one class")
-        if np.any((self.labels < 0) | (self.labels >= self.n_classes)):
-            raise DomainError("labels must lie in [0, n_classes)")
+        if not _is_count(self.n_classes):
+            raise DomainError("need an integer n_classes >= 1")
+        if np.any((self.labels < 0) | (self.labels >= self.n_classes)
+                  | (self.labels != labels)):
+            raise DomainError("labels must be integers in [0, n_classes)")
 
     @property
     def n_features(self) -> int:
@@ -736,8 +745,8 @@ def train(dataset: Dataset, n_hidden: int, kind: TransferKind,
     reported through the converged flag, not raised.
     """
     cfg = cfg or TrainConfig()
-    if n_hidden < 1:
-        raise DomainError("need at least one hidden neuron")
+    if not _is_count(n_hidden):
+        raise DomainError(f"need an integer n_hidden >= 1, got {n_hidden!r}")
     rng = np.random.default_rng(cfg.seed)
     # Fan-in scaling keeps the pre-activation spread comparable across
     # layer widths, so one config transfers between hidden sizes.
@@ -796,15 +805,8 @@ class QuantizationReport:
 
 def _snap_weights(w: np.ndarray) -> np.ndarray:
     """quantize_weights' snapped array alone, for the training loop."""
-    mag = np.abs(w)
-    w_max = float(mag.max())
-    # The largest magnitude is NaN or inf exactly when some weight is.
-    if not np.isfinite(w_max):
-        raise DomainError("weights must be finite")
-    if w_max == 0.0:
-        raise DomainError("all-zero weights cannot be quantized")
-    scale = GRID.g_max / w_max
-    return np.sign(w) * (GRID.quantize(mag * scale) / scale)
+    mag, scale = grid_magnitudes(w)
+    return np.sign(w) * (mag / scale)
 
 
 def quantize_weights(weights, levels: int = GRID.levels):
@@ -850,8 +852,8 @@ def min_hidden_search(
     the first run meeting the target wins.
     """
     cfg = cfg or TrainConfig()
-    if restarts < 1:
-        raise ConfigError("restarts must be >= 1")
+    if not (_is_count(max_hidden) and _is_count(restarts)):
+        raise ConfigError("max_hidden and restarts must be integers >= 1")
     attempts = 0
     for n_hidden in range(1, max_hidden + 1):
         for restart in range(restarts):

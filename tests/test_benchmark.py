@@ -407,6 +407,13 @@ class TestMonteCarlo:
         with pytest.raises(ConfigError):
             monte_carlo(lambda f: f, corpus, trials=5, sigma=0.1)
 
+    @pytest.mark.parametrize("sigma", [True, np.True_])
+    def test_bool_sigma_rejected(self, corpus, sigma):
+        """A bool is no spread; taken as a number it would run at 1."""
+        net = _TableNet(np.eye(26), corpus.features)
+        with pytest.raises(ConfigError):
+            monte_carlo(net, corpus, trials=5, sigma=sigma)
+
     @pytest.mark.parametrize("sigma", [np.nan, np.inf])
     def test_non_finite_sigma_rejected(self, corpus, sigma):
         net = _TableNet(np.eye(26), corpus.features)

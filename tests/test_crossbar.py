@@ -412,6 +412,16 @@ class TestVariation:
         assert twice.nominal is arr
         assert twice.scale == arr.scale
 
+    def test_chained_call_perturbs_the_nominal_array(self):
+        """Varying a varied copy draws on the nominal conductances, so it
+        equals varying the nominal array with the same seed."""
+        arr = map_weights(np.random.default_rng(8).uniform(-1, 1, (4, 3)))
+        twice = inject_variation(inject_variation(arr, 0.05, seed=1),
+                                 0.05, seed=2)
+        once = inject_variation(arr, 0.05, seed=2)
+        np.testing.assert_array_equal(twice.g, once.g)
+        np.testing.assert_array_equal(twice.dummy, once.dummy)
+
     def test_negative_sigma_rejected(self):
         arr = map_weights(np.ones((2, 2)))
         with pytest.raises(DomainError):

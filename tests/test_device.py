@@ -27,7 +27,6 @@ from spinann.device import (
     X_MIN,
     NeuronDevice,
     VelocityTable,
-    neuron_energy,
     neuron_resistance,
     output_voltage,
     rational_coefficients,
@@ -250,20 +249,3 @@ class TestTransfer:
         device.transfer(60e-6)
         assert device.transfer(30e-6) == fresh
 
-
-class TestEnergy:
-    def test_paper_operating_point(self):
-        e = neuron_energy(40e-6, 1e-9, 25e-6, 1e-9, 50e-6, 1e-9, 300.0)
-        assert e.program == pytest.approx(0.48e-15, rel=1e-12)
-        assert e.sense == pytest.approx(2.5e-15, rel=1e-12)
-        assert e.reset == pytest.approx(0.75e-15, rel=1e-12)
-        assert e.total == pytest.approx(3.73e-15, rel=1e-12)
-        assert 3.4e-15 <= e.total <= 4.1e-15
-
-    def test_zero_durations(self):
-        e = neuron_energy(40e-6, 0.0, 25e-6, 0.0, 50e-6, 0.0, 300.0)
-        assert e.total == 0.0
-
-    def test_negative_duration_rejected(self):
-        with pytest.raises(DomainError):
-            neuron_energy(1e-6, -1.0, 0, 0, 0, 0, 300.0)

@@ -10,7 +10,7 @@ import pytest
 from spinann.benchmark import monte_carlo
 from spinann.crossbar import inject_variation
 from spinann.errors import ConfigError, DomainError
-from spinann.network import EnergyReport, build_network
+from spinann.network import EnergyReport, build_network, neuron_energy
 from spinann.trainer import (
     TrainConfig,
     TrainResult,
@@ -201,6 +201,15 @@ class TestBuildValidation:
 
 
 class TestEnergy:
+    def test_paper_operating_point(self):
+        program, sense, reset = neuron_energy(np.array([40e-6]))
+        assert program == pytest.approx(0.48e-15, rel=1e-12)
+        assert sense == pytest.approx(2.5e-15, rel=1e-12)
+        assert reset == pytest.approx(0.75e-15, rel=1e-12)
+        total = program + sense + reset
+        assert total == pytest.approx(3.73e-15, rel=1e-12)
+        assert 3.4e-15 <= total <= 4.1e-15
+
     def test_report_total_is_sum_of_parts(self):
         rep = EnergyReport(neuron_program=1.0, neuron_sense=2.0,
                            neuron_reset=3.0, crossbar_static=4.0,

@@ -157,6 +157,12 @@ class TestSttTable:
             TransferKind.from_dict(doc).slopes, stt_kind.slopes)
         assert TransferKind.sigmoid().slopes is None
 
+    @pytest.mark.parametrize("n_nodes", [3.5, 1024.0, np.float64(1024)],
+                             ids=["fractional", "float", "numpy-float"])
+    def test_non_integer_node_count_rejected(self, n_nodes):
+        with pytest.raises(ConfigError):
+            TransferKind.stt_snn(n_nodes)
+
     def test_wrong_kind_rejected(self):
         with pytest.raises(ConfigError):
             TransferKind("relu")
@@ -168,10 +174,14 @@ class TestSttTable:
 
     @pytest.mark.parametrize("key, value", [
         ("drive_current_a", np.nan), ("drive_current_a", np.inf),
-        ("a_nodes", [0.0, 1.0])])
+        ("a_nodes", [0.0, 1.0]),
+        ("a_nodes", lambda a: [5.0 * x for x in a]),
+        ("a_nodes", lambda a: [x - 0.5 for x in a])])
     def test_bad_stored_table_rejected(self, stt_kind, key, value):
+        """A table whose activations leave [0, 1] would drive the output
+        voltage outside the neuron's swing."""
         doc = stt_kind.to_dict()
-        doc[key] = value
+        doc[key] = value(doc[key]) if callable(value) else value
         with pytest.raises(ConfigError):
             TransferKind.from_dict(doc)
 
@@ -184,6 +194,7 @@ class TestSttTable:
         "nan-a_node": lambda i, a: (i, np.r_[a[:5], np.nan, a[6:]]),
         "inf-a_node": lambda i, a: (i, np.r_[a[:-1], np.inf]),
         "falling-a_nodes": lambda i, a: (i, np.r_[a[:-1], 0.5]),
+        "empty-table": lambda i, a: (i[:0], a[:0]),
     }
 
     @pytest.mark.parametrize("name", list(MALFORMED))
@@ -569,6 +580,21 @@ class TestTrain:
         with pytest.raises(ConfigError):
             TrainConfig(learning_rate=0.0)
 
+    @pytest.mark.parametrize("labels, n_classes", [
+        ([0.5, 1.7], 2), ([0, 0], True), ([0, 1], 2.5),
+        ([0, 1], np.float64(2.0))],
+        ids=["fractional-labels", "bool-classes", "fractional-classes",
+             "float-classes"])
+    def test_dataset_refuses_non_integers(self, labels, n_classes):
+        with pytest.raises(DomainError):
+            Dataset([[0.0], [1.0]], labels, n_classes)
+
+    @pytest.mark.parametrize("n_hidden", [2.5, 2.0, True])
+    def test_train_refuses_non_integer_width(self, separable, n_hidden):
+        with pytest.raises(DomainError):
+            train(separable, n_hidden, TransferKind.sigmoid(),
+                  TrainConfig(epochs=5))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_features_rejected(self, bad):
         with pytest.raises(DomainError):
@@ -657,6 +683,16 @@ class TestMinHiddenSearch:
         b = min_hidden_search(separable, TransferKind.sigmoid(), cfg)
         assert a.n_hidden == b.n_hidden
         assert np.array_equal(a.result.w1, b.result.w1)
+
+    @pytest.mark.parametrize("counts", [
+        {"max_hidden": 1.5}, {"max_hidden": 0}, {"restarts": 1.5},
+        {"restarts": True}],
+        ids=["fractional-max", "zero-max", "fractional-restarts",
+             "bool-restarts"])
+    def test_bad_counts_rejected(self, separable, counts):
+        with pytest.raises(ConfigError):
+            min_hidden_search(separable, TransferKind.sigmoid(),
+                              TrainConfig(epochs=5), **counts)
 
     def test_cap_raises_search_error(self):
         x = np.array([[0.5], [0.5]])
