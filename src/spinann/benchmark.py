@@ -136,8 +136,9 @@ def raw_features(bitmap: np.ndarray) -> np.ndarray:
         raise DomainError(
             f"bitmap must be {GLYPH_SIZE}x{GLYPH_SIZE}, got {bitmap.shape}"
         )
-    if not bitmap.any():
-        raise DomainError("glyph has no ink")
+    # NaN and inf fail the upper bound, a blank bitmap the lower.
+    if not 0.0 < np.abs(bitmap).sum() < np.inf:
+        raise DomainError("glyph has no ink or is not finite")
     padded = np.zeros((_PADDED, _PADDED))
     padded[1:-1, 1:-1] = bitmap
     response = np.abs(padded.take(_WINDOWS) @ _KERNEL_COLUMNS)
@@ -146,9 +147,12 @@ def raw_features(bitmap: np.ndarray) -> np.ndarray:
 
 @functools.cache
 def _stored_feature_scale() -> float:
+    """The stored corpus scale, read and checked once per process."""
     ref = resources.files("spinann.data").joinpath("glyphs/normalization.json")
-    payload = json.loads(ref.read_text())
-    return float(payload["feature_scale"])
+    scale = float(json.loads(ref.read_text())["feature_scale"])
+    if not 0.0 < scale < np.inf:
+        raise ConfigError("feature scale must be positive and finite")
+    return scale
 
 
 def extract_features(bitmap: np.ndarray) -> np.ndarray:
@@ -156,11 +160,10 @@ def extract_features(bitmap: np.ndarray) -> np.ndarray:
 
     Raw responses are divided by the stored corpus-wide maximum raw
     response, so a canonical glyph maps exactly into [0, 1]; inputs with
-    stronger edge content than any corpus letter saturate at 1.
+    stronger edge content than any corpus letter saturate at 1. A blank
+    or non-finite bitmap is refused, so the output is never NaN.
     """
     scale = _stored_feature_scale()
-    if not np.isfinite(scale) or scale <= 0.0:
-        raise ConfigError("feature scale must be positive and finite")
     return np.minimum(np.maximum(raw_features(bitmap) / scale, 0.0), 1.0)
 
 
@@ -326,7 +329,8 @@ def wilson_interval(successes, n: int) -> np.ndarray:
     """
     successes = np.asarray(successes, dtype=float)
     # NaN fails every comparison, so it is refused with the rest.
-    if not (1 <= n < np.inf and np.all((successes >= 0) & (successes <= n))):
+    if isinstance(n, (bool, np.bool_)) or not (
+            1 <= n < np.inf and np.all((successes >= 0) & (successes <= n))):
         raise DomainError(f"need 0 <= successes <= n and 1 <= n < inf, "
                           f"got n = {n!r}")
     p = successes / n
@@ -484,21 +488,20 @@ def recognizer_configs(
 def train_recognizer(
     corpus: Corpus | None = None,
     seed: int = 17,
-    n_hidden: int = HIDDEN_NEURONS,
 ) -> TrainResult:
     """Train the recognizer; returned weights lie on the level grid.
 
-    Runs the three-stage schedule from recognizer_configs on the glyph
-    corpus.  The returned result holds weights exactly representable on
-    the levels of the crossbar's GRID, the grid build_network
-    maps them onto.  Raises TrainingError if the float stage fails to
+    Runs the three-stage schedule from recognizer_configs, tuned for
+    HIDDEN_NEURONS hidden neurons, on the glyph corpus; the weights
+    lie on the levels of the crossbar's GRID, which build_network maps
+    them onto.  Raises TrainingError if the float stage fails to
     reach 100% on the corpus; pick a different seed in that case.
     """
     corpus = corpus or load_corpus()
     base, harden, refine = recognizer_configs(seed)
     dataset = corpus.dataset
     kind = TransferKind.stt_snn()
-    floated = train(dataset, n_hidden, kind, base)
+    floated = train(dataset, HIDDEN_NEURONS, kind, base)
     if not floated.converged:
         raise TrainingError(
             f"float stage stopped at {floated.accuracy:.3f} accuracy "

@@ -35,32 +35,20 @@ def _row_products(x: np.ndarray, g: np.ndarray) -> np.ndarray:
 VARIATION_CLAMP_FACTOR = 1.25
 
 
-@dataclass(frozen=True)
 class ConductanceRange:
-    """Programmable conductance window and resolution.
-
-    Defaults follow a 1 kOhm..32 kOhm memristor with 32 levels (5-bit
-    magnitude); an unprogrammed cell is ideally off, at 0 S.
+    """The programmable conductance window and resolution: a 1 kOhm..32 kOhm
+    memristor with 32 levels (5-bit magnitude); an unprogrammed cell is
+    ideally off, at 0 S. The window is fixed, so its constants are checked
+    by a test, not here.
     """
 
-    g_min: float = 1.0 / 32e3
-    g_max: float = 1.0 / 1e3
-    levels: int = 32
-
-    def __post_init__(self):
-        if not (0.0 < self.g_min < self.g_max):
-            raise ConfigError("need 0 < g_min < g_max")
-        if self.levels < 2:
-            raise ConfigError("need at least 2 conductance levels")
-
-    @property
-    def level_values(self) -> np.ndarray:
-        """The representable on-state conductances, uniformly spaced."""
-        return np.linspace(self.g_min, self.g_max, self.levels)
-
-    @property
-    def step(self) -> float:
-        return (self.g_max - self.g_min) / (self.levels - 1)
+    g_min = 1.0 / 32e3
+    g_max = 1.0 / 1e3
+    levels = 32
+    # The representable on-state conductances, uniformly spaced; read-only.
+    level_values = np.linspace(g_min, g_max, levels)
+    level_values.flags.writeable = False
+    step = (g_max - g_min) / (levels - 1)
 
     def quantize(self, g_target) -> np.ndarray:
         """Nearest representable conductance; sub-g_min targets prune to off.
@@ -329,8 +317,9 @@ def inject_variation(array: CrossbarArray, sigma: float,
     `seed` is one seed, giving one perturbed copy, or a 1-D sequence of
     T seeds, giving a stacked array whose copy t equals the copy of
     `seed[t]` alone. A seed is a non-negative integer: a negative one
-    raises ValueError, any other TypeError. Each copy's noise is the
-    draw `normal(0, sigma, cells)` over all cells of numpy's
+    raises ValueError, as does an empty sequence, any other TypeError.
+    Each copy's noise is the draw `normal(0, sigma, cells)`, sigma a
+    number and not a bool, over all cells of numpy's
     `default_rng` seeded with its seed, taken in this order: rail 0's
     cells (`g[0]`), rail 1's cells (`g[1]`), then rail 0's and rail 1's
     dummies (`dummy[0]`, `dummy[1]`), each in row-major order. The
@@ -338,10 +327,13 @@ def inject_variation(array: CrossbarArray, sigma: float,
     for bit those `default_rng` derives. Deterministic for given seeds.
     sigma = 0 returns identical copies.
     """
-    if not np.isfinite(sigma) or sigma < 0.0:
-        raise DomainError("sigma must be finite and >= 0")
+    # A bool would run at sigma = 1.
+    if isinstance(sigma, (bool, np.bool_)) or not 0.0 <= sigma < np.inf:
+        raise DomainError(f"sigma must be a finite number >= 0, got {sigma!r}")
     if np.ndim(seed) > 1:
         raise TypeError("seed must be an integer or a 1-D sequence of them")
+    if np.size(seed) == 0:
+        raise ValueError("seed sequence is empty")
     stacked = np.ndim(seed) == 1
     # PCG64 reads its seed as generate_state(4, uint64): 8 uint32 words,
     # little-endian pairs.

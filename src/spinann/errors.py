@@ -13,13 +13,6 @@ class DomainError(SpinAnnError, ValueError):
     """An argument is outside the physically valid range of an operation."""
 
 
-class DisturbanceError(SpinAnnError):
-    """A vertical sense current large enough to disturb the domain wall.
-
-    The simulator refuses such reads instead of modeling read-induced drift.
-    """
-
-
 class SearchError(SpinAnnError):
     """A hidden-size search hit its cap without reaching the target accuracy."""
 

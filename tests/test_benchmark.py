@@ -1,6 +1,7 @@
 """Feature extraction, corpus, evaluation, and recognizer recipe tests."""
 
 import hashlib
+import json
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -164,8 +165,14 @@ class TestFeatures:
         np.testing.assert_array_equal(cells[:, 1:3, 1:3], 0.0)
 
     def test_blank_glyph_rejected(self):
-        with pytest.raises(DomainError):
-            raw_features(np.zeros((GLYPH_SIZE, GLYPH_SIZE)))
+        """A blank bitmap has no ink, and a NaN or inf one would give NaN
+        features."""
+        for fill in (0.0, np.nan, np.inf, -np.inf):
+            bitmap = np.full((GLYPH_SIZE, GLYPH_SIZE), fill)
+            with pytest.raises(DomainError):
+                raw_features(bitmap)
+            with pytest.raises(DomainError):
+                extract_features(bitmap)
 
     def test_wrong_shape_rejected(self):
         with pytest.raises(DomainError):
@@ -206,12 +213,16 @@ class TestFeatures:
         got = np.stack([extract_features(g.bitmap) for g in corpus.glyphs])
         np.testing.assert_array_equal(got, corpus.features)
 
-    def test_bad_scale_rejected(self, corpus, monkeypatch):
+    def test_bad_scale_rejected(self, tmp_path, monkeypatch):
+        """The stored scale is checked once, when it is read."""
+        (tmp_path / "glyphs").mkdir()
+        monkeypatch.setattr(benchmark.resources, "files",
+                            lambda package: tmp_path)
         for scale in (0.0, -1.0, np.inf, np.nan):
-            monkeypatch.setattr(benchmark, "_stored_feature_scale",
-                                lambda: scale)
+            (tmp_path / "glyphs" / "normalization.json").write_text(
+                json.dumps({"feature_scale": scale}))
             with pytest.raises(ConfigError):
-                extract_features(corpus.glyphs[0].bitmap)
+                benchmark._stored_feature_scale.__wrapped__()
 
 
 class TestGlyph:
@@ -431,7 +442,7 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("successes, n", [
         (0, 0), (5, 3), (-1, 10), (np.nan, 10), (np.inf, 10), (3, np.nan),
-        (3, np.inf), ([1, 11], 10), (0.5, 0.5)])
+        (3, np.inf), ([1, 11], 10), (0.5, 0.5), (1, True), (1, np.True_)])
     def test_wilson_interval_refuses_impossible_counts(self, successes, n):
         with pytest.raises(DomainError):
             wilson_interval(successes, n)

@@ -73,6 +73,7 @@ def dot_product_oracle(array: CrossbarArray, i_in) -> np.ndarray:
 class TestConductanceRange:
     def test_default_window(self):
         rng = ConductanceRange()
+        assert 0.0 < rng.g_min < rng.g_max
         assert rng.g_min == pytest.approx(3.125e-5, rel=1e-12)
         assert rng.g_max == 1e-3
         assert rng.levels == 32
@@ -110,15 +111,6 @@ class TestConductanceRange:
         rng = ConductanceRange()
         assert float(rng.quantize(0.999 * rng.g_min)) == 0.0
         assert float(rng.quantize(rng.g_min)) == pytest.approx(rng.g_min)
-
-    @pytest.mark.parametrize("kwargs", [
-        {"g_min": 1e-3, "g_max": 1e-3},
-        {"g_min": 0.0},
-        {"levels": 1},
-    ])
-    def test_bad_range_rejected(self, kwargs):
-        with pytest.raises(ConfigError):
-            ConductanceRange(**kwargs)
 
 
 class TestMapWeights:
@@ -427,6 +419,21 @@ class TestVariation:
         arr = map_weights(np.ones((2, 2)))
         with pytest.raises(DomainError):
             inject_variation(arr, sigma, seed=0)
+
+    @pytest.mark.parametrize("sigma", [True, np.True_])
+    def test_bool_sigma_rejected(self, sigma):
+        """A bool is no spread; taken as a number it would run at 1."""
+        arr = map_weights(np.ones((2, 2)))
+        with pytest.raises(DomainError):
+            inject_variation(arr, sigma, seed=0)
+
+    @pytest.mark.parametrize("seed", [[], np.array([], dtype=np.int64)])
+    def test_empty_seed_sequence_rejected(self, seed):
+        """No seeds would give a stack of no copies, which `forward`
+        cannot run."""
+        arr = map_weights(np.ones((2, 2)))
+        with pytest.raises(ValueError):
+            inject_variation(arr, 0.05, seed=seed)
 
 
 def _rail_cells(arr):

@@ -32,7 +32,7 @@ from spinann.device import (
     rational_coefficients,
     read_voltage,
 )
-from spinann.errors import ConfigError, DisturbanceError, DomainError
+from spinann.errors import ConfigError, DomainError
 from spinann.network import I_RESET, T_RESET
 
 
@@ -186,37 +186,20 @@ class TestPulses:
     def test_reset_from_anywhere(self, device):
         """The network's reset pulse, I_RESET for T_RESET, walks the wall
         past its full travel, so every transfer may start from X_MIN."""
-        v_reset = device.velocity_table.velocity(I_RESET / CROSS_SECTION)
+        v_reset = dev.VELOCITY_TABLE.velocity(I_RESET / CROSS_SECTION)
         assert v_reset * T_RESET >= X_MAX - X_MIN
 
     def test_advance_matches_table(self, device):
         # 26 uA over the 2 nm x 20 nm cross-section is 6.5e11 A/m^2.
         j = 26e-6 / CROSS_SECTION
         assert j == pytest.approx(6.5e11)
-        x = X_MIN + device.velocity_table.velocity(j) * T_PROGRAM
+        x = X_MIN + dev.VELOCITY_TABLE.velocity(j) * T_PROGRAM
         assert x < X_MAX
         assert device.transfer(26e-6) == output_voltage(x)
 
     def test_saturation_idempotent(self, device):
         assert device.transfer(60e-6) == device.v_out_max
         assert device.transfer(120e-6) == device.v_out_max
-
-
-class TestSense:
-    """The sense step of transfer reads at I_SENSE, within read-disturb."""
-
-    def test_safe_read_does_not_move_wall(self, device, monkeypatch):
-        # A limit of exactly I_SENSE still reads the undisturbed voltage.
-        undisturbed = [device.transfer(i) for i in (0.0, 26e-6, 35e-6, 60e-6)]
-        monkeypatch.setattr(dev, "I_CRIT_VERTICAL",
-                            I_SENSE / SENSE_SAFETY_FRACTION)
-        assert [device.transfer(i)
-                for i in (0.0, 26e-6, 35e-6, 60e-6)] == undisturbed
-
-    def test_disturbing_current_refused(self, device, monkeypatch):
-        monkeypatch.setattr(dev, "I_CRIT_VERTICAL", 40e-6)
-        with pytest.raises(DisturbanceError):
-            device.transfer(30e-6)
 
 
 class TestTransfer:

@@ -11,7 +11,8 @@ import pytest
 from spinann import trainer
 from spinann.benchmark import HIDDEN_NEURONS, _score, recognizer_configs
 from spinann.crossbar import map_weights
-from spinann.device import CROSS_SECTION, X_MAX, X_MIN, NeuronDevice
+from spinann.device import (CROSS_SECTION, VELOCITY_TABLE, X_MAX, X_MIN,
+                            NeuronDevice)
 from spinann.errors import ConfigError, DomainError, SearchError
 from spinann.network import T_PROGRAM
 from spinann.trainer import (
@@ -71,7 +72,7 @@ class TestSttTable:
         end to end within the network's programming pulse."""
         dev = NeuronDevice()
         assert stt_kind.th2 == dev.saturation_current()
-        v_sat = dev.velocity_table.velocity(stt_kind.th2 / CROSS_SECTION)
+        v_sat = VELOCITY_TABLE.velocity(stt_kind.th2 / CROSS_SECTION)
         assert v_sat * T_PROGRAM == pytest.approx(X_MAX - X_MIN, rel=1e-12)
 
     @pytest.mark.parametrize("n_nodes", [0, 1, 2])
