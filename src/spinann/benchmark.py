@@ -182,7 +182,7 @@ class Glyph:
             raise ConfigError(
                 f"bitmap must be {GLYPH_SIZE}x{GLYPH_SIZE}, got {bitmap.shape}"
             )
-        if not np.isin(bitmap, (0.0, 1.0)).all():
+        if not ((bitmap == 0.0) | (bitmap == 1.0)).all():
             raise ConfigError("bitmap entries must be 0 or 1")
         object.__setattr__(self, "bitmap", bitmap)
 
@@ -194,12 +194,11 @@ def parse_glyph(text: str, letter: str) -> Glyph:
         raise ConfigError(
             f"glyph {letter!r}: expected {GLYPH_SIZE} rows, got {len(lines)}"
         )
-    rows = []
     for i, line in enumerate(lines):
         if len(line) != GLYPH_SIZE or set(line) - {".", "#"}:
             raise ConfigError(f"glyph {letter!r}: bad row {i}: {line!r}")
-        rows.append([1.0 if ch == "#" else 0.0 for ch in line])
-    return Glyph(letter=letter, bitmap=np.array(rows))
+    ink = np.frombuffer("".join(lines).encode(), dtype=np.uint8) == ord("#")
+    return Glyph(letter=letter, bitmap=ink.reshape(GLYPH_SIZE, GLYPH_SIZE))
 
 
 def corpus_feature_scale(glyphs: list[Glyph]) -> float:
@@ -302,7 +301,8 @@ def evaluate(network, corpus: Corpus) -> EvaluationResult:
 
     `network` exposes ``forward(features)``, which is called once per
     letter with one feature vector and returns `(responses, ledger)`,
-    as `SpinAnnNetwork.forward` does; only the responses are read.
+    as `SpinAnnNetwork.forward` does; only the responses are read, so a
+    ledger charged on read, as `SpinAnnNetwork`'s is, is never charged.
     """
     if not hasattr(network, "forward"):
         raise ConfigError("network must expose forward(features)")

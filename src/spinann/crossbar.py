@@ -4,8 +4,9 @@ Signed weights are stored as paired conductances: the positive-rail bar of
 input i carries g[0, i, j], the negative-rail bar carries g[1, i, j], and
 at most one of the pair is on for any weight. Dummy cells pad every
 physical bar to a common total conductance so the current divider is
-uniform across inputs, and the column current is the conductance-weighted
-sum of the bar currents.
+uniform across inputs. Every column and dummy ends at a virtual ground
+(0 V), so each bar divides its current by conductance share alone and
+the column current is the conductance-weighted sum of the bar currents.
 """
 
 from __future__ import annotations

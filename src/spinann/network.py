@@ -4,11 +4,13 @@ A two-layer network is built from trained weights. Each layer maps its
 weight matrix onto a differential crossbar, drives the rows from
 current-source axons, and programs one spin neuron per column. A full
 inference runs each layer through the clocked three-phase cycle (reset,
-program, sense) and accumulates a per-component energy ledger, whose
-neuron terms `neuron_energy` charges layer by layer. One
-forward call takes a single feature vector or a batch of them, and a
-network stacked from T perturbed copies (`with_variation` with a
-sequence of seeds) runs every batch through all T copies at once.
+program, sense) and returns a per-layer, per-component energy ledger,
+charged only when it is read. One forward call takes a single feature
+vector or a batch of them, and a network stacked from T perturbed copies
+(`with_variation` with a sequence of seeds) runs every batch through all
+T copies at once. Every column ends at a virtual ground (0 V, see
+`crossbar`): the ledger charges the column current I^2 * R_PROGRAM in the
+neuron's strip, and the crossbar its cells' V^2 * g at that termination.
 
 Calibration ties the analog chain to the trainer's arithmetic: with row
 currents I_i = I_unit * u_i and the equalized per-row conductance g_tr,
@@ -36,7 +38,8 @@ the neuron's response. Tests check these constants once; no call does.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+import functools
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -85,15 +88,62 @@ class Layer:
     g_tr: float
 
 
-@dataclass(eq=False)
-class EnergyReport:
-    """Per-component energy ledger of one forward call, joules."""
+def _operating_point() -> tuple:
+    return (R_PROGRAM, T_PROGRAM, T_SENSE, T_RESET, I_SENSE, V_SENSE_SUPPLY,
+            I_RESET, DTCS_DELTA_V)
 
-    neuron_program: float = 0.0
-    neuron_sense: float = 0.0
-    neuron_reset: float = 0.0
-    crossbar_static: float = 0.0
-    dtcs_static: float = 0.0
+
+def neuron_energy(i_cols: np.ndarray,
+                  point: tuple | None = None) -> tuple[float, float, float]:
+    """(program, sense, reset) energy, J, of one cycle of the neurons
+    programmed with the currents `i_cols`: program and reset dissipate
+    I^2 * R_PROGRAM * t in the lateral strip path, and sense draws
+    |I_SENSE| * V_SENSE_SUPPLY * t from the divider supply. `point` is
+    the operating point a forward call read; by default it is read now."""
+    r_program, t_program, t_sense, t_reset, i_sense, v_sense, i_reset, _ = (
+        point or _operating_point())
+    return (float((i_cols ** 2).sum() * r_program * t_program),
+            i_cols.size * (abs(i_sense) * v_sense * t_sense),
+            i_cols.size * (i_reset * i_reset * r_program * t_reset))
+
+
+class EnergyReport:
+    """Per-component energy ledger of a forward call's layers, joules,
+    charged on the first read of a term from each layer's (row currents,
+    column currents, bar conductance) and the call's operating point.
+    Each term adds the layers' in layer order, starting from 0.0;
+    `layers` gives each layer's own ledger."""
+
+    def __init__(self, currents: list, point: tuple):
+        self._currents, self._point = currents, point
+
+    @property
+    def layers(self) -> list[EnergyReport]:
+        return [EnergyReport([c], self._point) for c in self._currents]
+
+    @functools.cached_property
+    def _terms(self) -> list[float]:
+        t_prog, delta_v = self._point[1], self._point[-1]
+        terms = [0.0] * 5
+        # Each layer cycles reset -> program -> sense; the unused paths are
+        # floated in each phase, so the phases' energies simply add.
+        for i_rows, i_cols, g_tr in self._currents:
+            # A stacked network runs every row once per copy, so rows
+            # shared by all copies count `copies` times in the ledger.
+            copies = i_cols[..., 0].size // i_rows[..., 0].size
+            # Every input drives one row per bar; each equalized row
+            # dissipates I^2/g_tr (the cell-wise sum of V^2 g).
+            layer = neuron_energy(i_cols, self._point) + (
+                float(2.0 * copies * (i_rows ** 2).sum() / g_tr * t_prog),
+                float(2.0 * copies * np.abs(i_rows).sum() * delta_v * t_prog))
+            terms = [t + x for t, x in zip(terms, layer)]
+        return terms
+
+    neuron_program = property(lambda self: self._terms[0])
+    neuron_sense = property(lambda self: self._terms[1])
+    neuron_reset = property(lambda self: self._terms[2])
+    crossbar_static = property(lambda self: self._terms[3])
+    dtcs_static = property(lambda self: self._terms[4])
 
     @property
     def total(self) -> float:
@@ -101,17 +151,9 @@ class EnergyReport:
                 + self.crossbar_static + self.dtcs_static)
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "total": self.total}
-
-
-def neuron_energy(i_cols: np.ndarray) -> tuple[float, float, float]:
-    """(program, sense, reset) energy, J, of one cycle of the neurons
-    programmed with the currents `i_cols`: program and reset dissipate
-    I^2 * R_PROGRAM * t in the lateral strip path, and sense draws
-    |I_SENSE| * V_SENSE_SUPPLY * t from the divider supply."""
-    return (float((i_cols ** 2).sum() * R_PROGRAM * T_PROGRAM),
-            i_cols.size * (abs(I_SENSE) * V_SENSE_SUPPLY * T_SENSE),
-            i_cols.size * (I_RESET * I_RESET * R_PROGRAM * T_RESET))
+        return {name: getattr(self, name) for name in (
+            "neuron_program", "neuron_sense", "neuron_reset",
+            "crossbar_static", "dtcs_static", "total")}
 
 
 @dataclass(eq=False)
@@ -142,10 +184,10 @@ class SpinAnnNetwork:
         or `[n, n_outputs]`, each row equal bit for bit to a call on that
         row alone. On a network stacked from T copies the voltages are
         `[T, n, n_outputs]` (`[T, 1, n_outputs]` for one vector), slice
-        t equal bit for bit to copy t's own call. The ledger totals all
-        T·n recognitions, so a stacked ledger is the sum of the per-copy
-        ledgers; its reset and sense terms are T·n times one
-        recognition's.
+        t equal bit for bit to copy t's own call. The ledger, charged at
+        this call's operating point when first read, totals all T·n
+        recognitions: a stacked ledger is the sum of the per-copy ledgers,
+        and its reset and sense terms are T·n times one recognition's.
         """
         u = np.asarray(features, dtype=float)
         if u.shape[-1:] != (self.n_features,) or u.size == 0:
@@ -158,9 +200,7 @@ class SpinAnnNetwork:
             raise DomainError("features must be finite and within [0, 1]")
         u = np.minimum(np.maximum(u, 0.0), 1.0)
 
-        # Each layer cycles reset -> program -> sense; the unused paths are
-        # floated in each phase, so the phases' energies simply add.
-        energy = EnergyReport()
+        currents = []
         activations = u
         for layer in self.layers:
             # Program: axons drive the bars (the last row is the bias),
@@ -170,25 +210,7 @@ class SpinAnnNetwork:
             np.multiply(layer.i_unit, activations, out=i_rows[..., :-1])
             i_rows[..., -1] = layer.i_unit
             i_cols = layer.array.weighted_sum(i_rows)
-            # A stacked network runs every row once per copy, so rows
-            # shared by all copies count `copies` times in the ledger.
-            copies = i_cols[..., 0].size // i_rows[..., 0].size
-
-            # Reset parks every wall at the low-output end, program moves
-            # it, sense reads the dividers with the programming paths floated.
-            program, sense, reset = neuron_energy(i_cols)
-            energy.neuron_reset += reset
-            energy.neuron_program += program
-            energy.neuron_sense += sense
-            # Every input drives one row per bar; each equalized row
-            # dissipates I^2/g_tr (the cell-wise sum of V^2 g).
-            energy.crossbar_static += float(
-                2.0 * copies * (i_rows ** 2).sum() / layer.g_tr * T_PROGRAM
-            )
-            energy.dtcs_static += float(
-                2.0 * copies * np.abs(i_rows).sum() * DTCS_DELTA_V
-                * T_PROGRAM
-            )
+            currents.append((i_rows, i_cols, layer.g_tr))
 
             # The sensed voltage, normalized to the output swing, is the
             # next layer's input (inter-layer level shift).
@@ -198,7 +220,7 @@ class SpinAnnNetwork:
 
         voltages = self.kind.v_min \
             + (self.kind.v_max - self.kind.v_min) * activations
-        return voltages, energy
+        return voltages, EnergyReport(currents, _operating_point())
 
     def with_variation(self, sigma: float, seed) -> "SpinAnnNetwork":
         """Clone with lognormal-free Gaussian conductance variation.

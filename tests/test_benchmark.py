@@ -3,6 +3,7 @@
 import hashlib
 import json
 from dataclasses import replace
+from importlib import resources
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -252,6 +253,26 @@ class TestGlyph:
     def test_glyph_rejects_non_binary_bitmap(self):
         with pytest.raises(ConfigError):
             Glyph(letter="A", bitmap=np.full((GLYPH_SIZE, GLYPH_SIZE), 0.5))
+
+    @pytest.mark.parametrize("fill", [np.nan, np.inf, -1.0, 2.0])
+    def test_glyph_rejects_any_other_value(self, fill):
+        bitmap = np.zeros((GLYPH_SIZE, GLYPH_SIZE))
+        bitmap[3, 5] = fill
+        with pytest.raises(ConfigError):
+            Glyph(letter="A", bitmap=bitmap)
+
+    def test_parse_matches_per_character_reading(self, corpus):
+        """Every packaged glyph parses to the bitmap a character-by-
+        character reading of its rows gives, as float64."""
+        base = resources.files("spinann.data").joinpath("glyphs")
+        for glyph in corpus.glyphs:
+            text = base.joinpath(f"{glyph.letter}.txt").read_text()
+            rows = [line for line in text.splitlines() if line.strip()]
+            want = np.array([[1.0 if ch == "#" else 0.0 for ch in line]
+                             for line in rows])
+            got = parse_glyph(text, glyph.letter).bitmap
+            assert got.dtype == np.float64
+            np.testing.assert_array_equal(got, want)
 
 
 class TestCorpus:

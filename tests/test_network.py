@@ -7,11 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinann.benchmark import monte_carlo
+from spinann.benchmark import evaluate, monte_carlo
 from spinann.crossbar import inject_variation
 from spinann.errors import ConfigError, DomainError
-from spinann.network import (T_PROGRAM, T_RESET, T_SENSE, EnergyReport,
-                             build_network, neuron_energy)
+from spinann.network import (T_PROGRAM, T_RESET, T_SENSE, build_network,
+                             neuron_energy)
 from spinann.trainer import (
     TrainConfig,
     TrainResult,
@@ -33,9 +33,18 @@ def _toy_result(w1, w2, kind=None):
     )
 
 
+TERMS = ("neuron_program", "neuron_sense", "neuron_reset",
+         "crossbar_static", "dtcs_static")
+
+
 @pytest.fixture(scope="module")
 def network(recognizer):
     return build_network(recognizer)
+
+
+@pytest.fixture(scope="module")
+def stored_network():
+    return build_network(load_weights(STORED_RECOGNIZER))
 
 
 def test_phase_durations_are_physical():
@@ -131,10 +140,6 @@ class TestGolden:
     energy ledger, one perturbed clone's conductances and Monte-Carlo
     margins, exactly."""
 
-    @pytest.fixture(scope="class")
-    def stored_network(self):
-        return build_network(load_weights(STORED_RECOGNIZER))
-
     def test_voltages_and_ledger(self, stored_network, corpus):
         v, e = stored_network.forward(corpus.features)
         assert _sha256(v) == ("31514949e847e2e2dc9c1d20d8575dd7"
@@ -199,11 +204,14 @@ class TestEnergy:
         assert total == pytest.approx(3.73e-15, rel=1e-12)
         assert 3.4e-15 <= total <= 4.1e-15
 
-    def test_report_total_is_sum_of_parts(self):
-        rep = EnergyReport(neuron_program=1.0, neuron_sense=2.0,
-                           neuron_reset=3.0, crossbar_static=4.0,
-                           dtcs_static=5.0)
-        assert rep.total == 15.0
+    def test_report_total_is_sum_of_parts(self, network, corpus):
+        _, rep = network.forward(corpus.features[0])
+        assert rep.total == (rep.neuron_program + rep.neuron_sense
+                             + rep.neuron_reset + rep.crossbar_static
+                             + rep.dtcs_static)
+        assert rep.to_dict() == {
+            **{name: getattr(rep, name) for name in TERMS},
+            "total": rep.total}
 
     def test_inference_energy_positive_and_additive(self, network, corpus):
         _, e = network.forward(corpus.features[0])
@@ -231,6 +239,103 @@ class TestEnergy:
             monkeypatch.setattr(f"spinann.network.{phase}", 0.0)
         _, e = network.forward(corpus.features[0])
         assert e.total == 0.0
+
+
+class TestLedgerOnRead:
+    """The ledger is charged from the currents a forward call kept, at the
+    operating point of that call, only when one of its terms is read."""
+
+    @pytest.fixture
+    def charges(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return neuron_energy(*args)
+
+        monkeypatch.setattr("spinann.network.neuron_energy", counted)
+        return calls
+
+    def test_evaluate_charges_nothing(self, stored_network, corpus, charges):
+        evaluate(stored_network, corpus)
+        assert charges == []
+
+    def test_first_read_charges_each_layer_once(
+            self, stored_network, corpus, charges):
+        _, e = stored_network.forward(corpus.features)
+        assert charges == []
+        total = e.total
+        assert len(charges) == len(stored_network.layers)
+        assert e.total == total
+        assert e.to_dict()["neuron_program"] == e.neuron_program
+        assert len(charges) == len(stored_network.layers)
+
+    def test_charged_at_the_calls_operating_point(
+            self, stored_network, corpus, monkeypatch):
+        """A ledger read after the constants change still charges the
+        operating point its own call ran at."""
+        _, before = stored_network.forward(corpus.features[0])
+        want = before.to_dict()
+        _, e1 = stored_network.forward(corpus.features[0])
+        monkeypatch.setattr("spinann.network.T_PROGRAM", 2e-9)
+        _, e2 = stored_network.forward(corpus.features[0])
+        assert e2.neuron_program == pytest.approx(
+            2 * e1.neuron_program, rel=1e-12, abs=0.0)
+        assert e1.to_dict() == want
+
+    def test_stacked_ledger_reads_as_accumulated(self, stored_network,
+                                                  corpus):
+        """A 4-copy stack reads the floats the per-layer `+=` ledger
+        charged before it was deferred."""
+        _, e = stored_network.with_variation(
+            0.05, [3, 11, 4, 2**32 - 1]).forward(corpus.features)
+        assert e.to_dict() == {
+            "neuron_program": 1.325188330270875e-12,
+            "neuron_sense": 8.06e-12,
+            "neuron_reset": 2.4180000000000004e-12,
+            "crossbar_static": 1.987352085795128e-11,
+            "dtcs_static": 3.0477830979570264e-11,
+            "total": 6.215454016779242e-11,
+        }
+
+    @pytest.mark.parametrize("seeds", [None, [3, 11, 4]])
+    def test_layer_ledgers_add_to_the_report(self, stored_network, corpus,
+                                             seeds):
+        net = stored_network if seeds is None \
+            else stored_network.with_variation(0.05, seeds)
+        _, e = net.forward(corpus.features)
+        assert len(e.layers) == len(net.layers)
+        for name in TERMS:
+            term = 0.0
+            for layer in e.layers:
+                term += getattr(layer, name)
+            assert term == getattr(e, name)
+
+    @pytest.mark.parametrize("letters", [slice(12, 13), slice(None)],
+                             ids=["one", "corpus"])
+    def test_crossbar_term_is_cellwise_v2g(self, stored_network, corpus,
+                                           letters):
+        """Each bar sits at V = I / g_tr over its cells and dummies, all
+        ending at 0 V, so the layer's crossbar term is the sum of
+        V^2 * g * T_PROGRAM over every cell of both rails."""
+        features = corpus.features[letters]
+        _, e = stored_network.forward(features)
+        kind = stored_network.kind
+        activations = features
+        for layer, ledger in zip(stored_network.layers, e.layers,
+                                 strict=True):
+            i_rows = np.concatenate(
+                [layer.i_unit * activations,
+                 np.full(activations.shape[:-1] + (1,), layer.i_unit)],
+                axis=-1)
+            array = layer.array
+            v = i_rows[..., None, :] / array.g_tr
+            cells = np.concatenate([array.g, array.dummy], axis=-1)
+            want = float(((v ** 2)[..., None] * cells).sum() * T_PROGRAM)
+            assert ledger.crossbar_static == pytest.approx(
+                want, rel=1e-12, abs=0.0)
+            activations = np.interp(array.weighted_sum(i_rows),
+                                    kind.i_nodes, kind.a_nodes)
 
 
 class TestVariation:
