@@ -15,12 +15,15 @@ deterministic and corpus features land in [0, 1].
 matrix (rows are input letters, columns are output neurons); `monte_carlo`
 scores the same matrix for many variation-perturbed copies of the network
 and aggregates accuracy and margin statistics, with Wilson score intervals
-on the rates. It perturbs, runs and scores its trials in blocks of
-`MC_BLOCK_TRIALS`: one `with_variation` call with the block's seeds
-stacks the copies, and one batched forward call reads the whole corpus
-through all of them. Every trial draws the same `SeedSequence` and
-`default_rng` streams as one seeded per trial, but the seeds of a call
-are derived in one vectorized pass rather than one numpy object each.
+on the rates. It derives the noise streams of all its trials at once:
+one `variation_states` call gives every trial's per-layer PCG64 seeds.
+It then perturbs, runs and scores the trials in blocks of
+`MC_BLOCK_TRIALS`: one `with_states` call with the block's slice of
+those seeds stacks the copies, and one batched forward call reads the
+whole corpus through all of them. Every trial draws the same
+`SeedSequence` and `default_rng` streams as one seeded per trial, but
+the seeds of a call are derived in a few vectorized passes rather than
+one numpy object each.
 """
 
 from __future__ import annotations
@@ -64,7 +67,6 @@ __all__ = [
     "parse_glyph",
     "Corpus",
     "load_corpus",
-    "corpus_feature_scale",
     "EvaluationResult",
     "evaluate",
     "MonteCarloResult",
@@ -81,10 +83,10 @@ FEATURE_COUNT = 64
 HIDDEN_NEURONS = 5
 
 # Monte-Carlo trials perturbed and run together. On the stored recognizer
-# (200-trial calls, 2-vCPU shared host) blocks of 16 run about 20% slower
-# than 32, and 25-50 within noise of it. Blocks of 67-100 run 11-17%
-# faster, but a call's allocations then peak at 2.5-3.6 MB, against
-# 1.3 MB at 32; one stack of 200 runs no faster and peaks at 6.2 MB.
+# (200-trial calls, 2-vCPU shared host, 16 interleaved rounds) blocks of
+# 16 run about 12% slower than 32, and 25 as fast. Blocks of 50-200 run
+# 3-8% faster, inside the spread between rounds, but a call's
+# allocations then peak at 2.4-8.4 MB, against 1.6 MB at 32.
 MC_BLOCK_TRIALS = 32
 
 # Two-sided 95% standard-normal quantile of the Wilson score interval.
@@ -199,11 +201,6 @@ def parse_glyph(text: str, letter: str) -> Glyph:
             raise ConfigError(f"glyph {letter!r}: bad row {i}: {line!r}")
     ink = np.frombuffer("".join(lines).encode(), dtype=np.uint8) == ord("#")
     return Glyph(letter=letter, bitmap=ink.reshape(GLYPH_SIZE, GLYPH_SIZE))
-
-
-def corpus_feature_scale(glyphs: list[Glyph]) -> float:
-    """Largest raw feature value over a set of glyphs."""
-    return float(max(raw_features(g.bitmap).max() for g in glyphs))
 
 
 @dataclass(frozen=True)
@@ -392,33 +389,37 @@ def monte_carlo(
     seed, `generate_state(1)[0]` of numpy's `SeedSequence` over `[seed,
     trial]`, spawns from `seed`, a non-negative integer, so the whole
     study is deterministic.  The seeds of all trials are derived in one
-    pass, bit for bit those `SeedSequence` gives.  The trials run in
-    blocks of `MC_BLOCK_TRIALS`: `network` must expose
-    ``with_variation(sigma, seeds)`` taking a sequence of trial seeds and
-    returning one stacked copy, whose
-    ``forward`` takes the whole `[n_letters, n_features]` feature matrix
-    and returns `(responses, ledger)` with `[n_trials, n_letters,
-    n_letters]` responses.  Slice t must be the responses of the copy
-    of the block's seed t alone; a trial's scores then equal `evaluate`
-    on that copy.  Trials are aggregated in a fixed order for bit-exact
-    reports.
+    pass, bit for bit those `SeedSequence` gives.  `network` must expose
+    ``variation_states(seeds)``, which takes the sequence of all trial
+    seeds once per call and returns their noise states, trials on axis
+    1, and ``with_states(sigma, states)``, which takes a block's slice of
+    that axis and returns one stacked copy.  The trials run in blocks of
+    `MC_BLOCK_TRIALS`: each stacked copy's ``forward`` takes the whole
+    `[n_letters, n_features]` feature matrix and returns `(responses,
+    ledger)` with `[n_trials, n_letters, n_letters]` responses.  Slice t
+    must be the responses of the copy of the block's seed t alone; a
+    trial's scores then equal `evaluate` on that copy.  Trials are
+    aggregated in a fixed order for bit-exact reports.
     """
     if not _is_count(trials):
         raise ConfigError(f"trials must be an integer >= 1, got {trials!r}")
     # A bool would run at sigma = 1.
     if isinstance(sigma, (bool, np.bool_)) or not 0.0 <= sigma < np.inf:
         raise ConfigError(f"sigma must be a finite number >= 0, got {sigma!r}")
-    if not hasattr(network, "with_variation"):
-        raise ConfigError("network must expose with_variation(sigma, seeds)")
+    if not (hasattr(network, "variation_states")
+            and hasattr(network, "with_states")):
+        raise ConfigError("network must expose variation_states(seeds) "
+                          "and with_states(sigma, states)")
 
     n = len(corpus.letters)
     accuracies = np.empty(trials)
     min_margins = np.empty(trials)
     correct_counts = np.zeros(n)
-    trial_seeds = _generate_state(1, seed, np.arange(trials))[:, 0]
+    states = network.variation_states(
+        _generate_state(1, seed, np.arange(trials))[:, 0])
     for start in range(0, trials, MC_BLOCK_TRIALS):
         block = slice(start, min(start + MC_BLOCK_TRIALS, trials))
-        perturbed = network.with_variation(sigma, trial_seeds[block])
+        perturbed = network.with_states(sigma, states[:, block])
         _, margins = _score(perturbed.forward(corpus.features)[0], n)
         correct = margins > 0.0
         accuracies[block] = correct.mean(axis=-1)

@@ -31,6 +31,23 @@ def _row_products(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.matmul(x[..., None, :], g)[..., 0, :]
 
 
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    """`x.sum(axis=-1)`, bit for bit.
+
+    numpy adds a row of fewer than 8 cells from left to right, starting
+    from +0.0, so such rows are added here in that order, in a few
+    whole-array adds rather than one slow last-axis reduction; longer
+    rows are summed pairwise, and keep the reduction.
+    """
+    n = x.shape[-1]
+    if not 0 < n < 8:
+        return x.sum(axis=-1)
+    total = x[..., 0] + 0.0
+    for k in range(1, n):
+        total += x[..., k]
+    return total
+
+
 # Gaussian variation tails are kept physical by clamping perturbed
 # conductances to this multiple of g_max (3 sigma at 5% stays untouched).
 VARIATION_CLAMP_FACTOR = 1.25
@@ -105,7 +122,7 @@ class CrossbarArray:
             raise ConfigError("g needs a rail axis of 2 before its bars")
         if self.dummy.shape[:-1] != self.g.shape[:-1]:
             raise ConfigError("dummy and conductance bars differ")
-        self.g_tr = self.g.sum(axis=-1) + self.dummy.sum(axis=-1)
+        self.g_tr = _row_sums(self.g) + _row_sums(self.dummy)
         rows = (slice(None), None) if self.g.ndim == 4 else ()
         self._div = np.where(self.g_tr > 0.0, self.g_tr, np.inf)[rows]
 
@@ -116,10 +133,6 @@ class CrossbarArray:
     @property
     def n_outputs(self) -> int:
         return self.g.shape[-1]
-
-    @property
-    def n_dummy(self) -> int:
-        return self.dummy.shape[-1]
 
     def weighted_sum(self, i_in) -> np.ndarray:
         """Column currents sum_i I * (g[0]/g_tr[0] - g[1]/g_tr[1]), dummies
@@ -148,12 +161,6 @@ class CrossbarArray:
         g = self.g if self.g.ndim == 3 else self.g[:, None]
         rails = _row_products(i_in[..., None, :] / self._div, g)
         return rails[..., 0, :] - rails[..., 1, :]
-
-    def decode_weights(self) -> np.ndarray:
-        """Signed weights recovered at the recorded mapping scale."""
-        if self.scale is None:
-            raise ConfigError("array was not built from a weight mapping")
-        return (self.g[..., 0, :, :] - self.g[..., 1, :, :]) / self.scale
 
 
 def grid_magnitudes(w, quantize: bool = True) -> tuple[np.ndarray, float]:
@@ -306,40 +313,49 @@ class _PresetState(ISeedSequence):
         return self.words
 
 
-def inject_variation(array: CrossbarArray, sigma: float,
-                     seed) -> CrossbarArray:
+def pcg64_words(seeds) -> np.ndarray:
+    """`[*shape, 4]` uint64: for every seed of the integer array `seeds`,
+    the PCG64 seed that numpy's `default_rng` derives from it, bit for
+    bit.
+
+    PCG64 reads its seed as `SeedSequence.generate_state(4, uint64)`: 8
+    uint32 words taken in little-endian pairs. The words of all seeds come
+    from one vectorized `_generate_state` pass, which refuses a seed that
+    is not a non-negative integer as SeedSequence does.
+    """
+    state = _generate_state(8, seeds)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def perturb(array: CrossbarArray, sigma: float, words) -> CrossbarArray:
     """Multiply every on-state conductance of the nominal array
-    (`array.nominal`, else `array`) by (1 + N(0, sigma)).
+    (`array.nominal`, else `array`) by (1 + N(0, sigma)), drawn from the
+    PCG64 seeds `words`.
 
     Chained calls thus never accumulate variation on variation. Dummy
     cells vary too, and the bar totals are recomputed from the perturbed
     values, so the current dividers shift with the variation. Perturbed
     cells are clamped to [0, VARIATION_CLAMP_FACTOR * GRID.g_max].
-    `seed` is one seed, giving one perturbed copy, or a 1-D sequence of
-    T seeds, giving a stacked array whose copy t equals the copy of
-    `seed[t]` alone. A seed is a non-negative integer: a negative one
-    raises ValueError, as does an empty sequence, any other TypeError.
+    `words` is one PCG64 seed, uint64 `[4]`, giving one perturbed copy,
+    or `[T, 4]`, giving a stacked array whose copy t equals the copy of
+    `words[t]` alone; `pcg64_words` derives them from integer seeds.
     Each copy's noise is the draw `normal(0, sigma, cells)`, sigma a
-    number and not a bool, over all cells of numpy's
-    `default_rng` seeded with its seed, taken in this order: rail 0's
-    cells (`g[0]`), rail 1's cells (`g[1]`), then rail 0's and rail 1's
-    dummies (`dummy[0]`, `dummy[1]`), each in row-major order. The
-    PCG64 seeds of all T copies are derived in one vectorized pass, bit
-    for bit those `default_rng` derives. Deterministic for given seeds.
-    sigma = 0 returns identical copies.
+    number and not a bool, over all cells of a `Generator` on PCG64
+    seeded with its words, taken in this order: rail 0's cells (`g[0]`),
+    rail 1's cells (`g[1]`), then rail 0's and rail 1's dummies
+    (`dummy[0]`, `dummy[1]`), each in row-major order. sigma = 0 returns
+    identical copies.
     """
     # A bool would run at sigma = 1.
     if isinstance(sigma, (bool, np.bool_)) or not 0.0 <= sigma < np.inf:
         raise DomainError(f"sigma must be a finite number >= 0, got {sigma!r}")
-    if np.ndim(seed) > 1:
-        raise TypeError("seed must be an integer or a 1-D sequence of them")
-    if np.size(seed) == 0:
-        raise ValueError("seed sequence is empty")
-    stacked = np.ndim(seed) == 1
-    # PCG64 reads its seed as generate_state(4, uint64): 8 uint32 words,
-    # little-endian pairs.
-    state = _generate_state(8, seed if stacked else [seed])
-    state = state.astype("<u4").view("<u8").astype(np.uint64)
+    # PCG64 reads each copy's four words straight from its buffer.
+    words = np.ascontiguousarray(words)
+    if words.dtype != np.uint64 or words.ndim not in (1, 2) \
+            or words.shape[-1] != 4 or words.size == 0:
+        raise ConfigError("words must be uint64 PCG64 seeds, [4] or [T, 4]")
+    stacked = words.ndim == 2
+    words = words.reshape(-1, 4)
     array = array.nominal or array
     fields = (array.g, array.dummy)
     flat = np.concatenate([f.ravel() for f in fields])
@@ -349,10 +365,10 @@ def inject_variation(array: CrossbarArray, sigma: float,
     # the same standard-normal stream z; 0 + x differs from x only in the
     # sign of a zero, which 1 + noise erases, so sigma * z gives the same
     # conductances.
-    varied = np.zeros((len(state), flat.size))
+    varied = np.zeros((len(words), flat.size))
     if sigma > 0.0:
-        for row, words in zip(varied, state):
-            rng = np.random.Generator(np.random.PCG64(_PresetState(words)))
+        for row, seed in zip(varied, words):
+            rng = np.random.Generator(np.random.PCG64(_PresetState(seed)))
             rng.standard_normal(out=row)
         varied *= sigma
     varied += 1.0
@@ -360,10 +376,29 @@ def inject_variation(array: CrossbarArray, sigma: float,
     np.clip(varied, 0.0, VARIATION_CLAMP_FACTOR * GRID.g_max, out=varied)
     off = np.flatnonzero(~(flat > 0.0))
     varied[:, off] = flat[off]
-    parts = [part.reshape((len(state),) + f.shape) for f, part in
+    parts = [part.reshape((len(words),) + f.shape) for f, part in
              zip(fields, np.split(varied, [array.g.size], axis=1))]
     return CrossbarArray(
         *(parts if stacked else [p[0] for p in parts]),
         scale=array.scale,
         nominal=array,
     )
+
+
+def inject_variation(array: CrossbarArray, sigma: float,
+                     seed) -> CrossbarArray:
+    """`perturb` with the PCG64 seeds `pcg64_words` derives from `seed`,
+    so each copy's noise is numpy's `default_rng(seed).normal(0, sigma,
+    cells)` draw, bit for bit.
+
+    `seed` is one seed, giving one perturbed copy, or a 1-D sequence of
+    T seeds, giving a stacked array whose copy t equals the copy of
+    `seed[t]` alone. A seed is a non-negative integer: a negative one
+    raises ValueError, as does an empty sequence, any other TypeError.
+    Deterministic for given seeds.
+    """
+    if np.ndim(seed) > 1:
+        raise TypeError("seed must be an integer or a 1-D sequence of them")
+    if np.size(seed) == 0:
+        raise ValueError("seed sequence is empty")
+    return perturb(array, sigma, pcg64_words(seed))

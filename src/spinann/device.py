@@ -130,10 +130,6 @@ class VelocityTable:
         self._v = np.array(vs)
 
     @property
-    def anchors(self) -> list[tuple[float, float]]:
-        return list(zip(self._j.tolist(), self._v.tolist()))
-
-    @property
     def v_max(self) -> float:
         return float(self._v[-1])
 

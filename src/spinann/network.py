@@ -43,8 +43,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .crossbar import (CrossbarArray, _generate_state, inject_variation,
-                       map_weights)
+from .crossbar import (CrossbarArray, _generate_state, map_weights,
+                       pcg64_words, perturb)
+# perfbench/tracing.py times `inject_variation` at this module attribute.
+from .crossbar import inject_variation  # noqa: F401
 from .device import I_SENSE, T_PROGRAM, V_SENSE_SUPPLY
 from .errors import ConfigError, DomainError
 from .trainer import TrainResult, TransferKind
@@ -161,7 +163,7 @@ class SpinAnnNetwork:
     """Feed-forward spin-neuron network mapped onto crossbars.
 
     forward() is deterministic, and so is build_network: all randomness
-    lives in with_variation() clones.
+    lives in with_states() clones.
     """
 
     kind: TransferKind
@@ -222,30 +224,49 @@ class SpinAnnNetwork:
             + (self.kind.v_max - self.kind.v_min) * activations
         return voltages, EnergyReport(currents, _operating_point())
 
+    def variation_states(self, seeds) -> np.ndarray:
+        """`[n_layers, T, 4]` uint64: the PCG64 seeds that perturb each
+        layer of the clone of each of the T `seeds`.
+
+        A seed is a non-negative integer, and `seeds` a non-empty 1-D
+        sequence of them. Layer idx of the clone of seed s is perturbed
+        as `inject_variation` with the seed `generate_state(1)[0]` of
+        numpy's `SeedSequence` over `[s, idx]`. Two vectorized passes
+        derive the words of every (seed, layer) pair, for any number of
+        seeds: one for those layer seeds, one for their PCG64 words.
+        """
+        if np.ndim(seeds) != 1:
+            raise TypeError("seeds must be a 1-D sequence of integers")
+        if np.size(seeds) == 0:
+            raise ValueError("seed sequence is empty")
+        layer_seeds = _generate_state(
+            1, seeds, np.arange(len(self.layers))[:, None])[..., 0]
+        return pcg64_words(layer_seeds)
+
+    def with_states(self, sigma: float, states) -> "SpinAnnNetwork":
+        """Clone whose layer idx is `perturb`ed with sigma and the PCG64
+        seeds `states[idx]`: `[n_layers, T, 4]` states, as
+        `variation_states` gives or a slice of its T axis, give one
+        network stacked from T clones, and `[n_layers, 4]` one clone;
+        states for any other number of layers raise ValueError.
+        """
+        return replace(self, layers=[
+            replace(layer, array=perturb(layer.array, sigma, words))
+            for layer, words in zip(self.layers, states, strict=True)])
+
     def with_variation(self, sigma: float, seed) -> "SpinAnnNetwork":
-        """Clone with lognormal-free Gaussian conductance variation.
+        """Clone with lognormal-free Gaussian conductance variation:
+        `with_states` on the `variation_states` of `seed`.
 
         `seed` is one seed, giving one clone, or a 1-D sequence of T
         seeds, giving one network stacked from T clones whose copy t
         equals the clone of `seed[t]` alone. A seed is a non-negative
-        integer. Layer idx of the clone of seed s is perturbed with the
-        seed `generate_state(1)[0]` of numpy's `SeedSequence` over
-        `[s, idx]`; the seeds of every (seed, layer) pair are derived in
-        one pass. As `inject_variation` perturbs the nominal
-        conductances, chained calls never accumulate variation on
-        variation.
+        integer. As `perturb` perturbs the nominal conductances, chained
+        calls never accumulate variation on variation.
         """
-        if np.ndim(seed) > 1:
-            raise TypeError(
-                "seed must be an integer or a 1-D sequence of them")
         stacked = np.ndim(seed) == 1
-        layer_seeds = _generate_state(
-            1, seed if stacked else [seed],
-            np.arange(len(self.layers))[:, None])[..., 0]
-        return replace(self, layers=[
-            replace(layer, array=inject_variation(
-                layer.array, sigma, seed=seeds if stacked else seeds[0]))
-            for layer, seeds in zip(self.layers, layer_seeds)])
+        states = self.variation_states(seed if stacked else [seed])
+        return self.with_states(sigma, states if stacked else states[:, 0])
 
 
 def _build_layer(weights: np.ndarray, kind: TransferKind,

@@ -24,7 +24,6 @@ from spinann.benchmark import (
     Glyph,
     compare_transfer_kinds,
     comparison_configs,
-    corpus_feature_scale,
     evaluate,
     extract_features,
     monte_carlo,
@@ -33,6 +32,7 @@ from spinann.benchmark import (
     recognizer_configs,
     wilson_interval,
 )
+from spinann.crossbar import _generate_state
 from spinann.errors import ConfigError, DomainError
 from spinann.network import build_network
 from spinann.trainer import (
@@ -288,7 +288,8 @@ class TestCorpus:
 
     def test_stored_scale_covers_corpus(self, corpus):
         stored = benchmark._stored_feature_scale()
-        computed = corpus_feature_scale(list(corpus.glyphs))
+        computed = float(max(raw_features(g.bitmap).max()
+                             for g in corpus.glyphs))
         assert stored >= computed
         assert computed == pytest.approx(stored, rel=1e-12)
 
@@ -327,8 +328,13 @@ class _TableNet:
         dist = np.abs(self.features - np.asarray(f)[..., None, :]).sum(axis=-1)
         return self.matrix[..., np.argmin(dist, axis=-1), :], None
 
-    def with_variation(self, sigma, seeds):
+    def variation_states(self, seeds):
+        """One layer of noise states: the trial seeds themselves."""
+        return np.asarray(seeds)[None]
+
+    def with_states(self, sigma, states):
         """A stacked fake, one perturbed copy of `matrix` per seed."""
+        (seeds,) = states
         return _TableNet(np.stack([
             self.matrix
             + sigma * np.random.default_rng(s).standard_normal(
@@ -559,6 +565,25 @@ class TestRecognizerRecipe:
                 np.random.SeedSequence([seed, t]).generate_state(1)[0])),
                 corpus).min_margin
             for t in range(3)])
+
+    def test_noise_streams_derived_once_per_call(self, corpus, monkeypatch):
+        """A call derives every trial's noise streams together: it makes
+        as many SeedSequence hash passes at 1, 32, 33 and 200 trials."""
+        network = build_network(load_weights(STORED_RECOGNIZER))
+        passes = []
+
+        def counted(*args):
+            passes.append(args[0])
+            return _generate_state(*args)
+
+        for module in ("crossbar", "network", "benchmark"):
+            monkeypatch.setattr(f"spinann.{module}._generate_state", counted)
+        counts = []
+        for trials in (1, MC_BLOCK_TRIALS, MC_BLOCK_TRIALS + 1, 200):
+            passes.clear()
+            monte_carlo(network, corpus, trials, sigma=0.05, seed=4)
+            counts.append(len(passes))
+        assert counts == [counts[0]] * 4
 
     @pytest.mark.parametrize("seed, error", [(-1, ValueError),
                                              (2.0, TypeError)])

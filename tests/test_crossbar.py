@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,9 +16,15 @@ from spinann.crossbar import (
     _generate_state,
     inject_variation,
     map_weights,
+    pcg64_words,
+    perturb,
 )
 from spinann.errors import ConfigError, DomainError
 from spinann.network import build_network
+from spinann.trainer import load_weights
+
+STORED_RECOGNIZER = (Path(__file__).resolve().parents[1]
+                     / "perfbench" / "data" / "recognizer_seed17.json")
 
 G_MIN = 1.0 / 32e3
 G_MAX = 1.0 / 1e3
@@ -26,6 +33,33 @@ G_MAX = 1.0 / 1e3
 # words, past the four-word pool.
 WIDE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 17,
               np.uint64(2**64 - 1)]
+
+
+def _decoded(arr):
+    """Signed weights recovered at the array's mapping scale."""
+    return (arr.g[0] - arr.g[1]) / arr.scale
+
+
+def nodal_column_currents(array, i_rows, r_col):
+    """Column currents of a nodal solve of the crossbar's circuit, rail 0's
+    minus rail 1's, `[n, n_outputs]` for drives `[n, n_inputs]`.
+
+    On each rail, bar i is a node driven by the current `i_rows[:, i]`,
+    cell (i, j) joins it to column node j, its dummies join it to ground,
+    and each column reaches ground through `r_col`, whose current the
+    column delivers."""
+    n_in, n_out = array.n_inputs, array.n_outputs
+    drive = np.hstack([i_rows, np.zeros((len(i_rows), n_out))])
+    rails = []
+    for g, dummy in zip(array.g, array.dummy):
+        y = np.zeros((n_in + n_out,) * 2)
+        y[:n_in, :n_in] = np.diag(g.sum(axis=1) + dummy.sum(axis=1))
+        y[:n_in, n_in:] = -g
+        y[n_in:, :n_in] = -g.T
+        y[n_in:, n_in:] = np.diag(g.sum(axis=0) + 1.0 / r_col)
+        v = np.linalg.solve(y, drive.T).T
+        rails.append(v[:, n_in:] / r_col)
+    return rails[0] - rails[1]
 
 
 def quantizer_oracle(target: float, rng: ConductanceRange) -> float:
@@ -146,7 +180,7 @@ class TestMapWeights:
         gen = np.random.default_rng(5)
         w = gen.uniform(-1.0, 1.0, size=(12, 7))
         arr = map_weights(w)
-        decoded = arr.decode_weights()
+        decoded = _decoded(arr)
         half_step_w = 0.5 * GRID.step / arr.scale
         prune_bound_w = GRID.g_min / arr.scale
         err = np.abs(decoded - w)
@@ -167,7 +201,7 @@ class TestMapWeights:
         # so the weak bars need more than one dummy cell's worth of padding.
         w = np.vstack([np.full(6, 1.0), np.full(6, 0.04)])
         arr = map_weights(w)
-        assert arr.n_dummy >= 2
+        assert arr.dummy.shape[-1] >= 2
         assert np.all(arr.dummy <= G_MAX * (1 + 1e-12))
         totals = arr.g_tr
         assert totals.max() - totals.min() <= 1e-9 * totals.max()
@@ -177,7 +211,7 @@ class TestMapWeights:
         w = gen.uniform(-1.0, 1.0, size=(8, 4))
         w[0, 0] = 1e-4  # far below the pruning threshold when quantized
         arr = map_weights(w, quantize=False)
-        np.testing.assert_allclose(arr.decode_weights(), w, rtol=1e-12,
+        np.testing.assert_allclose(_decoded(arr), w, rtol=1e-12,
                                    atol=1e-18)
         assert np.all(np.any(arr.g > 0.0, axis=0))
 
@@ -191,10 +225,21 @@ class TestMapWeights:
         with pytest.raises(DomainError):
             map_weights(np.array([[1.0, np.inf]]))
 
-    def test_decode_requires_mapping_scale(self):
-        arr = CrossbarArray(g=[[[G_MAX]], [[0.0]]], dummy=np.zeros((2, 1, 1)))
-        with pytest.raises(ConfigError):
-            arr.decode_weights()
+    @pytest.mark.parametrize("cells", range(1, 13))
+    def test_bar_totals_are_row_sums(self, cells):
+        """Bar totals equal `g.sum(-1) + dummy.sum(-1)` bit for bit, on
+        one array and on a 3-copy stack, for rows of either side of the
+        8 cells below which they are added as written; rows of zeros of
+        either sign total +0.0, as numpy's sums do."""
+        gen = np.random.default_rng(cells)
+        for lead in ((), (3,)):
+            g = gen.uniform(0.0, G_MAX, lead + (2, 5, cells))
+            dummy = gen.uniform(0.0, G_MAX, lead + (2, 5, 13 - cells))
+            g[..., 1, :] = dummy[..., 1, :] = -0.0
+            g[..., 2, :] = 0.0
+            arr = CrossbarArray(g, dummy)
+            want = g.sum(axis=-1) + dummy.sum(axis=-1)
+            assert arr.g_tr.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("g, dummy", [
         (np.zeros((1, 1)), np.zeros((1, 1))),
@@ -254,6 +299,25 @@ class TestWeightedSum:
             arr.weighted_sum(np.zeros(3))
         with pytest.raises(DomainError):
             arr.weighted_sum(np.zeros(5))
+
+    def test_nodal_solve_converges_linearly(self, corpus):
+        """`weighted_sum` is the nodal solve in the limit of columns at
+        0 V: on each layer of the stored recognizer, the largest
+        deviation, relative to the largest column current, is
+        proportional to the column resistance as it goes to 0."""
+        network = build_network(load_weights(STORED_RECOGNIZER))
+        activations = corpus.features
+        for layer in network.layers:
+            i_rows = layer.i_unit * np.hstack(
+                [activations, np.ones((len(activations), 1))])
+            ideal = layer.array.weighted_sum(i_rows)
+            slopes = [np.abs(nodal_column_currents(layer.array, i_rows, r)
+                             - ideal).max() / np.abs(ideal).max() / r
+                      for r in (1e-4, 1e-3, 1e-2)]
+            assert max(slopes) <= 1.001 * min(slopes)
+            assert 0.0 < min(slopes) < 1e-2
+            activations = np.interp(ideal, network.kind.i_nodes,
+                                    network.kind.a_nodes)
 
     def test_batch_matches_row_by_row(self, recognizer, corpus):
         """The recognizer's perturbed input layer reads a [26, 65] batch
@@ -349,7 +413,7 @@ class TestVariation:
         singles = [inject_variation(arr, 0.05, seed=s) for s in seeds]
         assert stack.g.shape == (3, 2, 6, 4)
         assert (stack.n_inputs, stack.n_outputs) == (6, 4)
-        assert stack.n_dummy == arr.n_dummy
+        assert stack.dummy.shape[-1] == arr.dummy.shape[-1]
         assert stack.nominal is arr
         for name in ("g", "dummy", "g_tr"):
             np.testing.assert_array_equal(
@@ -427,6 +491,18 @@ class TestVariation:
         with pytest.raises(DomainError):
             inject_variation(arr, sigma, seed=0)
 
+    @pytest.mark.parametrize("words", [
+        np.zeros(4, dtype=np.int64), np.zeros(3, dtype=np.uint64),
+        np.zeros((2, 5), dtype=np.uint64), np.zeros((0, 4), dtype=np.uint64),
+        np.zeros((1, 2, 4), dtype=np.uint64), np.zeros(4, dtype=">u8"),
+        [1, 2, 3, 4]])
+    def test_bad_words_rejected(self, words):
+        """PCG64 reads four native uint64 words per copy from memory, so
+        any other shape or type is refused before a draw."""
+        arr = map_weights(np.ones((2, 2)))
+        with pytest.raises(ConfigError):
+            perturb(arr, 0.05, words)
+
     @pytest.mark.parametrize("seed", [[], np.array([], dtype=np.int64)])
     def test_empty_seed_sequence_rejected(self, seed):
         """No seeds would give a stack of no copies, which `forward`
@@ -497,11 +573,16 @@ class TestSeedReplay:
 
     def test_pcg64_words(self):
         """`inject_variation`'s PCG64 seed: the four uint64 words that
-        `default_rng(s)` seeds its bit generator with."""
-        got = _generate_state(8, WIDE_SEEDS).astype("<u4").view("<u8")
-        np.testing.assert_array_equal(
-            got, [np.random.SeedSequence(s).generate_state(4, np.uint64)
-                  for s in WIDE_SEEDS])
+        `default_rng(s)` seeds its bit generator with, for every seed of
+        an array of any shape."""
+        want = [np.random.SeedSequence(s).generate_state(4, np.uint64)
+                for s in WIDE_SEEDS]
+        np.testing.assert_array_equal(pcg64_words(WIDE_SEEDS), want)
+        grid = pcg64_words(np.array(WIDE_SEEDS[:6], dtype=object)
+                           .reshape(2, 3))
+        assert grid.shape == (2, 3, 4) and grid.dtype == np.uint64
+        np.testing.assert_array_equal(grid.reshape(6, 4), want[:6])
+        np.testing.assert_array_equal(pcg64_words(WIDE_SEEDS[3]), want[3])
 
     @pytest.mark.parametrize("seed", WIDE_SEEDS)
     def test_single_draw_matches_default_rng(self, seed):

@@ -1,6 +1,8 @@
 """Neuron device model: resistance law, readout, transfer, energy."""
 
+import csv
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -126,6 +128,14 @@ class TestReadout:
         assert all(b > a for a, b in zip(vs, vs[1:]))
 
 
+def _packaged_anchors():
+    """(j, v) rows of the packaged calibration CSV, in file order."""
+    text = resources.files("spinann.data").joinpath(
+        "velocity_fig4d.csv").read_text()
+    return [(float(j), float(v)) for j, v in
+            csv.reader(text.splitlines()[1:])]
+
+
 class TestVelocityTable:
     def test_below_threshold_is_zero(self):
         table = VelocityTable.default()
@@ -134,12 +144,12 @@ class TestVelocityTable:
 
     def test_anchors_exact(self):
         table = VelocityTable.default()
-        for j, v in table.anchors:
+        for j, v in _packaged_anchors():
             assert table.velocity(j) == pytest.approx(v, abs=0.0)
 
     def test_clamps_beyond_last_anchor(self):
         table = VelocityTable.default()
-        j_last, v_last = table.anchors[-1]
+        j_last, v_last = _packaged_anchors()[-1]
         assert table.velocity(10 * j_last) == v_last
 
     def test_interpolates_between_anchors(self):
@@ -161,7 +171,8 @@ class TestVelocityTable:
         path = tmp_path / "vel.csv"
         path.write_text("j_per_m2,v_m_per_s\n6.0e11,0.0\n1.0e12,80.0\n")
         table = VelocityTable.from_csv(path)
-        assert table.anchors == [(6.0e11, 0.0), (1.0e12, 80.0)]
+        assert [table.velocity(j) for j in (6.0e11, 1.0e12, 2.0e12)] \
+            == [0.0, 80.0, 80.0]
         bad = tmp_path / "bad.csv"
         bad.write_text("j,v\n1,2\n")
         with pytest.raises(ConfigError):

@@ -118,7 +118,7 @@ class TestForward:
         np.testing.assert_array_equal(v, np.stack([s[0] for s in singles]))
         for name, total in e.to_dict().items():
             want = sum(s[1].to_dict()[name] for s in singles)
-            assert total == pytest.approx(want, rel=1e-12)
+            assert total == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_dimension_properties(self, network):
         assert network.n_features == 64
@@ -161,7 +161,8 @@ class TestGolden:
         cells then dummies; the layers pad with 2 and 7 dummy columns."""
         network = build_network(load_weights(STORED_RECOGNIZER),
                                 quantize=quantize)
-        assert [layer.array.n_dummy for layer in network.layers] == [2, 7]
+        assert [layer.array.dummy.shape[-1]
+                for layer in network.layers] == [2, 7]
         digest = hashlib.sha256()
         for layer in network.layers:
             array = layer.array
@@ -197,11 +198,11 @@ class TestBuildValidation:
 class TestEnergy:
     def test_paper_operating_point(self):
         program, sense, reset = neuron_energy(np.array([40e-6]))
-        assert program == pytest.approx(0.48e-15, rel=1e-12)
-        assert sense == pytest.approx(2.5e-15, rel=1e-12)
-        assert reset == pytest.approx(0.75e-15, rel=1e-12)
+        assert program == pytest.approx(0.48e-15, rel=1e-12, abs=0.0)
+        assert sense == pytest.approx(2.5e-15, rel=1e-12, abs=0.0)
+        assert reset == pytest.approx(0.75e-15, rel=1e-12, abs=0.0)
         total = program + sense + reset
-        assert total == pytest.approx(3.73e-15, rel=1e-12)
+        assert total == pytest.approx(3.73e-15, rel=1e-12, abs=0.0)
         assert 3.4e-15 <= total <= 4.1e-15
 
     def test_report_total_is_sum_of_parts(self, network, corpus):
@@ -218,7 +219,8 @@ class TestEnergy:
         parts = e.to_dict()
         total = parts.pop("total")
         assert all(v > 0.0 for v in parts.values())
-        assert total == pytest.approx(sum(parts.values()), rel=1e-12)
+        assert total == pytest.approx(sum(parts.values()), rel=1e-12,
+                                      abs=0.0)
 
     def test_program_phase_energy_scales_with_duration(
             self, network, corpus, monkeypatch):
@@ -227,10 +229,12 @@ class TestEnergy:
         _, e1 = network.forward(corpus.features[0])
         monkeypatch.setattr("spinann.network.T_PROGRAM", 2e-9)
         _, e2 = network.forward(corpus.features[0])
-        assert e2.neuron_program == pytest.approx(2 * e1.neuron_program)
-        assert e2.crossbar_static == pytest.approx(2 * e1.crossbar_static)
-        assert e2.dtcs_static == pytest.approx(2 * e1.dtcs_static)
-        assert e2.neuron_sense == pytest.approx(e1.neuron_sense)
+        assert e2.neuron_program == pytest.approx(2 * e1.neuron_program,
+                                                  abs=0.0)
+        assert e2.crossbar_static == pytest.approx(2 * e1.crossbar_static,
+                                                   abs=0.0)
+        assert e2.dtcs_static == pytest.approx(2 * e1.dtcs_static, abs=0.0)
+        assert e2.neuron_sense == pytest.approx(e1.neuron_sense, abs=0.0)
 
     def test_zero_duration_schedule_spends_nothing(
             self, network, corpus, monkeypatch):
@@ -368,7 +372,7 @@ class TestVariation:
         np.testing.assert_array_equal(v, np.stack([s[0] for s in singles]))
         for name, total in e.to_dict().items():
             want = sum(s[1].to_dict()[name] for s in singles)
-            assert total == pytest.approx(want, rel=1e-12)
+            assert total == pytest.approx(want, rel=1e-12, abs=0.0)
         one, _ = stacked.forward(corpus.features[12])
         np.testing.assert_array_equal(one, v[:, 12:13])
 
@@ -396,6 +400,13 @@ class TestVariation:
         with pytest.raises(error):
             network.with_variation(0.05, seed)
 
+    def test_states_of_other_layer_counts_rejected(self, network):
+        states = network.variation_states([1, 2])
+        assert states.shape == (2, 2, 4)
+        for bad in (states[:1], np.concatenate([states, states[:1]])):
+            with pytest.raises(ValueError):
+                network.with_states(0.05, bad)
+
     @pytest.mark.parametrize("sigma", [True, np.True_])
     def test_bool_sigma_rejected(self, network, sigma):
         """A bool is no spread; taken as a number it would run at 1."""
@@ -408,7 +419,8 @@ class TestVariation:
         v0, e0 = network.forward(corpus.features)
         np.testing.assert_array_equal(v, np.stack([v0] * 3))
         for name, total in e.to_dict().items():
-            assert total == pytest.approx(3 * e0.to_dict()[name], rel=1e-12)
+            assert total == pytest.approx(3 * e0.to_dict()[name], rel=1e-12,
+                                          abs=0.0)
 
     def test_variation_never_accumulates(self, network):
         """Re-varying a varied clone perturbs the nominal conductances,
