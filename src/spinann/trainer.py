@@ -202,10 +202,7 @@ def activation_derivative(z, kind: TransferKind):
     return out if out.ndim else float(out)
 
 
-# Dead-neuron recovery for bounded-gradient transfers (_revive_dead_rows):
-# each epoch a neuron whose net input leaves the active window for every
-# sample moves its threshold row this far back toward the window, and its
-# input weights decay by the same fraction.
+# Per-epoch pull of a dead neuron back toward its window (_revive_dead_rows).
 REVIVE_RATE = 0.01
 
 # Momentum of the descent: the fraction of the previous update that
@@ -242,7 +239,7 @@ class TrainConfig:
     Fixed in code: MOMENTUM, the adaptive-rate factors LR_UP, LR_DOWN
     and LOSS_SPIKE, the kick width KICK_SCALE, dead-neuron revival
     REVIVE_RATE and the ensemble size NOISE_ENSEMBLE. Training always
-    aims at full accuracy, always centres the inputs (see _fit) and
+    aims at full accuracy, always centres the inputs (see _Problem) and
     trains the step kind through the unit window |z| <= 1/2.
     """
 
@@ -303,24 +300,20 @@ class TrainConfig:
         if not all(math.isfinite(v) for v in vars(self).values()
                    if isinstance(v, float)):
             raise ConfigError("training settings must be finite")
-        if self.learning_rate <= 0.0 or self.epochs <= 0:
-            raise ConfigError("learning_rate and epochs must be positive")
-        if self.weight_clip <= 0.0:
-            raise ConfigError("weight_clip must be positive")
+        wrong = [k for k in ("learning_rate", "epochs", "weight_clip",
+                             "positive_weight", "margin_weight")
+                 if getattr(self, k) <= 0]
+        if wrong:
+            raise ConfigError(f"{', '.join(wrong)} must be positive")
+        wrong = [k for k in ("seed", "kick_patience", "polish_epochs",
+                             "margin_target", "train_sigma")
+                 if getattr(self, k) < 0]
+        if wrong:
+            raise ConfigError(f"{', '.join(wrong)} must be >= 0")
         if self.init_low >= self.init_high:
             raise ConfigError("need init_low < init_high")
         if not (0.0 <= self.target_low < self.target_high <= 1.0):
             raise ConfigError("need 0 <= target_low < target_high <= 1")
-        if self.positive_weight <= 0.0:
-            raise ConfigError("positive_weight must be positive")
-        if self.kick_patience < 0:
-            raise ConfigError("kick_patience must be >= 0")
-        if self.polish_epochs < 0:
-            raise ConfigError("polish_epochs must be >= 0")
-        if self.margin_target < 0.0 or self.margin_weight <= 0.0:
-            raise ConfigError("need margin_target >= 0 and margin_weight > 0")
-        if self.train_sigma < 0.0:
-            raise ConfigError("train_sigma must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -375,18 +368,6 @@ class TrainResult:
     converged: bool
     epochs_run: int
     history: np.ndarray  # rows of (epoch, loss, accuracy)
-
-    @property
-    def n_hidden(self) -> int:
-        return self.w1.shape[1]
-
-    @property
-    def n_classes(self) -> int:
-        return self.w2.shape[1]
-
-    @property
-    def n_features(self) -> int:
-        return self.w1.shape[0] - 1
 
 
 def _augment(x: np.ndarray) -> np.ndarray:
@@ -503,6 +484,223 @@ def _ensemble_key(z2: np.ndarray, a2: np.ndarray,
     return perfect / len(a2), margin_sum / len(a2)
 
 
+@dataclass(frozen=True, eq=False)
+class _Problem:
+    """What a fit reads and never changes.
+
+    The first layer is optimized in mean-removed input coordinates: `x`
+    is the features less their batch mean `offset`, plus the always-on
+    column. All-positive feature vectors share a large common component
+    that makes their gradient directions nearly collinear; removing it
+    conditions the problem. w1 enters and leaves a fit in raw form, the
+    shift folded exactly into its threshold row, and the weight clip and
+    the quantization grid apply to that raw form.
+    """
+
+    offset: np.ndarray
+    x: np.ndarray
+    targets: np.ndarray
+    err_weight: np.ndarray
+    labels: np.ndarray
+    idx: np.ndarray  # arange over the samples, to index own entries
+    window: tuple[float, float] | None  # _active_window(kind)
+    kind: TransferKind
+    cfg: TrainConfig
+    on_grid: bool
+    snapshot_from_start: bool
+
+
+class _Run:
+    """What the epochs of one fit advance; w1 is in fit coordinates.
+
+    g1 and g2 are the jitter factors of a noise-aware epoch's stacked
+    copies, None when training is clean. Copy 1 is exactly 1.0, and the
+    frozen ensemble (copies 2..) keeps its draws every epoch, so ranks
+    compare geometry, not luck. f1 and f2 are the last forward weights.
+
+    `carry` is an accepted step's probe, carried into the next epoch:
+    its snapped weights before jitter (off the grid the shadow arrays,
+    which the dead-row revival edits in place only after the forward
+    pass) and, for a clean epoch, its forward pass and loss. A noisy
+    epoch's fresh jitter needs a pass of its own. A rejected step or a
+    kick carries nothing.
+    """
+
+    def __init__(self, p: _Problem, rng: np.random.Generator,
+                 w1: np.ndarray, w2: np.ndarray):
+        self.w1, self.w2, self.rng = _unfold_offset(w1, p.offset), w2, rng
+        self.g1 = self.g2 = None
+        if p.cfg.train_sigma > 0.0:
+            self.g1, self.g2 = (np.ones((2 + NOISE_ENSEMBLE, *w.shape))
+                                for w in (self.w1, w2))
+            for g in (self.g1, self.g2):
+                g[2:] += p.cfg.train_sigma * rng.standard_normal(g[2:].shape)
+        self.best_snap = self.polish_left = self.carry = None
+        self.f1 = self.f2 = None
+        self.converged, self.history = False, []
+        self.restart(p.cfg)
+
+    def restart(self, cfg: TrainConfig) -> None:
+        """Clear the momentum memory and the plateau clock, and restore
+        the initial learning rate."""
+        self.v1, self.v2 = np.zeros_like(self.w1), np.zeros_like(self.w2)
+        self.lr, self.best_loss, self.best_acc, self.stalled = \
+            cfg.learning_rate, np.inf, -1.0, 0
+
+
+def _fwd_weights(p: _Problem, m1: np.ndarray, m2: np.ndarray):
+    if not p.on_grid:
+        return m1, m2
+    q1 = _snap_weights(_fold_offset(m1, p.offset))
+    return _unfold_offset(q1, p.offset), _snap_weights(m2)
+
+
+def _clip(p: _Problem, m: np.ndarray) -> np.ndarray:
+    return np.minimum(np.maximum(m, -p.cfg.weight_clip), p.cfg.weight_clip)
+
+
+def _clip_layer1(p: _Problem, m1: np.ndarray) -> np.ndarray:
+    """Clip in raw form so the folded threshold row obeys the same
+    bound as every other weight, then return to fit coordinates."""
+    return _unfold_offset(_clip(p, _fold_offset(m1, p.offset)), p.offset)
+
+
+def _margin_residual(p: _Problem, z_out: np.ndarray):
+    """Hinge per sample: how far the own-vs-runner-up net-input gap
+    falls short of margin_target, the runner-up's index and the gap."""
+    rest = z_out.copy()
+    rest[p.idx, p.labels] = -np.inf
+    runner = np.argmax(rest, axis=1)
+    gap = z_out[p.idx, p.labels] - rest[p.idx, runner]
+    return np.maximum(0.0, p.cfg.margin_target - gap), runner, gap
+
+
+def _mean(e: np.ndarray) -> float:
+    # np.mean's own sum and division, without its dispatch.
+    return float(np.add.reduce(e, axis=None)) / e.size
+
+
+def _batch_loss(p: _Problem, z_out: np.ndarray, a_out: np.ndarray):
+    """(loss, its _margin_residual or None), for the gradient to reuse."""
+    loss = _mean(p.err_weight * (a_out - p.targets) ** 2)
+    if p.cfg.margin_target <= 0.0:
+        return loss, None
+    residual = _margin_residual(p, z_out)
+    return loss + p.cfg.margin_weight * _mean(residual[0] ** 2), residual
+
+
+def _scored(p: _Problem, m1: np.ndarray, m2: np.ndarray):
+    """((z1, a1_aug, z2, a2), (loss, residual)) of one 2-D pass."""
+    out = _forward(p.x, m1, m2, p.kind)
+    return out, _batch_loss(p, out[2], out[3])
+
+
+def _epoch(p: _Problem, run: _Run, epoch: int) -> bool:
+    """Measure the weights after `epoch` updates, then update them once;
+    True when the run stops instead.
+
+    A noise-aware epoch is one stacked forward pass: copy 0 is jittered
+    for the loss and gradient, copy 1 is clean for the accuracy and the
+    rest are the frozen snapshot-ranking ensemble.
+    """
+    cfg = p.cfg
+    f1, f2, probe = run.carry or (*_fwd_weights(p, run.w1, run.w2), None)
+    run.f1, run.f2, run.carry = f1, f2, None
+    noisy = run.g1 is not None
+    if noisy:
+        # Fresh forward jitter each epoch: gradients are taken on the
+        # perturbed network, so descent favors weight configurations
+        # whose decisions survive the perturbation.
+        for g, w in ((run.g1, run.w1), (run.g2, run.w2)):
+            g[0] = 1.0 + cfg.train_sigma * run.rng.standard_normal(w.shape)
+        s2 = f2 * run.g2
+        stack = _forward(p.x, f1 * run.g1, s2, p.kind)
+        z1, a1_aug, z2, a2 = stack[0][0], stack[1][0], stack[2][0], stack[3][0]
+        n2, a2_clean = s2[0], stack[3][1]
+        loss, residual = _batch_loss(p, z2, a2)
+    else:
+        (z1, a1_aug, z2, a2), (loss, residual) = probe or _scored(p, f1, f2)
+        n2, a2_clean = f2, a2
+    accuracy = _accuracy(a2_clean, p.labels)
+    run.history.append((epoch, loss, accuracy))
+
+    if p.snapshot_from_start or run.polish_left is not None \
+            or (accuracy == 1.0 and cfg.polish_epochs):
+        # Rank equally accurate epochs by what the weight grid and
+        # device noise consume: the net-input margin, or under
+        # noise-aware training the frozen-ensemble survival.
+        if noisy:
+            snap = (accuracy,
+                    *_ensemble_key(stack[2][2:], stack[3][2:], p.labels))
+        else:
+            snap = (accuracy, _margin(z2, p.labels) if residual is None
+                    else float(residual[2].min()))
+        if run.best_snap is None or snap > run.best_snap[:len(snap)]:
+            run.best_snap = (*snap, f1.copy(), f2.copy())
+    if accuracy == 1.0:
+        run.converged = True
+        if run.polish_left is None:
+            run.polish_left = cfg.polish_epochs
+    if run.polish_left == 0 or epoch == cfg.epochs:
+        return True
+    if run.polish_left is not None:
+        run.polish_left -= 1
+
+    # Progress means a meaningful loss drop or a new accuracy high;
+    # sub-0.1% loss creep on a plateau does not reset the clock.
+    if loss < run.best_loss * (1.0 - 1e-3) or accuracy > run.best_acc:
+        run.stalled = 0
+    else:
+        run.stalled += 1
+    run.best_loss = min(run.best_loss, loss)
+    run.best_acc = max(run.best_acc, accuracy)
+    if cfg.kick_patience and run.stalled >= cfg.kick_patience \
+            and run.polish_left is None and accuracy < 1.0:
+        n_features, n_hidden = run.w1.shape[0] - 1, run.w1.shape[1]
+        run.w1 = _clip_layer1(p, run.w1 + run.rng.uniform(
+            -KICK_SCALE, KICK_SCALE, run.w1.shape) / np.sqrt(n_features))
+        run.w2 = _clip(p, run.w2 + run.rng.uniform(
+            -KICK_SCALE, KICK_SCALE, run.w2.shape) / np.sqrt(n_hidden))
+        run.restart(cfg)
+        return False
+
+    if p.window is not None:
+        _revive_dead_rows(run.w1, z1, p.window)
+        _revive_dead_rows(run.w2, z2, p.window)
+    delta2 = p.err_weight * (a2 - p.targets) * activation_derivative(
+        z2, p.kind)
+    if residual is not None:
+        # Push each sample's own net input up and its runner-up's down
+        # until the gap reaches margin_target. Applied past the
+        # activation derivative so a saturated runner-up keeps moving
+        # away instead of parking just over the rail.
+        shortfall, runner, _ = residual
+        delta2[p.idx, p.labels] -= cfg.margin_weight * shortfall
+        delta2[p.idx, runner] += cfg.margin_weight * shortfall
+    delta1 = (delta2 @ n2[:-1].T) * activation_derivative(z1, p.kind)
+    n = len(p.x)
+    v1 = MOMENTUM * run.v1 - run.lr * (p.x.T @ delta1 / n)
+    v2 = MOMENTUM * run.v2 - run.lr * (a1_aug.T @ delta2 / n)
+    w1, w2 = _clip_layer1(p, run.w1 + v1), _clip(p, run.w2 + v2)
+
+    q1, q2 = _fwd_weights(p, w1, w2)
+    # Same jitter as this epoch's forward, so the comparison isolates
+    # the effect of the step.
+    probe = _scored(p, q1 * run.g1[0], q2 * run.g2[0]) if noisy \
+        else _scored(p, q1, q2)
+    next_loss = probe[1][0]
+    if next_loss > loss * LOSS_SPIKE:
+        # Overshoot: discard the step, cool down, clear momentum.
+        run.lr *= LR_DOWN
+        run.v1, run.v2 = np.zeros_like(run.v1), np.zeros_like(run.v2)
+        return False
+    if next_loss < loss:
+        run.lr *= LR_UP
+    run.v1, run.v2, run.w1, run.w2 = v1, v2, w1, w2
+    run.carry = q1, q2, None if noisy else probe
+    return False
+
+
 def _fit(dataset: Dataset, kind: TransferKind, cfg: TrainConfig,
          rng: np.random.Generator, w1: np.ndarray, w2: np.ndarray,
          on_grid: bool, snapshot_from_start: bool) -> TrainResult:
@@ -515,225 +713,30 @@ def _fit(dataset: Dataset, kind: TransferKind, cfg: TrainConfig,
     estimator). Snapshot tracking keeps the epoch with the best
     (accuracy, margin) pair; train() arms it once full accuracy is
     reached, finalize() from the first epoch.
-
-    A noise-aware epoch is one stacked forward pass: copy 0 is jittered
-    for the loss and gradient, copy 1 is clean for the accuracy and the
-    rest are the frozen snapshot-ranking ensemble.
-
-    An accepted step's probe carries into the next epoch: its snapped
-    weights before jitter (off the grid the shadow arrays, which
-    the dead-row revival edits in place only after the forward pass)
-    and, for a clean epoch, its forward pass and loss. A noisy epoch's
-    fresh jitter needs a pass of its own. A rejected step or a kick
-    carries nothing.
-
-    The first layer is optimized in mean-removed input coordinates.
-    All-positive feature vectors share a large common component that
-    makes their gradient directions nearly collinear; removing the
-    batch mean during the weight updates conditions the problem. w1
-    enters and leaves in raw form, the shift folded exactly into its
-    threshold row, so the trained weights still act on raw features.
-    The weight clip and the quantization grid apply to the raw form, so
-    the returned threshold row obeys the same bounds as every other
-    weight.
     """
     offset = dataset.features.mean(axis=0)
-    x = _augment(dataset.features - offset)
-    w1 = _unfold_offset(w1, offset)
-    targets = dataset.one_hot * (cfg.target_high - cfg.target_low) \
-        + cfg.target_low
-    err_weight = np.where(dataset.one_hot > 0.0, cfg.positive_weight, 1.0)
-    n = len(x)
-    n_hidden = w1.shape[1]
-    window = _active_window(kind)
-
-    labels = dataset.labels
-    idx = np.arange(n)
-
-    def fwd_weights(m1, m2):
-        if not on_grid:
-            return m1, m2
-        q1 = _snap_weights(_fold_offset(m1, offset))
-        return _unfold_offset(q1, offset), _snap_weights(m2)
-
-    def clip(m):
-        return np.minimum(np.maximum(m, -cfg.weight_clip), cfg.weight_clip)
-
-    def _clip_layer1(m1):
-        """Clip in raw form so the folded threshold row obeys the same
-        bound as every other weight, then return to fit coordinates."""
-        return _unfold_offset(clip(_fold_offset(m1, offset)), offset)
-
-    def margin_residual(z_out):
-        """Hinge per sample: how far the own-vs-runner-up net-input gap
-        falls short of margin_target, the runner-up's index and the gap."""
-        rest = z_out.copy()
-        rest[idx, labels] = -np.inf
-        runner = np.argmax(rest, axis=1)
-        gap = z_out[idx, labels] - rest[idx, runner]
-        return np.maximum(0.0, cfg.margin_target - gap), runner, gap
-
-    def mean(e):
-        # np.mean's own sum and division, without its dispatch.
-        return float(np.add.reduce(e, axis=None)) / e.size
-
-    def batch_loss(z_out, a_out):
-        """(loss, its margin_residual or None), for the gradient to reuse."""
-        loss = mean(err_weight * (a_out - targets) ** 2)
-        if cfg.margin_target <= 0.0:
-            return loss, None
-        residual = margin_residual(z_out)
-        return loss + cfg.margin_weight * mean(residual[0] ** 2), residual
-
-    def scored(m1, m2):
-        """((z1, a1_aug, z2, a2), (loss, residual)) of one 2-D pass."""
-        out = _forward(x, m1, m2, kind)
-        return out, batch_loss(out[2], out[3])
-
-    noisy = cfg.train_sigma > 0.0
-    if noisy:
-        # Jitter factors of the stacked copies: copy 1 is exactly 1.0, and
-        # the frozen ensemble (copies 2..) keeps its draws every epoch, so
-        # ranks compare geometry, not luck.
-        g1 = np.ones((2 + NOISE_ENSEMBLE, *w1.shape))
-        g2 = np.ones((2 + NOISE_ENSEMBLE, *w2.shape))
-        g1[2:] += cfg.train_sigma * rng.standard_normal(g1[2:].shape)
-        g2[2:] += cfg.train_sigma * rng.standard_normal(g2[2:].shape)
-
-    v1 = np.zeros_like(w1)
-    v2 = np.zeros_like(w2)
-    lr = cfg.learning_rate
-    best_loss = np.inf
-    best_acc = -1.0
-    stalled = 0
-    best_snap = None
-    polish_left = None
-    history = []
-    converged = False
-    carry = None
-
+    one_hot = dataset.one_hot
+    p = _Problem(
+        offset, _augment(dataset.features - offset),
+        one_hot * (cfg.target_high - cfg.target_low) + cfg.target_low,
+        np.where(one_hot > 0.0, cfg.positive_weight, 1.0), dataset.labels,
+        np.arange(len(one_hot)), _active_window(kind), kind, cfg, on_grid,
+        snapshot_from_start)
+    run = _Run(p, rng, w1, w2)
     # One measurement per epoch boundary: epoch k's row describes the
     # weights after k updates.
     for epoch in range(cfg.epochs + 1):
-        f1, f2, probe = carry or (*fwd_weights(w1, w2), None)
-        carry = None
-        if noisy:
-            # Fresh forward jitter each epoch: gradients are taken on
-            # the perturbed network, so descent favors weight
-            # configurations whose decisions survive the perturbation.
-            g1[0] = 1.0 + cfg.train_sigma * rng.standard_normal(w1.shape)
-            g2[0] = 1.0 + cfg.train_sigma * rng.standard_normal(w2.shape)
-            s2 = f2 * g2
-            stack = _forward(x, f1 * g1, s2, kind)
-            z1, a1_aug, z2, a2 = (s[0] for s in stack)
-            n2, a2_clean = s2[0], stack[3][1]
-            loss, residual = batch_loss(z2, a2)
-        else:
-            (z1, a1_aug, z2, a2), (loss, residual) = probe or scored(f1, f2)
-            n2, a2_clean = f2, a2
-        accuracy = _accuracy(a2_clean, labels)
-        history.append((epoch, loss, accuracy))
-        epochs_run = epoch
-
-        if snapshot_from_start or polish_left is not None \
-                or (accuracy == 1.0 and cfg.polish_epochs):
-            # Rank equally accurate epochs by what the weight grid and
-            # device noise consume: the net-input margin, or under
-            # noise-aware training the frozen-ensemble survival.
-            if noisy:
-                snap = (accuracy,
-                        *_ensemble_key(stack[2][2:], stack[3][2:], labels))
-            else:
-                snap = (accuracy, _margin(z2, labels) if residual is None
-                        else float(residual[2].min()))
-            if best_snap is None or snap > best_snap[:len(snap)]:
-                best_snap = (*snap, f1.copy(), f2.copy())
-        if accuracy == 1.0:
-            converged = True
-            if cfg.polish_epochs == 0:
-                break
-            if polish_left is None:
-                polish_left = cfg.polish_epochs
-        if polish_left is not None:
-            if polish_left == 0:
-                break
-            polish_left -= 1
-        if epoch == cfg.epochs:
+        if _epoch(p, run, epoch):
             break
-
-        # Progress means a meaningful loss drop or a new accuracy high;
-        # sub-0.1% loss creep on a plateau does not reset the clock.
-        if loss < best_loss * (1.0 - 1e-3) or accuracy > best_acc:
-            stalled = 0
-        else:
-            stalled += 1
-        best_loss = min(best_loss, loss)
-        best_acc = max(best_acc, accuracy)
-        if cfg.kick_patience and stalled >= cfg.kick_patience \
-                and polish_left is None and accuracy < 1.0:
-            w1 = _clip_layer1(
-                w1 + rng.uniform(-KICK_SCALE, KICK_SCALE, w1.shape)
-                / np.sqrt(dataset.n_features))
-            w2 = clip(w2 + rng.uniform(-KICK_SCALE, KICK_SCALE, w2.shape)
-                      / np.sqrt(n_hidden))
-            v1 = np.zeros_like(v1)
-            v2 = np.zeros_like(v2)
-            lr = cfg.learning_rate
-            best_loss = np.inf
-            best_acc = -1.0
-            stalled = 0
-            continue
-
-        if window is not None:
-            _revive_dead_rows(w1, z1, window)
-            _revive_dead_rows(w2, z2, window)
-
-        err = err_weight * (a2 - targets)
-        delta2 = err * activation_derivative(z2, kind)
-        if residual is not None:
-            # Push each sample's own net input up and its runner-up's
-            # down until the gap reaches margin_target. Applied past
-            # the activation derivative so a saturated runner-up keeps
-            # moving away instead of parking just over the rail.
-            shortfall, runner, _ = residual
-            delta2[idx, labels] -= cfg.margin_weight * shortfall
-            delta2[idx, runner] += cfg.margin_weight * shortfall
-        grad2 = a1_aug.T @ delta2 / n
-        delta1 = (delta2 @ n2[:-1].T) * activation_derivative(z1, kind)
-        grad1 = x.T @ delta1 / n
-
-        v1_next = MOMENTUM * v1 - lr * grad1
-        v2_next = MOMENTUM * v2 - lr * grad2
-        w1_next = _clip_layer1(w1 + v1_next)
-        w2_next = clip(w2 + v2_next)
-
-        q1, q2 = fwd_weights(w1_next, w2_next)
-        # Same jitter as this epoch's forward, so the comparison
-        # isolates the effect of the step.
-        probe = scored(q1 * g1[0], q2 * g2[0]) if noisy else scored(q1, q2)
-        next_loss = probe[1][0]
-        if next_loss > loss * LOSS_SPIKE:
-            # Overshoot: discard the step, cool down, clear momentum.
-            lr *= LR_DOWN
-            v1 = np.zeros_like(v1)
-            v2 = np.zeros_like(v2)
-            continue
-        if next_loss < loss:
-            lr *= LR_UP
-        v1, v2, w1, w2 = v1_next, v2_next, w1_next, w2_next
-        carry = q1, q2, None if noisy else probe
-
-    if best_snap is not None:
-        accuracy = best_snap[0]
-        w1, w2 = best_snap[-2], best_snap[-1]
-    elif on_grid:
-        w1, w2 = f1, f2
-
+    epochs_run, _, accuracy = run.history[-1]
+    if run.best_snap is not None:
+        accuracy, w1, w2 = run.best_snap[0], *run.best_snap[-2:]
+    else:
+        w1, w2 = (run.f1, run.f2) if on_grid else (run.w1, run.w2)
     return TrainResult(
-        w1=_fold_offset(w1, offset), w2=w2, kind=kind, config=cfg, accuracy=accuracy,
-        converged=converged, epochs_run=epochs_run,
-        history=np.array(history).reshape(-1, 3),
-    )
+        w1=_fold_offset(w1, offset), w2=w2, kind=kind, config=cfg,
+        accuracy=accuracy, converged=run.converged, epochs_run=epochs_run,
+        history=np.array(run.history).reshape(-1, 3))
 
 
 def train(dataset: Dataset, n_hidden: int, kind: TransferKind,
@@ -876,12 +879,8 @@ def save_weights(path, result: TrainResult) -> None:
     doc = {
         "schema": WEIGHTS_SCHEMA,
         "transfer": result.kind.to_dict(),
-        "layers": [
-            {"n_inputs": result.n_features, "n_neurons": result.n_hidden,
-             "weights": result.w1.tolist()},
-            {"n_inputs": result.n_hidden, "n_neurons": result.n_classes,
-             "weights": result.w2.tolist()},
-        ],
+        "layers": [{"n_inputs": w.shape[0] - 1, "n_neurons": w.shape[1],
+                    "weights": w.tolist()} for w in (result.w1, result.w2)],
         "accuracy": result.accuracy,
         "converged": result.converged,
         "epochs_run": result.epochs_run,

@@ -673,19 +673,24 @@ class TestComparisonConfigs:
             "6c2c2b613aed3cc1c25866b26210276a"),
     }
 
-    def test_two_letter_comparison_pinned(self, corpus):
-        """The whole search on letters A and B: per kind, the hidden
+    @pytest.mark.parametrize("n_letters, want", [
+        (2, {"stt_snn": (1, 1, 665), "sigmoid": (1, 1, 2),
+             "sat_linear": (1, 1, 21), "step": (1, 1, 1236)}),
+        # Restarts and a step up in size: stt_snn and sat_linear converge
+        # on their second run, step only at two hidden neurons.
+        (3, {"stt_snn": (1, 2, 20), "sigmoid": (1, 1, 18),
+             "sat_linear": (1, 2, 12), "step": (2, 3, 1870)}),
+    ], ids=["AB", "ABC"])
+    def test_small_comparison_pinned(self, corpus, n_letters, want):
+        """The whole search on the first letters: per kind, the hidden
         size found, the runs spent and the winning run's epochs."""
-        pair = Corpus(letters=corpus.letters[:2], glyphs=corpus.glyphs[:2],
-                      features=corpus.features[:2], labels=np.arange(2))
-        found = compare_transfer_kinds(pair, restarts=2, max_hidden=4)
+        few = Corpus(letters=corpus.letters[:n_letters],
+                     glyphs=corpus.glyphs[:n_letters],
+                     features=corpus.features[:n_letters],
+                     labels=np.arange(n_letters))
+        found = compare_transfer_kinds(few, restarts=2, max_hidden=4)
         assert {name: (s.n_hidden, s.attempts, s.result.epochs_run)
-                for name, s in found.items()} == {
-            "stt_snn": (1, 1, 665),
-            "sigmoid": (1, 1, 2),
-            "sat_linear": (1, 1, 21),
-            "step": (1, 1, 1236),
-        }
+                for name, s in found.items()} == want
 
     @pytest.mark.parametrize("name", list(GOLDEN))
     def test_short_run_weights_pinned(self, name, corpus):

@@ -108,7 +108,7 @@ class TestConductanceRange:
     def test_default_window(self):
         rng = ConductanceRange()
         assert 0.0 < rng.g_min < rng.g_max
-        assert rng.g_min == pytest.approx(3.125e-5, rel=1e-12)
+        assert rng.g_min == pytest.approx(3.125e-5, rel=1e-12, abs=0.0)
         assert rng.g_max == 1e-3
         assert rng.levels == 32
         assert float(rng.quantize(0.0)) == 0.0
@@ -135,10 +135,10 @@ class TestConductanceRange:
         # above it, tying between two levels; the tie takes the lower one.
         rng = ConductanceRange()
         assert float(rng.quantize(0.5 * rng.g_max)) == pytest.approx(
-            16 * G_MIN, rel=1e-14)
+            16 * G_MIN, rel=1e-14, abs=0.0)
         mid_rise = rng.g_min + 0.5 * (rng.g_max - rng.g_min)
         assert quantizer_oracle(mid_rise, rng) == pytest.approx(
-            16 * G_MIN, rel=1e-14)
+            16 * G_MIN, rel=1e-14, abs=0.0)
         assert abs(mid_rise - 16 * G_MIN) <= 0.5 * rng.step * (1 + 1e-9)
 
     def test_sub_g_min_prunes_to_off(self):
@@ -151,7 +151,7 @@ class TestMapWeights:
     def test_single_entry_anchors_scale(self):
         arr = map_weights(np.array([[0.0, 0.7], [0.0, 0.0]]))
         assert arr.g.shape == (2, 2, 2)
-        assert arr.g[0, 0, 1] == pytest.approx(G_MAX, rel=1e-12)
+        assert arr.g[0, 0, 1] == pytest.approx(G_MAX, rel=1e-12, abs=0.0)
         assert arr.g[1, 0, 1] == 0.0
         off = np.ones((2, 2), dtype=bool)
         off[0, 1] = False
@@ -165,7 +165,7 @@ class TestMapWeights:
             g_plus, g_minus, scale = mapping_oracle(w, GRID)
             np.testing.assert_allclose(arr.g, [g_plus, g_minus], rtol=1e-12,
                                        atol=0.0)
-            assert arr.scale == pytest.approx(scale, rel=1e-12)
+            assert arr.scale == pytest.approx(scale, rel=1e-12, abs=0.0)
 
     def test_sign_separation(self):
         gen = np.random.default_rng(3)

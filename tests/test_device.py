@@ -115,12 +115,15 @@ class TestResistance:
 
 class TestReadout:
     def test_endpoint_voltages(self):
-        assert output_voltage(X_MIN) == pytest.approx(51.818e-3, rel=1e-4)
-        assert output_voltage(X_MAX) == pytest.approx(69.800e-3, rel=1e-4)
+        assert output_voltage(X_MIN) == pytest.approx(51.818e-3, rel=1e-4,
+                                                       abs=0.0)
+        assert output_voltage(X_MAX) == pytest.approx(69.800e-3, rel=1e-4,
+                                                       abs=0.0)
 
     def test_symmetric_divider(self):
         # Neuron resistance equal to the reference splits the supply evenly.
-        assert read_voltage(R_REF) == pytest.approx(V_SENSE_SUPPLY / 2, rel=1e-15)
+        assert read_voltage(R_REF) == pytest.approx(V_SENSE_SUPPLY / 2,
+                                                    rel=1e-15, abs=0.0)
 
     def test_strictly_increasing(self):
         xs = np.linspace(X_MIN, X_MAX, 400)
@@ -216,22 +219,26 @@ class TestPulses:
 class TestTransfer:
     def test_flat_below_depinning(self, device):
         assert device.depinning_current == pytest.approx(24e-6)
-        assert device.transfer(10e-6) == pytest.approx(device.v_out_min, rel=1e-12)
+        assert device.transfer(10e-6) == pytest.approx(device.v_out_min,
+                                                      rel=1e-12, abs=0.0)
         assert device.transfer(device.depinning_current) == pytest.approx(
-            device.v_out_min, rel=1e-12
+            device.v_out_min, rel=1e-12, abs=0.0
         )
 
     def test_saturates_at_high_current(self, device):
         i_sat = device.saturation_current()
-        assert device.transfer(i_sat) == pytest.approx(device.v_out_max, rel=1e-12)
-        assert device.transfer(2 * i_sat) == pytest.approx(device.v_out_max, rel=1e-12)
+        assert device.transfer(i_sat) == pytest.approx(device.v_out_max,
+                                                      rel=1e-12, abs=0.0)
+        assert device.transfer(2 * i_sat) == pytest.approx(device.v_out_max,
+                                                          rel=1e-12, abs=0.0)
 
     def test_saturation_current_value(self, device):
         # End-to-end travel in 1 ns needs (length - dw_length)/1ns of velocity.
         v_needed = (LENGTH - DW_LENGTH) / 1e-9
         assert v_needed == pytest.approx(83.0, rel=0.01)
         assert T_PROGRAM == 1e-9
-        assert device.saturation_current() == pytest.approx(44.93e-6, rel=1e-3)
+        assert device.saturation_current() == pytest.approx(44.93e-6, rel=1e-3,
+                                                            abs=0.0)
 
     def test_monotone_nondecreasing(self, device):
         currents = np.linspace(0.0, 60e-6, 121)

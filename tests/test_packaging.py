@@ -1,7 +1,8 @@
 """The package points only at things that exist: pyproject.toml's
 scripts and data globs, every name a module exports, and every error
-type some code raises."""
+type some code raises. Every function and class it defines is used."""
 
+import ast
 import glob
 import importlib
 import inspect
@@ -54,3 +55,35 @@ def test_every_error_type_is_raised():
         if issubclass(cls, errors.SpinAnnError) \
                 and cls is not errors.SpinAnnError:
             assert re.search(rf"raise {name}\b", source), name
+
+
+def _names_used(node):
+    """Every name that `node` reads, imports or spells as a dotted string
+    (a tracer's target or a monkeypatched attribute)."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.name.rpartition(".")[2]
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str) \
+                and re.fullmatch(r"[\w.:]+", sub.value):
+            yield from re.split(r"[.:]", sub.value)
+
+
+def test_every_top_level_definition_is_used():
+    """A module-level function or class that nothing names outside its
+    own definition, in the package, its tests or the benchmark, is dead."""
+    files = [*(ROOT / "src" / "spinann").glob("*.py"),
+             *(ROOT / "tests").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    defined, used = [], set()
+    for path in files:
+        for stmt in ast.parse(path.read_text()).body:
+            own = getattr(stmt, "name", None)
+            if path.parent.name == "spinann" and isinstance(
+                    stmt, (ast.FunctionDef, ast.ClassDef)):
+                defined.append(f"{path.stem}.{own}")
+            used.update(name for name in _names_used(stmt) if name != own)
+    assert defined
+    assert [d for d in defined if d.partition(".")[2] not in used] == []

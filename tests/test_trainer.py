@@ -61,10 +61,12 @@ def separable():
 class TestSttTable:
     def test_thresholds_from_device(self, stt_kind):
         dev = NeuronDevice()
-        assert stt_kind.th1 == pytest.approx(TH1, rel=1e-12)
-        assert stt_kind.th2 == pytest.approx(TH2, rel=1e-9)
-        assert stt_kind.v_min == pytest.approx(dev.v_out_min, rel=1e-12)
-        assert stt_kind.v_max == pytest.approx(dev.v_out_max, rel=1e-12)
+        assert stt_kind.th1 == pytest.approx(TH1, rel=1e-12, abs=0.0)
+        assert stt_kind.th2 == pytest.approx(TH2, rel=1e-9, abs=0.0)
+        assert stt_kind.v_min == pytest.approx(dev.v_out_min, rel=1e-12,
+                                               abs=0.0)
+        assert stt_kind.v_max == pytest.approx(dev.v_out_max, rel=1e-12,
+                                               abs=0.0)
         assert stt_kind.drive_current == pytest.approx(stt_kind.th2)
 
     def test_table_saturates_at_the_program_pulse(self, stt_kind):
@@ -73,7 +75,8 @@ class TestSttTable:
         dev = NeuronDevice()
         assert stt_kind.th2 == dev.saturation_current()
         v_sat = VELOCITY_TABLE.velocity(stt_kind.th2 / CROSS_SECTION)
-        assert v_sat * T_PROGRAM == pytest.approx(X_MAX - X_MIN, rel=1e-12)
+        assert v_sat * T_PROGRAM == pytest.approx(X_MAX - X_MIN, rel=1e-12,
+                                                  abs=0.0)
 
     @pytest.mark.parametrize("n_nodes", [0, 1, 2])
     def test_rejects_degenerate_table_size(self, n_nodes):
@@ -580,6 +583,8 @@ class TestTrain:
             Dataset(np.zeros((2, 4)), np.array([0, 5]), n_classes=2)
         with pytest.raises(ConfigError):
             TrainConfig(learning_rate=0.0)
+        with pytest.raises(ConfigError, match="seed"):
+            TrainConfig(seed=-1)
 
     @pytest.mark.parametrize("labels, n_classes", [
         ([0.5, 1.7], 2), ([0, 0], True), ([0, 1], 2.5),
@@ -871,7 +876,8 @@ class TestWeightsFile:
 
     @pytest.mark.parametrize("key, value", [
         ("epochs", 2.5), ("seed", True), ("kick_patience", 1.0),
-        ("polish_epochs", False), ("epochs", "4000"), ("seed", None)])
+        ("polish_epochs", False), ("epochs", "4000"), ("seed", None),
+        ("seed", -1)])
     def test_non_integer_count_rejected(self, tmp_path, key, value):
         with pytest.raises(ConfigError, match=key):
             load_weights(self._stored_copy(
