@@ -19,7 +19,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -54,7 +55,6 @@ class TransferKind:
     to the depinning threshold th1, exactly 1 at the full-travel current
     th2, continuous and nondecreasing between. drive_current converts
     the trainer's dimensionless net input into a programming current.
-    slopes, the table's per-segment slopes, is derived once from it.
     """
 
     tag: str
@@ -65,7 +65,6 @@ class TransferKind:
     drive_current: float = 0.0
     i_nodes: np.ndarray | None = None
     a_nodes: np.ndarray | None = None
-    slopes: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.tag not in ("step", "sat_linear", "sigmoid", "stt_snn"):
@@ -93,8 +92,18 @@ class TransferKind:
                     and self.a_nodes[0] >= 0.0 and self.a_nodes[-1] <= 1.0):
                 raise ConfigError("need strictly increasing i_nodes and "
                                   "nondecreasing a_nodes within [0, 1]")
-            object.__setattr__(self, "slopes",
-                               np.diff(self.a_nodes) / np.diff(self.i_nodes))
+
+    @cached_property
+    def derivative_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """(edges, gains), built on first use: the derivative at current i
+        is gains[edges.searchsorted(i, "right")]. Exact for any table, as
+        its segment slope on (th1, th2), else 0, is constant edge to edge."""
+        i, th1, th2 = self.i_nodes, self.th1, self.th2
+        edges = np.sort(np.r_[i, np.nextafter(th1, np.inf), th2])
+        segment = np.clip(i.searchsorted(edges, "right") - 1, 0, len(i) - 2)
+        gain = np.diff(self.a_nodes) / np.diff(i) * self.drive_current
+        inside = (edges > th1) & (edges < th2)
+        return edges, np.r_[0.0, np.where(inside, gain[segment], 0.0)]
 
     @classmethod
     def step(cls) -> "TransferKind":
@@ -193,12 +202,8 @@ def activation_derivative(z, kind: TransferKind):
         a = _activation_array(z, kind)
         out = a * (1.0 - a)
     else:
-        i = z * kind.drive_current
-        segment = np.clip(
-            np.searchsorted(kind.i_nodes, i, side="right") - 1,
-            0, len(kind.i_nodes) - 2)
-        inside = (i > kind.th1) & (i < kind.th2)
-        out = np.where(inside, kind.slopes[segment] * kind.drive_current, 0.0)
+        edges, gains = kind.derivative_table
+        out = gains[edges.searchsorted(z * kind.drive_current, side="right")]
     return out if out.ndim else float(out)
 
 
@@ -430,14 +435,21 @@ def _unfold_offset(w: np.ndarray, offset: np.ndarray) -> np.ndarray:
     return out
 
 
-def _forward(x_aug: np.ndarray, w1: np.ndarray, w2: np.ndarray,
-             kind: TransferKind):
-    """Float forward pass on bias-augmented inputs: (z1, a1_aug, z2, a2),
-    with a1_aug the hidden activations plus the always-on column. Weights
-    stacked `[K, rows, cols]` give each copy's 2-D pass, bit for bit."""
+def _net_inputs(x_aug: np.ndarray, w1: np.ndarray, w2: np.ndarray,
+                kind: TransferKind):
+    """Float forward pass on bias-augmented inputs up to the output net
+    inputs: (z1, a1_aug, z2), with a1_aug the hidden activations plus the
+    always-on column. Weights stacked `[K, rows, cols]` give each copy's
+    2-D pass, bit for bit."""
     z1 = x_aug @ w1
     a1_aug = _augment(activation(z1, kind))
-    z2 = a1_aug @ w2
+    return z1, a1_aug, a1_aug @ w2
+
+
+def _forward(x_aug: np.ndarray, w1: np.ndarray, w2: np.ndarray,
+             kind: TransferKind):
+    """_net_inputs plus the output activations: (z1, a1_aug, z2, a2)."""
+    z1, a1_aug, z2 = _net_inputs(x_aug, w1, w2, kind)
     return z1, a1_aug, z2, activation(z2, kind)
 
 
@@ -471,17 +483,32 @@ def _margin(a2: np.ndarray, labels: np.ndarray) -> float:
     return float(np.min(own_margins(a2, labels)))
 
 
-def _ensemble_key(z2: np.ndarray, a2: np.ndarray,
-                  labels: np.ndarray) -> tuple[float, float]:
-    """Snapshot key of a stacked `[K, n, k]` ensemble: the fraction of
+def _decisions(z2: np.ndarray, labels: np.ndarray, kind: TransferKind):
+    """(hits, margins) `[..., n]` of output net inputs `[..., n, k]`: is
+    each row decided right, and its own-vs-best-other net-input gap.
+    Only each row's own and top other net input are interpolated."""
+    idx = np.arange(z2.shape[-2])
+    rest = z2.copy()
+    rest[..., idx, labels] = -np.inf
+    own, top = z2[..., idx, labels], rest.max(axis=-1)
+    a_own, a_top = activation(np.stack((own, top)), kind)
+    return a_own - a_top > 0.0, own - top
+
+
+def _ensemble_key(hits: np.ndarray,
+                  margins: np.ndarray) -> tuple[float, float]:
+    """Snapshot key of a `[K, n]` ensemble's _decisions: the fraction of
     copies deciding every sample right, then the mean worst net-input
     margin. The margins add as floats in copy order; np.sum (pairwise)
-    and, from Python 3.12, the builtin sum could round differently."""
-    perfect = int(np.all(own_margins(a2, labels) > 0.0, axis=-1).sum())
+    and, from Python 3.12, the builtin sum could round differently.
+    The hits are own_margins(activation(z2)) > 0 bit for bit, as a noisy
+    fit's computed activation is nondecreasing (_fit checks): the best
+    other activation is then that of the best other net input."""
+    perfect = int(np.all(hits, axis=-1).sum())
     margin_sum = 0.0
-    for m in own_margins(z2, labels).min(axis=-1).tolist():
+    for m in margins.min(axis=-1).tolist():
         margin_sum += m
-    return perfect / len(a2), margin_sum / len(a2)
+    return perfect / len(hits), margin_sum / len(hits)
 
 
 @dataclass(frozen=True, eq=False)
@@ -599,9 +626,11 @@ def _epoch(p: _Problem, run: _Run, epoch: int) -> bool:
     """Measure the weights after `epoch` updates, then update them once;
     True when the run stops instead.
 
-    A noise-aware epoch is one stacked forward pass: copy 0 is jittered
-    for the loss and gradient, copy 1 is clean for the accuracy and the
-    rest are the frozen snapshot-ranking ensemble.
+    A noise-aware epoch is one stacked net-input pass: copy 0 is
+    jittered for the loss and gradient, copy 1 is clean for the accuracy
+    and the rest are the frozen snapshot-ranking ensemble. Copies 1.. are
+    scored by _decisions, exact as the activation is nondecreasing (see
+    _ensemble_key).
     """
     cfg = p.cfg
     f1, f2, probe = run.carry or (*_fwd_weights(p, run.w1, run.w2), None)
@@ -611,17 +640,20 @@ def _epoch(p: _Problem, run: _Run, epoch: int) -> bool:
         # Fresh forward jitter each epoch: gradients are taken on the
         # perturbed network, so descent favors weight configurations
         # whose decisions survive the perturbation.
-        for g, w in ((run.g1, run.w1), (run.g2, run.w2)):
-            g[0] = 1.0 + cfg.train_sigma * run.rng.standard_normal(w.shape)
+        for g in (run.g1[0], run.g2[0]):
+            run.rng.standard_normal(out=g)
+            g *= cfg.train_sigma
+            g += 1.0
         s2 = f2 * run.g2
-        stack = _forward(p.x, f1 * run.g1, s2, p.kind)
-        z1, a1_aug, z2, a2 = stack[0][0], stack[1][0], stack[2][0], stack[3][0]
-        n2, a2_clean = s2[0], stack[3][1]
+        z1s, a1s, z2s = _net_inputs(p.x, f1 * run.g1, s2, p.kind)
+        z1, a1_aug, z2, n2 = z1s[0], a1s[0], z2s[0], s2[0]
+        a2 = activation(z2, p.kind)
+        hits, margins = _decisions(z2s[1:], p.labels, p.kind)
+        accuracy = float(np.count_nonzero(hits[0])) / hits[0].size
         loss, residual = _batch_loss(p, z2, a2)
     else:
         (z1, a1_aug, z2, a2), (loss, residual) = probe or _scored(p, f1, f2)
-        n2, a2_clean = f2, a2
-    accuracy = _accuracy(a2_clean, p.labels)
+        accuracy, n2 = _accuracy(a2, p.labels), f2
     run.history.append((epoch, loss, accuracy))
 
     if p.snapshot_from_start or run.polish_left is not None \
@@ -630,8 +662,7 @@ def _epoch(p: _Problem, run: _Run, epoch: int) -> bool:
         # device noise consume: the net-input margin, or under
         # noise-aware training the frozen-ensemble survival.
         if noisy:
-            snap = (accuracy,
-                    *_ensemble_key(stack[2][2:], stack[3][2:], p.labels))
+            snap = (accuracy, *_ensemble_key(hits[1:], margins[1:]))
         else:
             snap = (accuracy, _margin(z2, p.labels) if residual is None
                     else float(residual[2].min()))
@@ -714,6 +745,14 @@ def _fit(dataset: Dataset, kind: TransferKind, cfg: TrainConfig,
     (accuracy, margin) pair; train() arms it once full accuracy is
     reached, finalize() from the first epoch.
     """
+    # Noisy epochs need a nondecreasing computed activation (_ensemble_key):
+    # the sigmoid's is not, nor a table's whose segment overshoots a node.
+    if cfg.train_sigma > 0.0 and (kind.tag == "sigmoid" or (
+            kind.tag == "stt_snn" and not (np.interp(np.nextafter(
+                kind.i_nodes[1:], -np.inf), kind.i_nodes, kind.a_nodes)
+                <= kind.a_nodes[1:]).all())):
+        raise ConfigError("noise-aware training needs a nondecreasing "
+                          f"computed activation, which {kind.tag} lacks")
     offset = dataset.features.mean(axis=0)
     one_hot = dataset.one_hot
     p = _Problem(

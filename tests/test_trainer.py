@@ -20,9 +20,11 @@ from spinann.trainer import (
     REVIVE_RATE,
     _accuracy,
     _augment,
+    _decisions,
     _ensemble_key,
     _forward,
     _margin,
+    _net_inputs,
     _revive_dead_rows,
     Dataset,
     TrainConfig,
@@ -151,15 +153,23 @@ class TestSttTable:
         assert np.array_equal(back.i_nodes, stt_kind.i_nodes)
         assert np.array_equal(back.a_nodes, stt_kind.a_nodes)
 
-    def test_slopes_derived_once_and_not_serialized(self, stt_kind):
-        np.testing.assert_array_equal(
-            stt_kind.slopes,
-            np.diff(stt_kind.a_nodes) / np.diff(stt_kind.i_nodes))
-        doc = stt_kind.to_dict()
-        assert "slopes" not in doc
-        np.testing.assert_array_equal(
-            TransferKind.from_dict(doc).slopes, stt_kind.slopes)
-        assert TransferKind.sigmoid().slopes is None
+    def test_derivative_table_built_once_and_not_serialized(self):
+        """Only training reads the derivative table, so neither
+        construction nor load_weights builds it; the first read does,
+        once."""
+        kind = TransferKind.stt_snn(64)
+        assert "derivative_table" not in vars(kind)
+        assert "derivative_table" not in vars(
+            load_weights(STORED_RECOGNIZER).kind)
+        edges, gains = kind.derivative_table
+        assert kind.derivative_table[1] is gains
+        assert len(gains) == len(edges) + 1
+        assert np.all(np.diff(edges) >= 0.0)
+        doc = kind.to_dict()
+        assert set(doc) == {"tag", *trainer._STT_FILE_KEYS.values()}
+        for got, want in zip(TransferKind.from_dict(doc).derivative_table,
+                             (edges, gains)):
+            np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("n_nodes", [3.5, 1024.0, np.float64(1024)],
                              ids=["fractional", "float", "numpy-float"])
@@ -255,6 +265,32 @@ def central_difference(f, z, h):
     return (f(z + h) - f(z - h)) / (2.0 * h)
 
 
+def segment_search_derivative(z, kind):
+    """The stt_snn derivative found by searching the node table for each
+    net input's segment: the oracle of the derivative table."""
+    i = np.asarray(z, dtype=float) * kind.drive_current
+    slopes = np.diff(kind.a_nodes) / np.diff(kind.i_nodes)
+    segment = np.clip(np.searchsorted(kind.i_nodes, i, side="right") - 1,
+                      0, len(kind.i_nodes) - 2)
+    inside = (i > kind.th1) & (i < kind.th2)
+    return np.where(inside, slopes[segment] * kind.drive_current, 0.0)
+
+
+def landing_on(current, drive):
+    """A net input z with z * drive == current exactly, searched among
+    the doubles next to current / drive."""
+    z = current / drive
+    near = [z]
+    for way in (np.inf, -np.inf):
+        step = z
+        for _ in range(4):
+            step = np.nextafter(step, way)
+            near.append(step)
+    hits = [c for c in near if c * drive == current]
+    assert hits, "no net input lands on the current"
+    return hits[0]
+
+
 class TestGradientCheck:
     def test_sigmoid_matches_finite_differences(self):
         k = TransferKind.sigmoid()
@@ -292,6 +328,29 @@ class TestGradientCheck:
         assert activation_derivative(0.5 * r, stt_kind) == 0.0
         assert activation_derivative(1.2, stt_kind) == 0.0
         assert activation_derivative(-0.3, stt_kind) == 0.0
+
+    @pytest.mark.parametrize("table", ["1024", "64", "3", "off-node"])
+    def test_stt_derivative_equals_segment_search(self, table):
+        """The derivative table reads, bit for bit, what a search of the
+        node table gives: random net inputs, every node with its
+        neighbouring doubles, both thresholds exactly and signed zeros.
+        The off-node table's thresholds fall between nodes."""
+        kind = TransferKind.stt_snn(64 if table == "off-node" else int(table))
+        drive = kind.drive_current
+        if table == "off-node":
+            doc = kind.to_dict()
+            doc.update(th1_a=0.6 * drive, th2_a=0.9 * drive)
+            kind = TransferKind.from_dict(doc)
+            assert not np.isin([kind.th1, kind.th2], kind.i_nodes).any()
+        nodes = kind.i_nodes / drive
+        z = np.concatenate([
+            np.random.default_rng(7).uniform(-0.5, 1.5, 4000),
+            nodes, np.nextafter(nodes, -np.inf), np.nextafter(nodes, np.inf),
+            [landing_on(kind.th1, drive), landing_on(kind.th2, drive),
+             0.0, -0.0]])
+        got = activation_derivative(z, kind)
+        assert got.tobytes() == segment_search_derivative(z, kind).tobytes()
+        assert 0 < np.count_nonzero(got) < len(z)
 
     def test_step_surrogate_window(self):
         k = TransferKind.step()
@@ -372,9 +431,45 @@ class TestStackedEpoch:
             perfect += _accuracy(a2, labels) == 1.0
             margin_sum += _margin(z2, labels)
         assert 0 < perfect < NOISE_ENSEMBLE
-        _, _, z2, a2 = _forward(x, w1, w2, kind)
-        assert _ensemble_key(z2, a2, labels) == (
+        z2 = _net_inputs(x, w1, w2, kind)[2]
+        assert _ensemble_key(*_decisions(z2, labels, kind)) == (
             perfect / NOISE_ENSEMBLE, margin_sum / NOISE_ENSEMBLE)
+
+    @pytest.mark.parametrize("tag", ["stt_snn", "step", "sat_linear"])
+    def test_decisions_equal_full_activations(self, copies, corpus, tag):
+        """For every kind a noisy fit accepts, scoring the own and the
+        top other net input alone decides each row as the full output
+        activations do. Rounding the net inputs makes exact ties, and
+        step and sat_linear pin many outputs to one rail; the shift by
+        -0.8 brings step's and sat_linear's thresholds into play."""
+        x, w1, w2, kind = copies
+        kind = kind if tag == "stt_snn" else TransferKind(tag)
+        z2 = _net_inputs(x, w1, w2, copies[3])[2]
+        seen = set()
+        for z in (z2, np.round(z2, 1), z2 - 0.8, np.round(z2 - 0.8, 1)):
+            hits, margins = _decisions(z, corpus.labels, kind)
+            want = own_margins(activation(z, kind), corpus.labels) > 0.0
+            assert np.array_equal(hits, want)
+            assert np.array_equal(margins, own_margins(z, corpus.labels))
+            seen.update(want.ravel().tolist())
+        assert seen == {False, True}
+
+    def test_sigmoid_decisions_can_differ(self):
+        """The computed sigmoid falls between some adjacent doubles near
+        z = -1, so the top net input need not carry the top activation:
+        why a noisy fit refuses the sigmoid."""
+        k = TransferKind.sigmoid()
+        z = (np.float64(-1.0).view(np.int64)
+             + np.arange(-500, 500)).view(np.float64)
+        z.sort()
+        fall = np.flatnonzero(np.diff(activation(z, k)) < 0.0)[0]
+        lo, hi = z[fall], z[fall + 1]
+        # Row [lo, hi, lo], labelled 0: the full rule ties at the top
+        # activation, a wrong answer; the top net input hi scores lower.
+        row = np.array([[[lo, hi, lo]]])
+        hits, _ = _decisions(row, np.array([0]), k)
+        assert hits.all()
+        assert not (own_margins(activation(row, k), np.array([0])) > 0.0).all()
 
     def test_accuracy_of_a_stack_is_the_mean_hit_rate(self, copies, corpus):
         x, w1, w2, kind = copies
@@ -396,13 +491,83 @@ class TestStackedEpoch:
 
         def counted(*args):
             calls.append(args[1].ndim)
-            return _forward(*args)
+            return _net_inputs(*args)
 
-        monkeypatch.setattr(trainer, "_forward", counted)
+        monkeypatch.setattr(trainer, "_net_inputs", counted)
         res = finalize(start, corpus.dataset, levels=levels,
                        cfg=dataclasses.replace(harden, epochs=20))
         assert res.epochs_run == 20
         assert calls == [3, 2] * 20 + [3]
+
+    @pytest.mark.parametrize("levels", [None, 32])
+    def test_noisy_epoch_interpolates_copy_0_and_own_top_pairs(
+            self, corpus, monkeypatch, levels):
+        """A noisy epoch interpolates every copy's hidden layer, copy 0's
+        output layer and, for copies 1.., only each row's own and top
+        other output net input: never a stacked output layer."""
+        base, harden, _ = recognizer_configs(seed=17)
+        start = train(corpus.dataset, HIDDEN_NEURONS, TransferKind.stt_snn(),
+                      dataclasses.replace(base, epochs=10))
+        shapes = []
+
+        def recorded(z, kind):
+            shapes.append(np.shape(z))
+            return activation(z, kind)
+
+        monkeypatch.setattr(trainer, "activation", recorded)
+        res = finalize(start, corpus.dataset, levels=levels,
+                       cfg=dataclasses.replace(harden, epochs=20))
+        assert res.epochs_run == 20
+        n, copies = len(corpus.labels), 2 + NOISE_ENSEMBLE
+        stacked = [(copies, n, HIDDEN_NEURONS), (n, n), (2, copies - 1, n)]
+        probe = [(n, HIDDEN_NEURONS), (n, n)]
+        assert shapes == (stacked + probe) * 20 + stacked
+        assert (NOISE_ENSEMBLE, n, n) not in shapes
+
+
+class TestMonotoneGuard:
+    """Noisy epochs score copies from net inputs, exact only for a
+    nondecreasing computed activation, so a noisy fit refuses any other."""
+
+    # A 9-node table that construction accepts but whose first segment,
+    # at the double just below node 1, interpolates above a_nodes[1].
+    I_NODES = [0.09082725693404242, 0.6638109170016626, 0.9773131941063831,
+               1.311458150694456, 1.6434506109369693, 3.014967776643726,
+               3.5794498836354625, 4.867943794125636, 7.9849585432428185]
+    A_NODES = [0.0, 0.09164328648646225, 0.1449095396892509,
+               0.3647699914127458, 0.3985132588344562, 0.43044135442174347,
+               0.4500780675327587, 0.5059661053855282, 1.0]
+
+    @pytest.fixture(scope="class")
+    def overshooting(self):
+        i_nodes = np.array(self.I_NODES)
+        return TransferKind("stt_snn", th1=i_nodes[0], th2=i_nodes[-1],
+                            v_min=0.0, v_max=1.0, drive_current=1.0,
+                            i_nodes=i_nodes, a_nodes=np.array(self.A_NODES))
+
+    def test_overshooting_table_refused_in_noisy_fit(self, overshooting,
+                                                     separable):
+        node = overshooting.i_nodes[1]
+        assert activation(np.nextafter(node, -np.inf), overshooting) \
+            > activation(node, overshooting)
+        with pytest.raises(ConfigError):
+            train(separable, 2, overshooting, TrainConfig(train_sigma=0.05))
+        clean = train(separable, 2, overshooting, TrainConfig(epochs=20))
+        with pytest.raises(ConfigError):
+            finalize(clean, separable, levels=None,
+                     cfg=TrainConfig(train_sigma=0.05))
+
+    def test_noisy_sigmoid_refused(self, separable):
+        with pytest.raises(ConfigError):
+            train(separable, 2, TransferKind.sigmoid(),
+                  TrainConfig(epochs=20, train_sigma=0.05))
+
+    @pytest.mark.parametrize("tag", ["step", "sat_linear", "stt_snn"])
+    def test_noisy_monotone_kinds_train(self, separable, stt_kind, tag):
+        kind = stt_kind if tag == "stt_snn" else TransferKind(tag)
+        res = train(separable, 2, kind, TrainConfig(
+            epochs=200, seed=1, train_sigma=0.05, polish_epochs=5))
+        assert res.converged and res.accuracy == 1.0
 
 
 class TestCleanEpoch:
