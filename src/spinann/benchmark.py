@@ -15,15 +15,11 @@ deterministic and corpus features land in [0, 1].
 matrix (rows are input letters, columns are output neurons); `monte_carlo`
 scores the same matrix for many variation-perturbed copies of the network
 and aggregates accuracy and margin statistics, with Wilson score intervals
-on the rates. It derives the noise streams of all its trials at once:
-one `variation_states` call gives every trial's per-layer PCG64 seeds.
-It then perturbs, runs and scores the trials in blocks of
-`MC_BLOCK_TRIALS`: one `with_states` call with the block's slice of
-those seeds stacks the copies, and one batched forward call reads the
-whole corpus through all of them. Every trial draws the same
-`SeedSequence` and `default_rng` streams as one seeded per trial, but
-the seeds of a call are derived in a few vectorized passes rather than
-one numpy object each.
+on the rates. Each layer draws its noise from one generator per call,
+and trial t reads row t of that stream. The trials are perturbed, run
+and scored in blocks of `MC_BLOCK_TRIALS`: one `with_streams` call
+stacks a block's copies, and one batched forward call reads the whole
+corpus through all of them.
 """
 
 from __future__ import annotations
@@ -36,7 +32,6 @@ from importlib import resources
 
 import numpy as np
 
-from .crossbar import _generate_state
 from .errors import ConfigError, DomainError, TrainingError
 from .trainer import (
     Dataset,
@@ -385,19 +380,18 @@ def monte_carlo(
 ) -> MonteCarloResult:
     """Monte-Carlo variation study over conductance perturbations.
 
-    Each trial scores an independently perturbed copy of `network`, whose
-    seed, `generate_state(1)[0]` of numpy's `SeedSequence` over `[seed,
-    trial]`, spawns from `seed`, a non-negative integer, so the whole
-    study is deterministic.  The seeds of all trials are derived in one
-    pass, bit for bit those `SeedSequence` gives.  `network` must expose
-    ``variation_states(seeds)``, which takes the sequence of all trial
-    seeds once per call and returns their noise states, trials on axis
-    1, and ``with_states(sigma, states)``, which takes a block's slice of
-    that axis and returns one stacked copy.  The trials run in blocks of
-    `MC_BLOCK_TRIALS`: each stacked copy's ``forward`` takes the whole
-    `[n_letters, n_features]` feature matrix and returns `(responses,
-    ledger)` with `[n_trials, n_letters, n_letters]` responses.  Slice t
-    must be the responses of the copy of the block's seed t alone; a
+    Each trial scores an independently perturbed copy of `network`.
+    Layer idx draws its noise from `default_rng([seed, idx])`, `seed` a
+    non-negative integer, and trial t's noise is row t of that stream,
+    so the study is deterministic, does not depend on the block size,
+    and a shorter call's trials are the first trials of a longer one.
+    `network` must expose ``layers``, one noise stream per entry, and
+    ``with_streams(sigma, rngs, copies)``, which draws the next `copies`
+    rows from each layer's generator and returns one stacked copy.  The
+    trials run in blocks of `MC_BLOCK_TRIALS`: each stacked copy's
+    ``forward`` takes the whole `[n_letters, n_features]` feature matrix
+    and returns `(responses, ledger)` with `[copies, n_letters,
+    n_letters]` responses, slice t those of the block's copy t alone; a
     trial's scores then equal `evaluate` on that copy.  Trials are
     aggregated in a fixed order for bit-exact reports.
     """
@@ -406,20 +400,23 @@ def monte_carlo(
     # A bool would run at sigma = 1.
     if isinstance(sigma, (bool, np.bool_)) or not 0.0 <= sigma < np.inf:
         raise ConfigError(f"sigma must be a finite number >= 0, got {sigma!r}")
-    if not (hasattr(network, "variation_states")
-            and hasattr(network, "with_states")):
-        raise ConfigError("network must expose variation_states(seeds) "
-                          "and with_states(sigma, states)")
+    # numpy would also take a string or a nested list as entropy.
+    if not isinstance(seed, (int, np.integer)):
+        raise TypeError(f"seed must be an integer, got {seed!r}")
+    if not (hasattr(network, "layers") and hasattr(network, "with_streams")):
+        raise ConfigError("network must expose layers and "
+                          "with_streams(sigma, rngs, copies)")
 
     n = len(corpus.letters)
     accuracies = np.empty(trials)
     min_margins = np.empty(trials)
     correct_counts = np.zeros(n)
-    states = network.variation_states(
-        _generate_state(1, seed, np.arange(trials))[:, 0])
+    rngs = [np.random.default_rng([seed, idx])
+            for idx in range(len(network.layers))]
     for start in range(0, trials, MC_BLOCK_TRIALS):
         block = slice(start, min(start + MC_BLOCK_TRIALS, trials))
-        perturbed = network.with_states(sigma, states[:, block])
+        perturbed = network.with_streams(sigma, rngs,
+                                         block.stop - block.start)
         _, margins = _score(perturbed.forward(corpus.features)[0], n)
         correct = margins > 0.0
         accuracies[block] = correct.mean(axis=-1)

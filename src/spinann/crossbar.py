@@ -11,11 +11,9 @@ the column current is the conductance-weighted sum of the bar currents.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from .errors import ConfigError, DomainError
 
@@ -134,6 +132,11 @@ class CrossbarArray:
     def n_outputs(self) -> int:
         return self.g.shape[-1]
 
+    @property
+    def n_cells(self) -> int:
+        """Cells of one copy, dummies included: `perturb`'s noise count."""
+        return 2 * self.n_inputs * (self.n_outputs + self.dummy.shape[-1])
+
     def weighted_sum(self, i_in) -> np.ndarray:
         """Column currents sum_i I * (g[0]/g_tr[0] - g[1]/g_tr[1]), dummies
         excluded.
@@ -207,176 +210,47 @@ def map_weights(weights, quantize: bool = True) -> CrossbarArray:
     return CrossbarArray(g, dummy, scale)
 
 
-# The constants of numpy's SeedSequence hash (numpy/random/bit_generator.pyx).
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-# For each pool word, the other three, in order.
-_OTHER_WORDS = [np.delete(np.arange(4), i) for i in range(4)]
-
-
-@functools.cache
-def _hash_constants(value: int, mult: int, n: int) -> np.ndarray:
-    """`[n + 1, 1]` uint32: value, value*mult, value*mult**2, ... mod 2**32.
-
-    Cached and shared by every call, so returned read-only.
-    """
-    out = [value]
-    for _ in range(n):
-        out.append(out[-1] * mult & _MASK32)
-    out = np.array(out, dtype=np.uint32)[:, None]
-    out.flags.writeable = False
-    return out
-
-
-def _seed_state(words: np.ndarray, n_words: int) -> np.ndarray:
-    """numpy's `SeedSequence.generate_state(n_words)` for every column of
-    entropy words.
-
-    An exact replay of numpy's hash, over the uint32 entropy words
-    `[L, n]` of n seeds at once; returns `[n, n_words]` uint32. The pool
-    holds four words: the first four entropy words fill it, every pool
-    word is mixed into every other, and each entropy word past the
-    fourth is mixed into all four. uint32 array arithmetic wraps modulo
-    2**32 as the hash does.
-    """
-    n_in = len(words)
-    a = _hash_constants(_INIT_A, _MULT_A, 4 * max(n_in, 4))
-
-    def hashmix(value, k, m):  # the hash's calls k, ..., k + m - 1
-        value = (value ^ a[k:k + m]) * a[k + 1:k + m + 1]
-        return value ^ value >> 16
-
-    def mix(x, y):
-        r = _MIX_L * x - _MIX_R * y
-        return r ^ r >> 16
-
-    pool = np.zeros((4, words.shape[1]), dtype=np.uint32)
-    pool[:n_in] = words[:4]
-    pool = hashmix(pool, 0, 4)
-    for src, dst in enumerate(_OTHER_WORDS):
-        pool[dst] = mix(pool[dst], hashmix(pool[src], 4 + 3 * src, 3))
-    for src in range(4, n_in):
-        pool = mix(pool, hashmix(words[src], 4 * src, 4))
-    b = _hash_constants(_INIT_B, _MULT_B, n_words)
-    state = (pool[np.arange(n_words) % 4] ^ b[:-1]) * b[1:]
-    return (state ^ state >> 16).T
-
-
-def _generate_state(n_words: int, *entropy) -> np.ndarray:
-    """numpy's `SeedSequence.generate_state(n_words)`, bit for bit, for the
-    entropy `[e_0, e_1, ...]` of every element of the broadcast integer
-    arrays `entropy`.
-
-    Returns `[*shape, n_words]` uint32. Each value is split into
-    little-endian uint32 words, as SeedSequence splits it (0 is one word),
-    and seeds of equal word count are hashed in one `_seed_state` call.
-    Every value must be a non-negative Python or numpy integer: a negative
-    one raises ValueError and any other TypeError, as SeedSequence does.
-    """
-    shape = np.broadcast_shapes(*(np.shape(e) for e in entropy))
-    rows, valid = [], []
-    for e in entropy:
-        rest = np.asarray(e)
-        if rest.dtype.kind not in "iu":
-            if not all(isinstance(v, (int, np.integer)) for v in rest.flat):
-                raise TypeError(f"a seed must be an integer, got {e!r}")
-            rest = rest.astype(object)
-        if (rest < 0).any():
-            raise ValueError(f"a seed must be non-negative, got {e!r}")
-        rest = np.broadcast_to(rest, shape).ravel()
-        valid.append(np.ones(rest.shape, dtype=bool))
-        while True:
-            rows.append(rest & _MASK32)
-            rest = rest >> 32
-            if not rest.any():
-                break
-            valid.append(rest != 0)
-    words, valid = np.array(rows, dtype=np.uint32), np.array(valid)
-    sizes = valid.sum(axis=0)
-    out = np.empty((len(sizes), n_words), dtype=np.uint32)
-    for size in set(sizes.tolist()):
-        cols = np.flatnonzero(sizes == size)
-        picked = words[:, cols].T[valid[:, cols].T].reshape(-1, size)
-        out[cols] = _seed_state(picked.T, n_words)
-    return out.reshape(shape + (n_words,))
-
-
-class _PresetState(ISeedSequence):
-    """Hands a bit generator state words computed beforehand."""
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
-
-
-def pcg64_words(seeds) -> np.ndarray:
-    """`[*shape, 4]` uint64: for every seed of the integer array `seeds`,
-    the PCG64 seed that numpy's `default_rng` derives from it, bit for
-    bit.
-
-    PCG64 reads its seed as `SeedSequence.generate_state(4, uint64)`: 8
-    uint32 words taken in little-endian pairs. The words of all seeds come
-    from one vectorized `_generate_state` pass, which refuses a seed that
-    is not a non-negative integer as SeedSequence does.
-    """
-    state = _generate_state(8, seeds)
-    return state.astype("<u4").view("<u8").astype(np.uint64)
-
-
-def perturb(array: CrossbarArray, sigma: float, words) -> CrossbarArray:
+def perturb(array: CrossbarArray, sigma: float, z) -> CrossbarArray:
     """Multiply every on-state conductance of the nominal array
-    (`array.nominal`, else `array`) by (1 + N(0, sigma)), drawn from the
-    PCG64 seeds `words`.
+    (`array.nominal`, else `array`) by (1 + sigma * z).
 
     Chained calls thus never accumulate variation on variation. Dummy
     cells vary too, and the bar totals are recomputed from the perturbed
     values, so the current dividers shift with the variation. Perturbed
     cells are clamped to [0, VARIATION_CLAMP_FACTOR * GRID.g_max].
-    `words` is one PCG64 seed, uint64 `[4]`, giving one perturbed copy,
-    or `[T, 4]`, giving a stacked array whose copy t equals the copy of
-    `words[t]` alone; `pcg64_words` derives them from integer seeds.
-    Each copy's noise is the draw `normal(0, sigma, cells)`, sigma a
-    number and not a bool, over all cells of a `Generator` on PCG64
-    seeded with its words, taken in this order: rail 0's cells (`g[0]`),
-    rail 1's cells (`g[1]`), then rail 0's and rail 1's dummies
-    (`dummy[0]`, `dummy[1]`), each in row-major order. sigma = 0 returns
-    identical copies.
+    `z` holds one standard normal per cell, in this order: rail 0's
+    cells (`g[0]`), rail 1's cells (`g[1]`), then rail 0's and rail 1's
+    dummies (`dummy[0]`, `dummy[1]`), each in row-major order. `[n_cells]`
+    gives one perturbed copy, and `[T, n_cells]` a stacked array whose
+    copy t equals the copy of row t alone. A float64 `z` is scaled in
+    place. sigma is a number, not a bool; sigma = 0 returns identical
+    copies.
     """
     # A bool would run at sigma = 1.
     if isinstance(sigma, (bool, np.bool_)) or not 0.0 <= sigma < np.inf:
         raise DomainError(f"sigma must be a finite number >= 0, got {sigma!r}")
-    # PCG64 reads each copy's four words straight from its buffer.
-    words = np.ascontiguousarray(words)
-    if words.dtype != np.uint64 or words.ndim not in (1, 2) \
-            or words.shape[-1] != 4 or words.size == 0:
-        raise ConfigError("words must be uint64 PCG64 seeds, [4] or [T, 4]")
-    stacked = words.ndim == 2
-    words = words.reshape(-1, 4)
     array = array.nominal or array
     fields = (array.g, array.dummy)
     flat = np.concatenate([f.ravel() for f in fields])
-    # Each row holds one copy's noise, then, in place, its conductances:
-    # g * (1 + noise) clamped to [0, VARIATION_CLAMP_FACTOR * g_max] on cells
-    # that are on, g elsewhere. `normal(0, sigma)` returns 0 + sigma * z for
+    varied = np.asarray(z, dtype=float)
+    if varied.ndim not in (1, 2) or varied.shape[-1] != flat.size \
+            or varied.size == 0:
+        raise ConfigError(f"z must be [{flat.size}] or [T, {flat.size}]")
+    stacked = varied.ndim == 2
+    varied = varied.reshape(-1, flat.size)
+    # Each row becomes, in place, its copy's conductances: g * (1 + sigma
+    # * z) clamped to [0, VARIATION_CLAMP_FACTOR * g_max] on cells that
+    # are on, g elsewhere. `normal(0, sigma)` returns 0 + sigma * z for
     # the same standard-normal stream z; 0 + x differs from x only in the
     # sign of a zero, which 1 + noise erases, so sigma * z gives the same
     # conductances.
-    varied = np.zeros((len(words), flat.size))
-    if sigma > 0.0:
-        for row, seed in zip(varied, words):
-            rng = np.random.Generator(np.random.PCG64(_PresetState(seed)))
-            rng.standard_normal(out=row)
-        varied *= sigma
+    varied *= sigma
     varied += 1.0
     varied *= flat
     np.clip(varied, 0.0, VARIATION_CLAMP_FACTOR * GRID.g_max, out=varied)
     off = np.flatnonzero(~(flat > 0.0))
     varied[:, off] = flat[off]
-    parts = [part.reshape((len(words),) + f.shape) for f, part in
+    parts = [part.reshape((len(varied),) + f.shape) for f, part in
              zip(fields, np.split(varied, [array.g.size], axis=1))]
     return CrossbarArray(
         *(parts if stacked else [p[0] for p in parts]),
@@ -385,20 +259,34 @@ def perturb(array: CrossbarArray, sigma: float, words) -> CrossbarArray:
     )
 
 
+def _seed_list(seed) -> list:
+    """`seed`, one seed or a 1-D sequence of them, as a list of seeds.
+
+    A seed is an integer: anything else raises TypeError, and an empty
+    sequence ValueError. numpy refuses a negative one with ValueError.
+    """
+    seeds = list(seed) if np.ndim(seed) == 1 else [seed]
+    if np.ndim(seed) > 1 or not all(
+            isinstance(s, (int, np.integer)) for s in seeds):
+        raise TypeError("seed must be an integer or a 1-D sequence of them")
+    if not seeds:
+        raise ValueError("seed sequence is empty")
+    return seeds
+
+
 def inject_variation(array: CrossbarArray, sigma: float,
                      seed) -> CrossbarArray:
-    """`perturb` with the PCG64 seeds `pcg64_words` derives from `seed`,
-    so each copy's noise is numpy's `default_rng(seed).normal(0, sigma,
-    cells)` draw, bit for bit.
+    """`perturb` with each copy's noise drawn from `default_rng(seed)`,
+    so it is numpy's `default_rng(seed).normal(0, sigma, cells)` draw,
+    bit for bit.
 
-    `seed` is one seed, giving one perturbed copy, or a 1-D sequence of
-    T seeds, giving a stacked array whose copy t equals the copy of
-    `seed[t]` alone. A seed is a non-negative integer: a negative one
-    raises ValueError, as does an empty sequence, any other TypeError.
-    Deterministic for given seeds.
+    `seed` is one non-negative integer seed, giving one perturbed copy,
+    or a 1-D sequence of T of them, giving a stacked array whose copy t
+    equals the copy of `seed[t]` alone; `_seed_list` says which seeds
+    are refused.
     """
-    if np.ndim(seed) > 1:
-        raise TypeError("seed must be an integer or a 1-D sequence of them")
-    if np.size(seed) == 0:
-        raise ValueError("seed sequence is empty")
-    return perturb(array, sigma, pcg64_words(seed))
+    seeds = _seed_list(seed)
+    z = np.empty((len(seeds), array.n_cells))
+    for row, s in zip(z, seeds):
+        np.random.default_rng(s).standard_normal(out=row)
+    return perturb(array, sigma, z if np.ndim(seed) else z[0])

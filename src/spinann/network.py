@@ -7,10 +7,11 @@ inference runs each layer through the clocked three-phase cycle (reset,
 program, sense) and returns a per-layer, per-component energy ledger,
 charged only when it is read. One forward call takes a single feature
 vector or a batch of them, and a network stacked from T perturbed copies
-(`with_variation` with a sequence of seeds) runs every batch through all
-T copies at once. Every column ends at a virtual ground (0 V, see
-`crossbar`): the ledger charges the column current I^2 * R_PROGRAM in the
-neuron's strip, and the crossbar its cells' V^2 * g at that termination.
+(`with_variation` with a sequence of seeds, or `with_streams` with one
+noise generator per layer) runs every batch through all T copies at
+once. Every column ends at a virtual ground (0 V, see `crossbar`): the
+ledger charges the column current I^2 * R_PROGRAM in the neuron's strip,
+and the crossbar its cells' V^2 * g at that termination.
 
 Calibration ties the analog chain to the trainer's arithmetic: with row
 currents I_i = I_unit * u_i and the equalized per-row conductance g_tr,
@@ -43,10 +44,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .crossbar import (CrossbarArray, _generate_state, map_weights,
-                       pcg64_words, perturb)
-# perfbench/tracing.py times `inject_variation` at this module attribute.
-from .crossbar import inject_variation  # noqa: F401
+from .crossbar import (CrossbarArray, _seed_list, inject_variation,
+                       map_weights, perturb)
 from .device import I_SENSE, T_PROGRAM, V_SENSE_SUPPLY
 from .errors import ConfigError, DomainError
 from .trainer import TrainResult, TransferKind
@@ -163,7 +162,7 @@ class SpinAnnNetwork:
     """Feed-forward spin-neuron network mapped onto crossbars.
 
     forward() is deterministic, and so is build_network: all randomness
-    lives in with_states() clones.
+    lives in with_variation() and with_streams() clones.
     """
 
     kind: TransferKind
@@ -224,39 +223,24 @@ class SpinAnnNetwork:
             + (self.kind.v_max - self.kind.v_min) * activations
         return voltages, EnergyReport(currents, _operating_point())
 
-    def variation_states(self, seeds) -> np.ndarray:
-        """`[n_layers, T, 4]` uint64: the PCG64 seeds that perturb each
-        layer of the clone of each of the T `seeds`.
-
-        A seed is a non-negative integer, and `seeds` a non-empty 1-D
-        sequence of them. Layer idx of the clone of seed s is perturbed
-        as `inject_variation` with the seed `generate_state(1)[0]` of
-        numpy's `SeedSequence` over `[s, idx]`. Two vectorized passes
-        derive the words of every (seed, layer) pair, for any number of
-        seeds: one for those layer seeds, one for their PCG64 words.
+    def with_streams(self, sigma: float, rngs,
+                     copies: int) -> "SpinAnnNetwork":
+        """Network stacked from `copies` clones, each layer `perturb`ed
+        from its own stream: layer idx of copy t reads the t-th of the
+        next `copies` rows of standard normals drawn from the generator
+        `rngs[idx]`. Generators for any other number of layers raise
+        ValueError.
         """
-        if np.ndim(seeds) != 1:
-            raise TypeError("seeds must be a 1-D sequence of integers")
-        if np.size(seeds) == 0:
-            raise ValueError("seed sequence is empty")
-        layer_seeds = _generate_state(
-            1, seeds, np.arange(len(self.layers))[:, None])[..., 0]
-        return pcg64_words(layer_seeds)
-
-    def with_states(self, sigma: float, states) -> "SpinAnnNetwork":
-        """Clone whose layer idx is `perturb`ed with sigma and the PCG64
-        seeds `states[idx]`: `[n_layers, T, 4]` states, as
-        `variation_states` gives or a slice of its T axis, give one
-        network stacked from T clones, and `[n_layers, 4]` one clone;
-        states for any other number of layers raise ValueError.
-        """
-        return replace(self, layers=[
-            replace(layer, array=perturb(layer.array, sigma, words))
-            for layer, words in zip(self.layers, states, strict=True)])
+        layers = []
+        for layer, rng in zip(self.layers, rngs, strict=True):
+            z = rng.standard_normal((copies, layer.array.n_cells))
+            layers.append(replace(layer, array=perturb(layer.array, sigma, z)))
+        return replace(self, layers=layers)
 
     def with_variation(self, sigma: float, seed) -> "SpinAnnNetwork":
-        """Clone with lognormal-free Gaussian conductance variation:
-        `with_states` on the `variation_states` of `seed`.
+        """Clone with lognormal-free Gaussian conductance variation: layer
+        idx of the clone of seed s is `inject_variation` with the seed
+        `generate_state(1)[0]` of numpy's `SeedSequence` over `[s, idx]`.
 
         `seed` is one seed, giving one clone, or a 1-D sequence of T
         seeds, giving one network stacked from T clones whose copy t
@@ -264,9 +248,15 @@ class SpinAnnNetwork:
         integer. As `perturb` perturbs the nominal conductances, chained
         calls never accumulate variation on variation.
         """
-        stacked = np.ndim(seed) == 1
-        states = self.variation_states(seed if stacked else [seed])
-        return self.with_states(sigma, states if stacked else states[:, 0])
+        seeds = _seed_list(seed)
+        layers = []
+        for idx, layer in enumerate(self.layers):
+            own = [int(np.random.SeedSequence([s, idx]).generate_state(1)[0])
+                   for s in seeds]
+            array = inject_variation(layer.array, sigma,
+                                     own if np.ndim(seed) else own[0])
+            layers.append(replace(layer, array=array))
+        return replace(self, layers=layers)
 
 
 def _build_layer(weights: np.ndarray, kind: TransferKind,

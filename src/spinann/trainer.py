@@ -79,8 +79,9 @@ class TransferKind:
                 raise ConfigError("drive_current must be positive and finite")
             if self.i_nodes is None or self.a_nodes is None:
                 raise ConfigError("spin-neuron kind needs its sampled table")
-            if not 0 < len(self.i_nodes) == len(self.a_nodes):
-                raise ConfigError("unequal or empty i_nodes and a_nodes")
+            if not 2 <= len(self.i_nodes) == len(self.a_nodes):
+                raise ConfigError("need i_nodes and a_nodes of equal "
+                                  "length, at least 2")
             # np.interp needs a finite, increasing table; on any other it
             # returns wrong values without an error. An activation outside
             # [0, 1] would drive the output past the voltage swing.
@@ -92,6 +93,11 @@ class TransferKind:
                     and self.a_nodes[0] >= 0.0 and self.a_nodes[-1] <= 1.0):
                 raise ConfigError("need strictly increasing i_nodes and "
                                   "nondecreasing a_nodes within [0, 1]")
+            # The derivative is 0 outside (th1, th2), so the activation
+            # must be flat there too.
+            if not (np.interp([self.th1, self.th2], self.i_nodes,
+                              self.a_nodes) == [0.0, 1.0]).all():
+                raise ConfigError("the table must read 0 at th1 and 1 at th2")
 
     @cached_property
     def derivative_table(self) -> tuple[np.ndarray, np.ndarray]:

@@ -32,7 +32,7 @@ from spinann.benchmark import (
     recognizer_configs,
     wilson_interval,
 )
-from spinann.crossbar import _generate_state
+from spinann.crossbar import perturb
 from spinann.errors import ConfigError, DomainError
 from spinann.network import build_network
 from spinann.trainer import (
@@ -328,18 +328,28 @@ class _TableNet:
         dist = np.abs(self.features - np.asarray(f)[..., None, :]).sum(axis=-1)
         return self.matrix[..., np.argmin(dist, axis=-1), :], None
 
-    def variation_states(self, seeds):
-        """One layer of noise states: the trial seeds themselves."""
-        return np.asarray(seeds)[None]
+    # One layer, so `monte_carlo` gives it one noise stream.
+    layers = (None,)
 
-    def with_states(self, sigma, states):
-        """A stacked fake, one perturbed copy of `matrix` per seed."""
-        (seeds,) = states
-        return _TableNet(np.stack([
-            self.matrix
-            + sigma * np.random.default_rng(s).standard_normal(
-                self.matrix.shape)
-            for s in seeds]), self.features)
+    def with_streams(self, sigma, rngs, copies):
+        """A stacked fake: `copies` perturbed copies of `matrix`, their
+        noise drawn in copy order from the one layer's generator."""
+        (rng,) = rngs
+        return _TableNet(self.matrix + sigma * rng.standard_normal(
+            (copies,) + self.matrix.shape), self.features)
+
+
+def _stream_oracle(network, corpus, trials, sigma, seed):
+    """`evaluate` on each trial's clone, one at a time: layer idx of
+    trial t is perturbed with row t of
+    `default_rng([seed, idx]).standard_normal((trials, cells))`."""
+    noise = [np.random.default_rng([seed, idx]).standard_normal(
+        (trials, layer.array.g.size + layer.array.dummy.size))
+        for idx, layer in enumerate(network.layers)]
+    return [evaluate(replace(network, layers=[
+        replace(layer, array=perturb(layer.array, sigma, z[t]))
+        for layer, z in zip(network.layers, noise)]), corpus)
+        for t in range(trials)]
 
 
 class TestEvaluate:
@@ -535,16 +545,11 @@ class TestRecognizerRecipe:
                                                        corpus):
         """Blocked trials (two full blocks and a partial one) score
         exactly as `evaluate` on each trial's perturbed copy, drawn from
-        the same spawned seed."""
+        row t of each layer's stream."""
         network = build_network(recognizer)
         seed, trials = 2, 2 * MC_BLOCK_TRIALS + 6
         mc = monte_carlo(network, corpus, trials, sigma=0.05, seed=seed)
-        oracle = [
-            evaluate(network.with_variation(0.05, seed=int(
-                np.random.SeedSequence([seed, t]).generate_state(1)[0])),
-                corpus)
-            for t in range(trials)
-        ]
+        oracle = _stream_oracle(network, corpus, trials, 0.05, seed)
         np.testing.assert_array_equal(
             mc.accuracies, [r.accuracy for r in oracle])
         np.testing.assert_array_equal(
@@ -556,34 +561,50 @@ class TestRecognizerRecipe:
     @pytest.mark.parametrize("seed", [2**32, 2**130 + 17])
     def test_wide_seed_matches_per_letter_evaluation(self, recognizer,
                                                      corpus, seed):
-        """A seed of several words spawns the trial seeds
-        `SeedSequence([seed, t])` too."""
+        """A seed of several words seeds the layer streams
+        `default_rng([seed, idx])` too."""
         network = build_network(recognizer)
         mc = monte_carlo(network, corpus, 3, sigma=0.05, seed=seed)
         np.testing.assert_array_equal(mc.min_margins, [
-            evaluate(network.with_variation(0.05, seed=int(
-                np.random.SeedSequence([seed, t]).generate_state(1)[0])),
-                corpus).min_margin
-            for t in range(3)])
+            r.min_margin
+            for r in _stream_oracle(network, corpus, 3, 0.05, seed)])
 
-    def test_noise_streams_derived_once_per_call(self, corpus, monkeypatch):
-        """A call derives every trial's noise streams together: it makes
-        as many SeedSequence hash passes at 1, 32, 33 and 200 trials."""
+    def test_shorter_call_is_a_prefix(self, corpus):
+        """The first k trials of a longer call are the trials of a
+        k-trial call."""
         network = build_network(load_weights(STORED_RECOGNIZER))
-        passes = []
+        full = monte_carlo(network, corpus, 2 * MC_BLOCK_TRIALS + 6,
+                           sigma=0.05, seed=3)
+        for k in (1, MC_BLOCK_TRIALS - 5, MC_BLOCK_TRIALS + 1):
+            mc = monte_carlo(network, corpus, k, sigma=0.05, seed=3)
+            np.testing.assert_array_equal(mc.min_margins,
+                                          full.min_margins[:k])
+            np.testing.assert_array_equal(mc.accuracies, full.accuracies[:k])
+
+    def test_block_size_does_not_move_trials(self, corpus, monkeypatch):
+        network = build_network(load_weights(STORED_RECOGNIZER))
+        want = monte_carlo(network, corpus, 40, sigma=0.05, seed=6)
+        monkeypatch.setattr(benchmark, "MC_BLOCK_TRIALS", 5)
+        got = monte_carlo(network, corpus, 40, sigma=0.05, seed=6)
+        np.testing.assert_array_equal(got.min_margins, want.min_margins)
+        np.testing.assert_array_equal(got.letter_error_rate,
+                                      want.letter_error_rate)
+
+    def test_one_generator_per_layer_per_call(self, corpus, monkeypatch):
+        """A call makes one noise generator per layer, whatever its
+        number of trials and blocks."""
+        network = build_network(load_weights(STORED_RECOGNIZER))
+        made, real = [], np.random.default_rng
 
         def counted(*args):
-            passes.append(args[0])
-            return _generate_state(*args)
+            made.append(args)
+            return real(*args)
 
-        for module in ("crossbar", "network", "benchmark"):
-            monkeypatch.setattr(f"spinann.{module}._generate_state", counted)
-        counts = []
+        monkeypatch.setattr(np.random, "default_rng", counted)
         for trials in (1, MC_BLOCK_TRIALS, MC_BLOCK_TRIALS + 1, 200):
-            passes.clear()
+            made.clear()
             monte_carlo(network, corpus, trials, sigma=0.05, seed=4)
-            counts.append(len(passes))
-        assert counts == [counts[0]] * 4
+            assert made == [([4, 0],), ([4, 1],)]
 
     @pytest.mark.parametrize("seed, error", [(-1, ValueError),
                                              (2.0, TypeError)])

@@ -13,10 +13,8 @@ from spinann.crossbar import (
     GRID,
     ConductanceRange,
     CrossbarArray,
-    _generate_state,
     inject_variation,
     map_weights,
-    pcg64_words,
     perturb,
 )
 from spinann.errors import ConfigError, DomainError
@@ -29,8 +27,7 @@ STORED_RECOGNIZER = (Path(__file__).resolve().parents[1]
 G_MIN = 1.0 / 32e3
 G_MAX = 1.0 / 1e3
 
-# Seeds of one to five 32-bit words, so that [seed, k] spans one to six
-# words, past the four-word pool.
+# Seeds of one to five 32-bit words.
 WIDE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 17,
               np.uint64(2**64 - 1)]
 
@@ -491,17 +488,16 @@ class TestVariation:
         with pytest.raises(DomainError):
             inject_variation(arr, sigma, seed=0)
 
-    @pytest.mark.parametrize("words", [
-        np.zeros(4, dtype=np.int64), np.zeros(3, dtype=np.uint64),
-        np.zeros((2, 5), dtype=np.uint64), np.zeros((0, 4), dtype=np.uint64),
-        np.zeros((1, 2, 4), dtype=np.uint64), np.zeros(4, dtype=">u8"),
-        [1, 2, 3, 4]])
-    def test_bad_words_rejected(self, words):
-        """PCG64 reads four native uint64 words per copy from memory, so
-        any other shape or type is refused before a draw."""
+    @pytest.mark.parametrize("shape", [(15,), (17,), (2, 15), (0, 16),
+                                       (1, 2, 16), (), (16, 0)])
+    def test_bad_noise_rejected(self, shape):
+        """`perturb` takes one standard normal per cell of each copy, 16
+        here with the two dummy columns, and at least one copy."""
         arr = map_weights(np.ones((2, 2)))
+        assert arr.n_cells == 16
+        assert perturb(arr, 0.05, np.zeros((3, 16))).g.shape == (3, 2, 2, 2)
         with pytest.raises(ConfigError):
-            perturb(arr, 0.05, words)
+            perturb(arr, 0.05, np.zeros(shape))
 
     @pytest.mark.parametrize("seed", [[], np.array([], dtype=np.int64)])
     def test_empty_seed_sequence_rejected(self, seed):
@@ -534,55 +530,19 @@ def _variation_oracle(arr, sigma, seed):
 
 
 class TestSeedReplay:
-    """`_generate_state` replays numpy's SeedSequence hash bit for bit."""
-
-    @given(st.lists(st.integers(0, 2**200), min_size=1, max_size=10),
-           st.integers(1, 9))
-    @settings(max_examples=150, deadline=None)
-    def test_matches_seed_sequence(self, entropy, n_words):
-        np.testing.assert_array_equal(
-            _generate_state(n_words, *entropy),
-            np.random.SeedSequence(entropy).generate_state(n_words))
+    """`inject_variation` draws each copy's noise from `default_rng` of
+    its seed, bit for bit, for seeds of any width."""
 
     @pytest.mark.parametrize("dtype", [np.uint32, np.int64, np.uint64])
     def test_integer_arrays(self, dtype):
+        """An integer array of seeds stacks the draws of its elements."""
+        arr = map_weights(np.random.default_rng(2).uniform(-1, 1, (5, 3)))
         seeds = np.array([0, 7, 2**31, np.iinfo(dtype).max], dtype=dtype)
-        np.testing.assert_array_equal(
-            _generate_state(3, seeds),
-            [np.random.SeedSequence(s).generate_state(3) for s in seeds])
-
-    @pytest.mark.parametrize("seed", WIDE_SEEDS)
-    def test_trial_seeds(self, seed):
-        """`monte_carlo`'s seeds: `[seed, trial]` for every trial."""
-        trials = np.arange(70)
-        np.testing.assert_array_equal(
-            _generate_state(1, seed, trials)[:, 0],
-            [np.random.SeedSequence([seed, k]).generate_state(1)[0]
-             for k in trials])
-
-    def test_layer_seeds_of_mixed_widths(self):
-        """`with_variation`'s seeds: `[s, idx]` for every (seed, layer)
-        pair, seeds of different word counts in one call."""
-        got = _generate_state(1, WIDE_SEEDS, np.arange(3)[:, None])
-        assert got.shape == (3, len(WIDE_SEEDS), 1)
-        for idx in range(3):
-            np.testing.assert_array_equal(
-                got[idx, :, 0],
-                [np.random.SeedSequence([s, idx]).generate_state(1)[0]
-                 for s in WIDE_SEEDS])
-
-    def test_pcg64_words(self):
-        """`inject_variation`'s PCG64 seed: the four uint64 words that
-        `default_rng(s)` seeds its bit generator with, for every seed of
-        an array of any shape."""
-        want = [np.random.SeedSequence(s).generate_state(4, np.uint64)
-                for s in WIDE_SEEDS]
-        np.testing.assert_array_equal(pcg64_words(WIDE_SEEDS), want)
-        grid = pcg64_words(np.array(WIDE_SEEDS[:6], dtype=object)
-                           .reshape(2, 3))
-        assert grid.shape == (2, 3, 4) and grid.dtype == np.uint64
-        np.testing.assert_array_equal(grid.reshape(6, 4), want[:6])
-        np.testing.assert_array_equal(pcg64_words(WIDE_SEEDS[3]), want[3])
+        stack = inject_variation(arr, 0.05, seed=seeds)
+        for t, seed in enumerate(seeds):
+            for got, want in zip(_rail_cells(stack),
+                                 _variation_oracle(arr, 0.05, int(seed))):
+                np.testing.assert_array_equal(got[t], want)
 
     @pytest.mark.parametrize("seed", WIDE_SEEDS)
     def test_single_draw_matches_default_rng(self, seed):

@@ -183,8 +183,8 @@ class TestGolden:
     def test_monte_carlo_margins(self, stored_network, corpus):
         mc = monte_carlo(stored_network, corpus, 20, sigma=0.05, seed=2)
         assert _sha256(mc.min_margins) == (
-            "9894e83233bd9b424e674239502b9466"
-            "135d68ebabb13e46f2e026dec85361ac")
+            "aed47e40e569a74b53ba6af60503ed1e"
+            "1fc768d7afa88ab0646f6c73a7328a74")
 
 
 class TestBuildValidation:
@@ -400,12 +400,13 @@ class TestVariation:
         with pytest.raises(error):
             network.with_variation(0.05, seed)
 
-    def test_states_of_other_layer_counts_rejected(self, network):
-        states = network.variation_states([1, 2])
-        assert states.shape == (2, 2, 4)
-        for bad in (states[:1], np.concatenate([states, states[:1]])):
+    def test_streams_of_other_layer_counts_rejected(self, network):
+        rngs = [np.random.default_rng(k) for k in range(3)]
+        stacked = network.with_streams(0.05, rngs[:2], 4)
+        assert [layer.array.g.shape[0] for layer in stacked.layers] == [4, 4]
+        for bad in (rngs[:1], rngs):
             with pytest.raises(ValueError):
-                network.with_states(0.05, bad)
+                network.with_streams(0.05, bad, 4)
 
     @pytest.mark.parametrize("sigma", [True, np.True_])
     def test_bool_sigma_rejected(self, network, sigma):

@@ -209,7 +209,18 @@ class TestSttTable:
         "inf-a_node": lambda i, a: (i, np.r_[a[:-1], np.inf]),
         "falling-a_nodes": lambda i, a: (i, np.r_[a[:-1], 0.5]),
         "empty-table": lambda i, a: (i[:0], a[:0]),
+        "one-node": lambda i, a: (i[:1], a[:1]),
     }
+
+    @pytest.mark.parametrize("key, share", [("th1_a", 0.6), ("th2_a", 0.9)])
+    def test_thresholds_off_the_plateaus_rejected(self, stt_kind, key,
+                                                  share):
+        """The derivative is 0 outside (th1, th2), so the table must read
+        exactly 0 at th1 and exactly 1 at th2."""
+        doc = stt_kind.to_dict()
+        doc[key] = share * stt_kind.drive_current
+        with pytest.raises(ConfigError):
+            TransferKind.from_dict(doc)
 
     @pytest.mark.parametrize("name", list(MALFORMED))
     def test_malformed_table_rejected(self, stt_kind, name):
@@ -335,13 +346,18 @@ class TestGradientCheck:
         node table gives: random net inputs, every node with its
         neighbouring doubles, both thresholds exactly and signed zeros.
         The off-node table's thresholds fall between nodes."""
-        kind = TransferKind.stt_snn(64 if table == "off-node" else int(table))
-        drive = kind.drive_current
         if table == "off-node":
-            doc = kind.to_dict()
-            doc.update(th1_a=0.6 * drive, th2_a=0.9 * drive)
-            kind = TransferKind.from_dict(doc)
+            # th1 lies inside the zero plateau and th2 inside the one
+            # plateau, both strictly between nodes.
+            kind = TransferKind(
+                "stt_snn", th1=0.5e-5, th2=5.5e-5, v_min=0.0, v_max=1.0,
+                drive_current=4e-5,
+                i_nodes=np.array([0.0, 1.0, 1.5, 2.5, 3.0, 4.5, 6.0]) * 1e-5,
+                a_nodes=np.array([0.0, 0.0, 0.2, 0.5, 0.9, 1.0, 1.0]))
             assert not np.isin([kind.th1, kind.th2], kind.i_nodes).any()
+        else:
+            kind = TransferKind.stt_snn(int(table))
+        drive = kind.drive_current
         nodes = kind.i_nodes / drive
         z = np.concatenate([
             np.random.default_rng(7).uniform(-0.5, 1.5, 4000),
