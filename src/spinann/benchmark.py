@@ -316,8 +316,9 @@ def wilson_interval(successes, n: int) -> np.ndarray:
 
     `successes` is a count or an array of counts out of `n` trials; the
     result holds the lower and upper bounds in its last axis, clipped to
-    [0, 1] against rounding at the ends. Counts need not be integers, but
-    `n` must be finite and >= 1 and every count within [0, n].
+    [0, 1] against rounding, and exactly 0 at 0 successes and 1 at n.
+    Counts need not be integers, but `n` must be finite and >= 1 and every
+    count within [0, n].
     """
     successes = np.asarray(successes, dtype=float)
     # NaN fails every comparison, so it is refused with the rest.
@@ -329,8 +330,9 @@ def wilson_interval(successes, n: int) -> np.ndarray:
     z2 = _Z95 * _Z95
     center = (p + z2 / (2 * n)) / (1 + z2 / n)
     half = _Z95 * np.sqrt(p * (1 - p) / n + z2 / (4 * n * n)) / (1 + z2 / n)
-    return np.clip(np.stack([center - half, center + half], axis=-1),
-                   0.0, 1.0)
+    lower = np.where(successes == 0, 0.0, center - half)
+    upper = np.where(successes == n, 1.0, center + half)
+    return np.clip(np.stack([lower, upper], axis=-1), 0.0, 1.0)
 
 
 @dataclass(eq=False)
@@ -400,8 +402,9 @@ def monte_carlo(
     # A bool would run at sigma = 1.
     if isinstance(sigma, (bool, np.bool_)) or not 0.0 <= sigma < np.inf:
         raise ConfigError(f"sigma must be a finite number >= 0, got {sigma!r}")
-    # numpy would also take a string or a nested list as entropy.
-    if not isinstance(seed, (int, np.integer)):
+    # numpy would also take a string or a nested list as entropy, and a
+    # bool as the seed 0 or 1.
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
         raise TypeError(f"seed must be an integer, got {seed!r}")
     if not (hasattr(network, "layers") and hasattr(network, "with_streams")):
         raise ConfigError("network must expose layers and "

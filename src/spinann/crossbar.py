@@ -262,12 +262,14 @@ def perturb(array: CrossbarArray, sigma: float, z) -> CrossbarArray:
 def _seed_list(seed) -> list:
     """`seed`, one seed or a 1-D sequence of them, as a list of seeds.
 
-    A seed is an integer: anything else raises TypeError, and an empty
-    sequence ValueError. numpy refuses a negative one with ValueError.
+    A seed is an integer, not a bool: anything else raises TypeError, and
+    an empty sequence ValueError. numpy refuses a negative one with
+    ValueError.
     """
     seeds = list(seed) if np.ndim(seed) == 1 else [seed]
     if np.ndim(seed) > 1 or not all(
-            isinstance(s, (int, np.integer)) for s in seeds):
+            isinstance(s, (int, np.integer)) and not isinstance(s, bool)
+            for s in seeds):
         raise TypeError("seed must be an integer or a 1-D sequence of them")
     if not seeds:
         raise ValueError("seed sequence is empty")

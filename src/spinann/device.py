@@ -8,6 +8,10 @@ a 1-D position model driven by a measured velocity-vs-current-density
 table (`VELOCITY_TABLE`, read once); no micromagnetic integration is done.
 The module fixes the pulse width and the sense point, checked once by a
 test; the ledger `network.neuron_energy` charges each cycle's energy at them.
+What follows from these fixed values is computed once, at import: the
+resistance-law coefficients RES_NUM, RES_SLOPE and RES_OFFSET, the
+depinning and saturation currents I_DEPINNING and I_SATURATION, and the
+output rails V_OUT_MIN and V_OUT_MAX that `TransferKind.stt_snn` reads.
 """
 
 from __future__ import annotations
@@ -62,22 +66,17 @@ J_TH = 6e11
 _RA_SI = 1e-12
 
 
-def rational_coefficients() -> tuple[float, float, float]:
-    """Coefficients (num, slope, offset) of the resistance law num/(slope*x + offset).
-
-    Algebraically identical to the parallel combination of the three MTJ
-    segments (anti-parallel left, wall, parallel right), so the vertical
-    resistance is a rational function of the wall position x.
-    """
-    ra_ap = RA_AP * _RA_SI
-    ra_dw = RA_DW * _RA_SI
-    ra_p = RA_P * _RA_SI
-    num = ra_ap * ra_p * ra_dw
-    slope = (ra_ap - ra_p) * ra_dw * WIDTH
-    offset = ra_p * ra_dw * WIDTH * LENGTH + (
-        ra_ap * ra_p - 0.5 * ra_p * ra_dw - 0.5 * ra_ap * ra_dw
-    ) * WIDTH * DW_LENGTH
-    return num, slope, offset
+# The resistance law num / (slope * x + offset): algebraically the parallel
+# combination of the three MTJ segments (anti-parallel left, wall, parallel
+# right), so the vertical resistance is a rational function of the wall
+# position x. RES_NUM, RES_SLOPE and RES_OFFSET are its coefficients.
+_RA_AP_SI, _RA_DW_SI, _RA_P_SI = RA_AP * _RA_SI, RA_DW * _RA_SI, RA_P * _RA_SI
+RES_NUM = _RA_AP_SI * _RA_P_SI * _RA_DW_SI
+RES_SLOPE = (_RA_AP_SI - _RA_P_SI) * _RA_DW_SI * WIDTH
+RES_OFFSET = _RA_P_SI * _RA_DW_SI * WIDTH * LENGTH + (
+    _RA_AP_SI * _RA_P_SI - 0.5 * _RA_P_SI * _RA_DW_SI
+    - 0.5 * _RA_AP_SI * _RA_DW_SI
+) * WIDTH * DW_LENGTH
 
 
 def neuron_resistance(x: float) -> float:
@@ -88,8 +87,7 @@ def neuron_resistance(x: float) -> float:
     """
     if not (X_MIN <= x <= X_MAX):
         raise DomainError(f"wall position {x} outside [{X_MIN}, {X_MAX}]")
-    num, slope, offset = rational_coefficients()
-    return num / (slope * x + offset)
+    return RES_NUM / (RES_SLOPE * x + RES_OFFSET)
 
 
 def read_voltage(resistance: float) -> float:
@@ -185,6 +183,15 @@ class VelocityTable:
 # The packaged calibration table, read once: every neuron moves by it.
 VELOCITY_TABLE = VelocityTable.default()
 
+# Lateral current (A) at the depinning density: no wall motion at or below.
+I_DEPINNING = J_TH * CROSS_SECTION
+# Least lateral current (A) that walks the wall end to end within T_PROGRAM.
+I_SATURATION = VELOCITY_TABLE.density_for_velocity(
+    (LENGTH - DW_LENGTH) / T_PROGRAM) * CROSS_SECTION
+# Output voltage rails (V): the sensed voltage with the wall at X_MIN, X_MAX.
+V_OUT_MIN = output_voltage(X_MIN)
+V_OUT_MAX = output_voltage(X_MAX)
+
 
 class NeuronDevice:
     """One spin-torque neuron: the strip and stack above, moved by
@@ -193,25 +200,6 @@ class NeuronDevice:
     Holds no state: every transfer starts from the reset state, so one
     instance is safe to share.
     """
-
-    @property
-    def depinning_current(self) -> float:
-        """Lateral current (A) at the depinning density; no motion below it."""
-        return J_TH * CROSS_SECTION
-
-    def saturation_current(self) -> float:
-        """Minimum current that walks the wall end to end within T_PROGRAM."""
-        v_needed = (LENGTH - DW_LENGTH) / T_PROGRAM
-        j = VELOCITY_TABLE.density_for_velocity(v_needed)
-        return j * CROSS_SECTION
-
-    @property
-    def v_out_min(self) -> float:
-        return output_voltage(X_MIN)
-
-    @property
-    def v_out_max(self) -> float:
-        return output_voltage(X_MAX)
 
     def transfer(self, i_prog: float) -> float:
         """Output voltage after reset -> program pulse -> sense.

@@ -26,7 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from .crossbar import GRID, grid_magnitudes
-from .device import NeuronDevice
+from .device import (I_DEPINNING, I_SATURATION, V_OUT_MAX, V_OUT_MIN,
+                     NeuronDevice)
 from .errors import ConfigError, DomainError, SearchError
 
 WEIGHTS_SCHEMA = "spin-ann/1"
@@ -135,27 +136,17 @@ class TransferKind:
         """
         if not _is_count(n_nodes, 3):
             raise ConfigError(f"need an integer n_nodes >= 3, got {n_nodes!r}")
-        device = NeuronDevice()
-        th1 = device.depinning_current
-        th2 = device.saturation_current()
-        v_min = device.v_out_min
-        v_max = device.v_out_max
+        th1, th2 = I_DEPINNING, I_SATURATION
         i_nodes = np.concatenate(([0.0], np.linspace(th1, th2, n_nodes - 1)))
+        device = NeuronDevice()
         volts = np.array([device.transfer(i) for i in i_nodes])
-        a_nodes = (volts - v_min) / (v_max - v_min)
+        a_nodes = (volts - V_OUT_MIN) / (V_OUT_MAX - V_OUT_MIN)
         a_nodes = np.maximum.accumulate(np.clip(a_nodes, 0.0, 1.0))
         a_nodes[i_nodes <= th1] = 0.0
         a_nodes[-1] = 1.0
-        return cls(
-            tag="stt_snn",
-            th1=th1,
-            th2=th2,
-            v_min=v_min,
-            v_max=v_max,
-            drive_current=th2,
-            i_nodes=i_nodes,
-            a_nodes=a_nodes,
-        )
+        return cls(tag="stt_snn", th1=th1, th2=th2, v_min=V_OUT_MIN,
+                   v_max=V_OUT_MAX, drive_current=th2, i_nodes=i_nodes,
+                   a_nodes=a_nodes)
 
     def to_dict(self) -> dict:
         doc = {"tag": self.tag}

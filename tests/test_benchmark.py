@@ -474,8 +474,9 @@ class TestMonteCarlo:
         np.testing.assert_allclose(
             wilson_interval(np.array([993, 7]), 1000),
             [[lo, hi], [1.0 - hi, 1.0 - lo]], rtol=1e-12)
-        assert wilson_interval(0, 4000)[0] >= 0.0
-        assert wilson_interval(4000, 4000)[1] == 1.0
+        for n in range(1, 2001):
+            assert wilson_interval(0, n)[0] == 0.0
+            assert wilson_interval(n, n)[1] == 1.0
 
     @pytest.mark.parametrize("successes, n", [
         (0, 0), (5, 3), (-1, 10), (np.nan, 10), (np.inf, 10), (3, np.nan),
@@ -607,7 +608,8 @@ class TestRecognizerRecipe:
             assert made == [([4, 0],), ([4, 1],)]
 
     @pytest.mark.parametrize("seed, error", [(-1, ValueError),
-                                             (2.0, TypeError)])
+                                             (2.0, TypeError),
+                                             (True, TypeError)])
     def test_bad_seed_rejected(self, recognizer, corpus, seed, error):
         with pytest.raises(error):
             monte_carlo(build_network(recognizer), corpus, 3, sigma=0.05,

@@ -13,6 +13,8 @@ from spinann.device import (
     CROSS_SECTION,
     DW_LENGTH,
     I_CRIT_VERTICAL,
+    I_DEPINNING,
+    I_SATURATION,
     I_SENSE,
     J_TH,
     LENGTH,
@@ -20,9 +22,14 @@ from spinann.device import (
     RA_AP,
     RA_DW,
     RA_P,
+    RES_NUM,
+    RES_OFFSET,
+    RES_SLOPE,
     SENSE_SAFETY_FRACTION,
     T_PROGRAM,
     THICKNESS,
+    V_OUT_MAX,
+    V_OUT_MIN,
     V_SENSE_SUPPLY,
     WIDTH,
     X_MAX,
@@ -31,7 +38,6 @@ from spinann.device import (
     VelocityTable,
     neuron_resistance,
     output_voltage,
-    rational_coefficients,
     read_voltage,
 )
 from spinann.errors import ConfigError, DomainError
@@ -94,11 +100,10 @@ class TestResistance:
 
     def test_rational_form_linearity(self):
         # num/R(x) - offset must be linear in x through the origin.
-        num, slope, offset = rational_coefficients()
         xs = np.linspace(X_MIN, X_MAX, 1000)
         rs = np.array([neuron_resistance(x) for x in xs])
-        residual = num / rs - offset - slope * xs
-        assert np.max(np.abs(residual) / (slope * xs)) < 1e-10
+        residual = RES_NUM / rs - RES_OFFSET - RES_SLOPE * xs
+        assert np.max(np.abs(residual) / (RES_SLOPE * xs)) < 1e-10
 
     def test_out_of_range_raises(self):
         with pytest.raises(DomainError):
@@ -194,8 +199,8 @@ class TestPulses:
     """The program step of transfer: reset to X_MIN, one T_PROGRAM pulse."""
 
     def test_zero_current_leaves_position(self, device):
-        assert device.transfer(0.0) == device.v_out_min
-        assert device.transfer(-I_RESET) == device.v_out_min
+        assert device.transfer(0.0) == V_OUT_MIN
+        assert device.transfer(-I_RESET) == V_OUT_MIN
 
     def test_reset_from_anywhere(self, device):
         """The network's reset pulse, I_RESET for T_RESET, walks the wall
@@ -212,33 +217,31 @@ class TestPulses:
         assert device.transfer(26e-6) == output_voltage(x)
 
     def test_saturation_idempotent(self, device):
-        assert device.transfer(60e-6) == device.v_out_max
-        assert device.transfer(120e-6) == device.v_out_max
+        assert device.transfer(60e-6) == V_OUT_MAX
+        assert device.transfer(120e-6) == V_OUT_MAX
 
 
 class TestTransfer:
     def test_flat_below_depinning(self, device):
-        assert device.depinning_current == pytest.approx(24e-6)
-        assert device.transfer(10e-6) == pytest.approx(device.v_out_min,
-                                                      rel=1e-12, abs=0.0)
-        assert device.transfer(device.depinning_current) == pytest.approx(
-            device.v_out_min, rel=1e-12, abs=0.0
+        assert I_DEPINNING == pytest.approx(24e-6)
+        assert device.transfer(10e-6) == pytest.approx(V_OUT_MIN, rel=1e-12,
+                                                       abs=0.0)
+        assert device.transfer(I_DEPINNING) == pytest.approx(
+            V_OUT_MIN, rel=1e-12, abs=0.0
         )
 
     def test_saturates_at_high_current(self, device):
-        i_sat = device.saturation_current()
-        assert device.transfer(i_sat) == pytest.approx(device.v_out_max,
-                                                      rel=1e-12, abs=0.0)
-        assert device.transfer(2 * i_sat) == pytest.approx(device.v_out_max,
-                                                          rel=1e-12, abs=0.0)
+        assert device.transfer(I_SATURATION) == pytest.approx(
+            V_OUT_MAX, rel=1e-12, abs=0.0)
+        assert device.transfer(2 * I_SATURATION) == pytest.approx(
+            V_OUT_MAX, rel=1e-12, abs=0.0)
 
-    def test_saturation_current_value(self, device):
+    def test_saturation_current_value(self):
         # End-to-end travel in 1 ns needs (length - dw_length)/1ns of velocity.
         v_needed = (LENGTH - DW_LENGTH) / 1e-9
         assert v_needed == pytest.approx(83.0, rel=0.01)
         assert T_PROGRAM == 1e-9
-        assert device.saturation_current() == pytest.approx(44.93e-6, rel=1e-3,
-                                                            abs=0.0)
+        assert I_SATURATION == pytest.approx(44.93e-6, rel=1e-3, abs=0.0)
 
     def test_monotone_nondecreasing(self, device):
         currents = np.linspace(0.0, 60e-6, 121)

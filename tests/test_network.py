@@ -110,6 +110,20 @@ class TestForward:
             with pytest.raises(DomainError):
                 network.forward(batch)
 
+    @pytest.mark.parametrize("edge, bound, beyond", [
+        (-1e-9, 0.0, -np.inf), (1 + 1e-9, 1.0, np.inf)])
+    def test_feature_tolerance_edges(self, network, corpus, edge, bound,
+                                     beyond):
+        """A feature at the rounding tolerance past 0 or 1 reads as that
+        bound; one float step further is refused."""
+        row, want = corpus.features[7].copy(), corpus.features[7].copy()
+        row[3], want[3] = edge, bound
+        np.testing.assert_array_equal(network.forward(row)[0],
+                                      network.forward(want)[0])
+        row[3] = np.nextafter(edge, beyond)
+        with pytest.raises(DomainError):
+            network.forward(row)
+
     def test_batch_matches_per_letter_calls(self, network, corpus):
         """A batch reads each row exactly as a call on that row alone and
         charges the sum of the per-letter ledgers."""
@@ -226,15 +240,12 @@ class TestEnergy:
             self, network, corpus, monkeypatch):
         """The program-phase entries are charged for one T_PROGRAM pulse;
         the sense entry does not depend on it."""
-        _, e1 = network.forward(corpus.features[0])
+        e1 = network.forward(corpus.features[0])[1].to_dict()
         monkeypatch.setattr("spinann.network.T_PROGRAM", 2e-9)
         _, e2 = network.forward(corpus.features[0])
-        assert e2.neuron_program == pytest.approx(2 * e1.neuron_program,
-                                                  abs=0.0)
-        assert e2.crossbar_static == pytest.approx(2 * e1.crossbar_static,
-                                                   abs=0.0)
-        assert e2.dtcs_static == pytest.approx(2 * e1.dtcs_static, abs=0.0)
-        assert e2.neuron_sense == pytest.approx(e1.neuron_sense, abs=0.0)
+        for name in ("neuron_program", "crossbar_static", "dtcs_static"):
+            assert getattr(e2, name) == pytest.approx(2 * e1[name], abs=0.0)
+        assert e2.neuron_sense == pytest.approx(e1["neuron_sense"], abs=0.0)
 
     def test_zero_duration_schedule_spends_nothing(
             self, network, corpus, monkeypatch):
@@ -247,7 +258,7 @@ class TestEnergy:
 
 class TestLedgerOnRead:
     """The ledger is charged from the currents a forward call kept, at the
-    operating point of that call, only when one of its terms is read."""
+    module constants, only when one of its terms is read."""
 
     @pytest.fixture
     def charges(self, monkeypatch):
@@ -274,18 +285,15 @@ class TestLedgerOnRead:
         assert e.to_dict()["neuron_program"] == e.neuron_program
         assert len(charges) == len(stored_network.layers)
 
-    def test_charged_at_the_calls_operating_point(
+    def test_charged_at_the_constants_when_read(
             self, stored_network, corpus, monkeypatch):
-        """A ledger read after the constants change still charges the
-        operating point its own call ran at."""
-        _, before = stored_network.forward(corpus.features[0])
-        want = before.to_dict()
-        _, e1 = stored_network.forward(corpus.features[0])
+        """A ledger read while T_PROGRAM is 2 ns charges twice the 1 ns
+        program energy, whenever its forward call ran."""
+        once = stored_network.forward(corpus.features[0])[1].neuron_program
+        _, e = stored_network.forward(corpus.features[0])
         monkeypatch.setattr("spinann.network.T_PROGRAM", 2e-9)
-        _, e2 = stored_network.forward(corpus.features[0])
-        assert e2.neuron_program == pytest.approx(
-            2 * e1.neuron_program, rel=1e-12, abs=0.0)
-        assert e1.to_dict() == want
+        assert e.neuron_program == pytest.approx(2 * once, rel=1e-12,
+                                                 abs=0.0)
 
     def test_stacked_ledger_reads_as_accumulated(self, stored_network,
                                                   corpus):
@@ -395,7 +403,7 @@ class TestVariation:
     @pytest.mark.parametrize("seed, error", [
         (-1, ValueError), ([4, -1], ValueError), (3.5, TypeError),
         (None, TypeError), ([4, None], TypeError), ([[4, 5]], TypeError),
-        ([], ValueError)])
+        ([], ValueError), (True, TypeError), ([4, True], TypeError)])
     def test_bad_seed_rejected(self, network, seed, error):
         with pytest.raises(error):
             network.with_variation(0.05, seed)

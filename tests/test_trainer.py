@@ -11,7 +11,8 @@ import pytest
 from spinann import trainer
 from spinann.benchmark import HIDDEN_NEURONS, _score, recognizer_configs
 from spinann.crossbar import map_weights
-from spinann.device import (CROSS_SECTION, VELOCITY_TABLE, X_MAX, X_MIN,
+from spinann.device import (CROSS_SECTION, I_SATURATION, V_OUT_MAX,
+                            V_OUT_MIN, VELOCITY_TABLE, X_MAX, X_MIN,
                             NeuronDevice)
 from spinann.errors import ConfigError, DomainError, SearchError
 from spinann.network import T_PROGRAM
@@ -62,20 +63,18 @@ def separable():
 
 class TestSttTable:
     def test_thresholds_from_device(self, stt_kind):
-        dev = NeuronDevice()
         assert stt_kind.th1 == pytest.approx(TH1, rel=1e-12, abs=0.0)
         assert stt_kind.th2 == pytest.approx(TH2, rel=1e-9, abs=0.0)
-        assert stt_kind.v_min == pytest.approx(dev.v_out_min, rel=1e-12,
+        assert stt_kind.v_min == pytest.approx(V_OUT_MIN, rel=1e-12,
                                                abs=0.0)
-        assert stt_kind.v_max == pytest.approx(dev.v_out_max, rel=1e-12,
+        assert stt_kind.v_max == pytest.approx(V_OUT_MAX, rel=1e-12,
                                                abs=0.0)
         assert stt_kind.drive_current == pytest.approx(stt_kind.th2)
 
     def test_table_saturates_at_the_program_pulse(self, stt_kind):
         """The table's full-travel current is the one that walks the wall
         end to end within the network's programming pulse."""
-        dev = NeuronDevice()
-        assert stt_kind.th2 == dev.saturation_current()
+        assert stt_kind.th2 == I_SATURATION
         v_sat = VELOCITY_TABLE.velocity(stt_kind.th2 / CROSS_SECTION)
         assert v_sat * T_PROGRAM == pytest.approx(X_MAX - X_MIN, rel=1e-12,
                                                   abs=0.0)
