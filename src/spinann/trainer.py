@@ -3,9 +3,10 @@
 Supports four neuron transfer functions: ideal step, saturating linear,
 logistic sigmoid, and the simulated spin-neuron curve. The spin-neuron
 activation is the device transfer sampled into a monotone lookup table,
-so training and hardware inference share one ground truth; its net input
-is a dimensionless weighted sum scaled by a drive current (the current
-that a unit net input programs into the neuron).
+always the device's (a stored table must equal it bit for bit), so
+training and hardware inference share one ground truth; its net input is
+a dimensionless weighted sum scaled by a drive current (the current that
+a unit net input programs into the neuron).
 
 Training is full-batch gradient descent with momentum and an adaptive
 step size on a mean squared error against one-hot targets, with a
@@ -41,70 +42,57 @@ def _is_count(n, least: int = 1) -> bool:
             and n >= least)
 
 
-# Weights-file key of each spin-neuron field of a TransferKind.
+# Weights-file key of each spin-neuron value of a TransferKind, and the
+# kind that from_dict returns per node count, shared by every load.
 _STT_FILE_KEYS = {"th1": "th1_a", "th2": "th2_a", "v_min": "v_min_v",
                   "v_max": "v_max_v", "drive_current": "drive_current_a",
                   "i_nodes": "i_nodes_a", "a_nodes": "a_nodes"}
+_LOADED_KINDS: dict[int, TransferKind] = {}
 
 
 @dataclass(frozen=True, eq=False)
 class TransferKind:
-    """Neuron activation selector, with device data for the spin neuron.
+    """Neuron activation selector; the spin neuron's table is the device's.
 
     For the spin neuron the table maps programming current to the
     normalized sensed output (V - v_min)/(v_max - v_min): exactly 0 up
     to the depinning threshold th1, exactly 1 at the full-travel current
     th2, continuous and nondecreasing between. drive_current converts
     the trainer's dimensionless net input into a programming current.
+    All five and the table are the device's (stt_snn); none can be set.
     """
 
     tag: str
-    th1: float = 0.0
-    th2: float = 0.0
-    v_min: float = 0.0
-    v_max: float = 0.0
-    drive_current: float = 0.0
-    i_nodes: np.ndarray | None = None
-    a_nodes: np.ndarray | None = None
+    n_nodes: int = STT_TABLE_NODES
+
+    th1, th2, v_min, v_max = I_DEPINNING, I_SATURATION, V_OUT_MIN, V_OUT_MAX
+    drive_current = I_SATURATION  # a net input of 1.0 saturates the neuron
 
     def __post_init__(self):
         if self.tag not in ("step", "sat_linear", "sigmoid", "stt_snn"):
             raise ConfigError(f"unknown transfer kind {self.tag!r}")
-        if self.tag == "stt_snn":
-            if not (self.th2 > self.th1 > 0.0):
-                raise ConfigError("need th2 > th1 > 0")
-            if not (self.v_max > self.v_min):
-                raise ConfigError("need v_max > v_min")
-            if not (np.isfinite(self.drive_current)
-                    and self.drive_current > 0.0):
-                raise ConfigError("drive_current must be positive and finite")
-            if self.i_nodes is None or self.a_nodes is None:
-                raise ConfigError("spin-neuron kind needs its sampled table")
-            if not 2 <= len(self.i_nodes) == len(self.a_nodes):
-                raise ConfigError("need i_nodes and a_nodes of equal "
-                                  "length, at least 2")
-            # np.interp needs a finite, increasing table; on any other it
-            # returns wrong values without an error. An activation outside
-            # [0, 1] would drive the output past the voltage swing.
-            if not (np.isfinite(self.i_nodes).all()
-                    and np.isfinite(self.a_nodes).all()):
-                raise ConfigError("the sampled table must be finite")
-            if not ((np.diff(self.i_nodes) > 0.0).all()
-                    and (np.diff(self.a_nodes) >= 0.0).all()
-                    and self.a_nodes[0] >= 0.0 and self.a_nodes[-1] <= 1.0):
-                raise ConfigError("need strictly increasing i_nodes and "
-                                  "nondecreasing a_nodes within [0, 1]")
-            # The derivative is 0 outside (th1, th2), so the activation
-            # must be flat there too.
-            if not (np.interp([self.th1, self.th2], self.i_nodes,
-                              self.a_nodes) == [0.0, 1.0]).all():
-                raise ConfigError("the table must read 0 at th1 and 1 at th2")
+        if not _is_count(self.n_nodes, 3):
+            raise ConfigError("need an integer n_nodes >= 3")
+
+    @cached_property
+    def i_nodes(self) -> np.ndarray:
+        """The table's currents: 0, then a uniform grid on [th1, th2]."""
+        return np.r_[0.0, np.linspace(self.th1, self.th2, self.n_nodes - 1)]
+
+    @cached_property
+    def a_nodes(self) -> np.ndarray:
+        """The device's output at i_nodes, normalized and made monotone."""
+        volts = np.array(list(map(NeuronDevice().transfer, self.i_nodes)))
+        a_nodes = (volts - self.v_min) / (self.v_max - self.v_min)
+        a_nodes = np.maximum.accumulate(np.clip(a_nodes, 0.0, 1.0))
+        a_nodes[self.i_nodes <= self.th1] = 0.0
+        a_nodes[-1] = 1.0
+        return a_nodes
 
     @cached_property
     def derivative_table(self) -> tuple[np.ndarray, np.ndarray]:
         """(edges, gains), built on first use: the derivative at current i
-        is gains[edges.searchsorted(i, "right")]. Exact for any table, as
-        its segment slope on (th1, th2), else 0, is constant edge to edge."""
+        is gains[edges.searchsorted(i, "right")], exact between edges."""
         i, th1, th2 = self.i_nodes, self.th1, self.th2
         edges = np.sort(np.r_[i, np.nextafter(th1, np.inf), th2])
         segment = np.clip(i.searchsorted(edges, "right") - 1, 0, len(i) - 2)
@@ -126,27 +114,11 @@ class TransferKind:
 
     @classmethod
     def stt_snn(cls, n_nodes: int = STT_TABLE_NODES) -> "TransferKind":
-        """Sample the default neuron's transfer at the T_PROGRAM pulse
-        into a lookup table.
-
-        Nodes are 0 plus a uniform grid over [th1, th2]; between nodes
-        the activation is linearly interpolated. drive_current is th2,
-        so a net input of 1.0 saturates the neuron. Below 3 nodes the
-        table cannot hold 0, th1 and th2 as separate nodes.
-        """
-        if not _is_count(n_nodes, 3):
-            raise ConfigError(f"need an integer n_nodes >= 3, got {n_nodes!r}")
-        th1, th2 = I_DEPINNING, I_SATURATION
-        i_nodes = np.concatenate(([0.0], np.linspace(th1, th2, n_nodes - 1)))
-        device = NeuronDevice()
-        volts = np.array([device.transfer(i) for i in i_nodes])
-        a_nodes = (volts - V_OUT_MIN) / (V_OUT_MAX - V_OUT_MIN)
-        a_nodes = np.maximum.accumulate(np.clip(a_nodes, 0.0, 1.0))
-        a_nodes[i_nodes <= th1] = 0.0
-        a_nodes[-1] = 1.0
-        return cls(tag="stt_snn", th1=th1, th2=th2, v_min=V_OUT_MIN,
-                   v_max=V_OUT_MAX, drive_current=th2, i_nodes=i_nodes,
-                   a_nodes=a_nodes)
+        """The spin neuron: the device's transfer at the T_PROGRAM pulse,
+        sampled at n_nodes >= 3 currents (0, th1 and th2 apart) and
+        interpolated between. Each instance builds its own table on first
+        read, with n_nodes device calls."""
+        return cls("stt_snn", n_nodes)
 
     def to_dict(self) -> dict:
         doc = {"tag": self.tag}
@@ -157,12 +129,19 @@ class TransferKind:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TransferKind":
+        """The kind a to_dict document names. An n-node spin-neuron table
+        must be stt_snn(n)'s bit for bit; one such kind, its table
+        read-only, serves every load."""
         if doc["tag"] != "stt_snn":
             return cls(doc["tag"])
-        values = {name: doc[key] for name, key in _STT_FILE_KEYS.items()}
-        values["i_nodes"] = np.array(values["i_nodes"])
-        values["a_nodes"] = np.array(values["a_nodes"])
-        return cls(tag="stt_snn", **values)
+        n_nodes = len(doc["i_nodes_a"])
+        kind = _LOADED_KINDS.setdefault(n_nodes, cls.stt_snn(n_nodes))
+        kind.i_nodes.flags.writeable = kind.a_nodes.flags.writeable = False
+        for name, key in _STT_FILE_KEYS.items():
+            got, want = np.asarray(doc[key]), np.asarray(getattr(kind, name))
+            if got.dtype != want.dtype or got.tobytes() != want.tobytes():
+                raise ConfigError(f"stored {key} is not the device's")
+        return kind
 
 
 def _activation_array(z: np.ndarray, kind: TransferKind) -> np.ndarray:
@@ -340,7 +319,7 @@ class Dataset:
         if not _is_count(self.n_classes):
             raise DomainError("need an integer n_classes >= 1")
         if np.any((self.labels < 0) | (self.labels >= self.n_classes)
-                  | (self.labels != labels)):
+                  | (self.labels != labels) | (labels.dtype == bool)):
             raise DomainError("labels must be integers in [0, n_classes)")
 
     @property
@@ -824,7 +803,7 @@ def finalize(result: TrainResult, dataset: Dataset,
     Snapshot selection starts at the incoming weights, so the result
     never ranks below them. The input result is untouched.
     """
-    if levels not in (None, GRID.levels):
+    if not (levels is None or _is_count(levels) and levels == GRID.levels):
         raise ConfigError(f"levels must be None or {GRID.levels}, "
                           f"got {levels!r}")
     cfg = cfg or result.config
@@ -856,7 +835,7 @@ def quantize_weights(weights, levels: int = GRID.levels):
     zero, signs are untouched. The grid is the crossbar's, so `levels`
     must be its level count. Returns (quantized, report).
     """
-    if levels != GRID.levels:
+    if not (_is_count(levels) and levels == GRID.levels):
         raise ConfigError(f"levels must be {GRID.levels}, got {levels!r}")
     w = np.asarray(weights, dtype=float)
     quantized = _snap_weights(w)
@@ -941,7 +920,8 @@ def load_weights(path) -> TrainResult:
     """Read a weights file written by save_weights.
 
     Every malformed file raises ConfigError: a missing key, a value of
-    the wrong type or shape, or one that a check below refuses.
+    the wrong type or shape, a spin-neuron table not the device's bit for
+    bit (TransferKind.from_dict), or one that a check below refuses.
     """
     text = Path(path).read_text()
     try:

@@ -11,9 +11,9 @@ import pytest
 from spinann import trainer
 from spinann.benchmark import HIDDEN_NEURONS, _score, recognizer_configs
 from spinann.crossbar import map_weights
-from spinann.device import (CROSS_SECTION, I_SATURATION, V_OUT_MAX,
-                            V_OUT_MIN, VELOCITY_TABLE, X_MAX, X_MIN,
-                            NeuronDevice)
+from spinann.device import (CROSS_SECTION, I_DEPINNING, I_SATURATION,
+                            V_OUT_MAX, V_OUT_MIN, VELOCITY_TABLE, X_MAX,
+                            X_MIN, NeuronDevice)
 from spinann.errors import ConfigError, DomainError, SearchError
 from spinann.network import T_PROGRAM
 from spinann.trainer import (
@@ -63,13 +63,12 @@ def separable():
 
 class TestSttTable:
     def test_thresholds_from_device(self, stt_kind):
+        assert (stt_kind.th1, stt_kind.th2, stt_kind.v_min, stt_kind.v_max,
+                stt_kind.drive_current) == (I_DEPINNING, I_SATURATION,
+                                            V_OUT_MIN, V_OUT_MAX,
+                                            I_SATURATION)
         assert stt_kind.th1 == pytest.approx(TH1, rel=1e-12, abs=0.0)
         assert stt_kind.th2 == pytest.approx(TH2, rel=1e-9, abs=0.0)
-        assert stt_kind.v_min == pytest.approx(V_OUT_MIN, rel=1e-12,
-                                               abs=0.0)
-        assert stt_kind.v_max == pytest.approx(V_OUT_MAX, rel=1e-12,
-                                               abs=0.0)
-        assert stt_kind.drive_current == pytest.approx(stt_kind.th2)
 
     def test_table_saturates_at_the_program_pulse(self, stt_kind):
         """The table's full-travel current is the one that walks the wall
@@ -152,12 +151,14 @@ class TestSttTable:
         assert np.array_equal(back.i_nodes, stt_kind.i_nodes)
         assert np.array_equal(back.a_nodes, stt_kind.a_nodes)
 
-    def test_derivative_table_built_once_and_not_serialized(self):
+    def test_derivative_table_built_once_and_not_serialized(
+            self, monkeypatch):
         """Only training reads the derivative table, so neither
         construction nor load_weights builds it; the first read does,
-        once."""
+        once. Loads share one kind, so the check starts from no loads."""
         kind = TransferKind.stt_snn(64)
         assert "derivative_table" not in vars(kind)
+        monkeypatch.setattr(trainer, "_LOADED_KINDS", {})
         assert "derivative_table" not in vars(
             load_weights(STORED_RECOGNIZER).kind)
         edges, gains = kind.derivative_table
@@ -180,26 +181,24 @@ class TestSttTable:
         with pytest.raises(ConfigError):
             TransferKind("relu")
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_drive_current_rejected(self, stt_kind, bad):
-        with pytest.raises(ConfigError):
-            dataclasses.replace(stt_kind, drive_current=bad)
-
     @pytest.mark.parametrize("key, value", [
         ("drive_current_a", np.nan), ("drive_current_a", np.inf),
         ("a_nodes", [0.0, 1.0]),
         ("a_nodes", lambda a: [5.0 * x for x in a]),
-        ("a_nodes", lambda a: [x - 0.5 for x in a])])
+        ("a_nodes", lambda a: [x - 0.5 for x in a]),
+        ("th1_a", int(np.float64(I_DEPINNING).view(np.int64)))])
     def test_bad_stored_table_rejected(self, stt_kind, key, value):
-        """A table whose activations leave [0, 1] would drive the output
-        voltage outside the neuron's swing."""
+        """A stored table is the device's or refused: here a non-finite
+        drive, activations that would drive the output voltage outside
+        the neuron's swing, and an integer holding th1's bits."""
         doc = stt_kind.to_dict()
         doc[key] = value(doc[key]) if callable(value) else value
         with pytest.raises(ConfigError):
             TransferKind.from_dict(doc)
 
     # Edits of (i_nodes, a_nodes) that np.interp would take without a
-    # word; a repeated node also divides by zero in the slopes.
+    # word (a repeated node also divides by zero in the slopes), and
+    # tables of another length than the device's or of two lengths.
     MALFORMED = {
         "reversed-i_nodes": lambda i, a: (i[::-1], a),
         "repeated-i_node": lambda i, a: (np.r_[i[:3], i[2:-1]], a),
@@ -209,13 +208,16 @@ class TestSttTable:
         "falling-a_nodes": lambda i, a: (i, np.r_[a[:-1], 0.5]),
         "empty-table": lambda i, a: (i[:0], a[:0]),
         "one-node": lambda i, a: (i[:1], a[:1]),
+        "both-short": lambda i, a: (i[:-1], a[:-1]),
+        "short-a_nodes": lambda i, a: (i, a[:-1]),
+        "short-i_nodes": lambda i, a: (i[:-1], a),
     }
 
     @pytest.mark.parametrize("key, share", [("th1_a", 0.6), ("th2_a", 0.9)])
     def test_thresholds_off_the_plateaus_rejected(self, stt_kind, key,
                                                   share):
-        """The derivative is 0 outside (th1, th2), so the table must read
-        exactly 0 at th1 and exactly 1 at th2."""
+        """Stored thresholds are the device's or refused: the derivative
+        is 0 outside (th1, th2), where the table reads exactly 0 and 1."""
         doc = stt_kind.to_dict()
         doc[key] = share * stt_kind.drive_current
         with pytest.raises(ConfigError):
@@ -229,8 +231,47 @@ class TestSttTable:
         doc.update(i_nodes_a=i_nodes.tolist(), a_nodes=a_nodes.tolist())
         with pytest.raises(ConfigError):
             TransferKind.from_dict(doc)
-        with pytest.raises(ConfigError):
-            dataclasses.replace(stt_kind, i_nodes=i_nodes, a_nodes=a_nodes)
+
+    @pytest.mark.parametrize("key", list(trainer._STT_FILE_KEYS.values()))
+    def test_one_step_off_refused(self, stt_kind, key):
+        """A stored field one np.nextafter step off the device's table, in
+        one value of it, is refused by name."""
+        doc = stt_kind.to_dict()
+        value = np.array(doc[key])
+        mid = value.size // 2
+        value.flat[mid] = np.nextafter(value.flat[mid], np.inf)
+        doc[key] = value.tolist()
+        with pytest.raises(ConfigError, match=key):
+            TransferKind.from_dict(doc)
+
+    def test_other_node_counts_load(self):
+        for n_nodes in (3, 64):
+            doc = TransferKind.stt_snn(n_nodes).to_dict()
+            assert TransferKind.from_dict(doc).n_nodes == n_nodes
+
+    def test_loaded_table_read_only_and_shared(self):
+        kind = load_weights(STORED_RECOGNIZER).kind
+        for nodes in (kind.i_nodes, kind.a_nodes):
+            assert not nodes.flags.writeable
+            with pytest.raises(ValueError):
+                nodes[1] = 0.5
+        assert load_weights(STORED_RECOGNIZER).kind is kind
+
+    def test_loads_build_one_table(self, monkeypatch):
+        """Loads share one table per node count, built by the first;
+        stt_snn still builds its own, one device call per node."""
+        calls = []
+        transfer = NeuronDevice.transfer
+        monkeypatch.setattr(NeuronDevice, "transfer",
+                            lambda dev, i: calls.append(i) or transfer(dev, i))
+        monkeypatch.setattr(trainer, "_LOADED_KINDS", {})
+        load_weights(STORED_RECOGNIZER)
+        load_weights(STORED_RECOGNIZER)
+        assert len(calls) <= trainer.STT_TABLE_NODES
+        for n_nodes in (64, trainer.STT_TABLE_NODES):
+            calls.clear()
+            assert len(TransferKind.stt_snn(n_nodes).a_nodes) == n_nodes
+            assert len(calls) == n_nodes
 
 
 class TestActivationAnchors:
@@ -339,23 +380,12 @@ class TestGradientCheck:
         assert activation_derivative(1.2, stt_kind) == 0.0
         assert activation_derivative(-0.3, stt_kind) == 0.0
 
-    @pytest.mark.parametrize("table", ["1024", "64", "3", "off-node"])
+    @pytest.mark.parametrize("table", ["1024", "64", "3"])
     def test_stt_derivative_equals_segment_search(self, table):
         """The derivative table reads, bit for bit, what a search of the
         node table gives: random net inputs, every node with its
-        neighbouring doubles, both thresholds exactly and signed zeros.
-        The off-node table's thresholds fall between nodes."""
-        if table == "off-node":
-            # th1 lies inside the zero plateau and th2 inside the one
-            # plateau, both strictly between nodes.
-            kind = TransferKind(
-                "stt_snn", th1=0.5e-5, th2=5.5e-5, v_min=0.0, v_max=1.0,
-                drive_current=4e-5,
-                i_nodes=np.array([0.0, 1.0, 1.5, 2.5, 3.0, 4.5, 6.0]) * 1e-5,
-                a_nodes=np.array([0.0, 0.0, 0.2, 0.5, 0.9, 1.0, 1.0]))
-            assert not np.isin([kind.th1, kind.th2], kind.i_nodes).any()
-        else:
-            kind = TransferKind.stt_snn(int(table))
+        neighbouring doubles, both thresholds exactly and signed zeros."""
+        kind = TransferKind.stt_snn(int(table))
         drive = kind.drive_current
         nodes = kind.i_nodes / drive
         z = np.concatenate([
@@ -544,8 +574,9 @@ class TestMonotoneGuard:
     """Noisy epochs score copies from net inputs, exact only for a
     nondecreasing computed activation, so a noisy fit refuses any other."""
 
-    # A 9-node table that construction accepts but whose first segment,
-    # at the double just below node 1, interpolates above a_nodes[1].
+    # A 9-node table whose first segment, at the double just below node
+    # 1, interpolates above a_nodes[1]. No device table does (see
+    # test_device_tables_pass), so it is planted in an instance's cache.
     I_NODES = [0.09082725693404242, 0.6638109170016626, 0.9773131941063831,
                1.311458150694456, 1.6434506109369693, 3.014967776643726,
                3.5794498836354625, 4.867943794125636, 7.9849585432428185]
@@ -555,22 +586,29 @@ class TestMonotoneGuard:
 
     @pytest.fixture(scope="class")
     def overshooting(self):
-        i_nodes = np.array(self.I_NODES)
-        return TransferKind("stt_snn", th1=i_nodes[0], th2=i_nodes[-1],
-                            v_min=0.0, v_max=1.0, drive_current=1.0,
-                            i_nodes=i_nodes, a_nodes=np.array(self.A_NODES))
+        kind = TransferKind.stt_snn(3)
+        vars(kind).update(i_nodes=np.array(self.I_NODES),
+                          a_nodes=np.array(self.A_NODES))
+        return kind
 
     def test_overshooting_table_refused_in_noisy_fit(self, overshooting,
                                                      separable):
-        node = overshooting.i_nodes[1]
-        assert activation(np.nextafter(node, -np.inf), overshooting) \
-            > activation(node, overshooting)
+        i_nodes, a_nodes = overshooting.i_nodes, overshooting.a_nodes
+        assert np.interp(np.nextafter(i_nodes[1], -np.inf), i_nodes,
+                         a_nodes) > a_nodes[1]
         with pytest.raises(ConfigError):
             train(separable, 2, overshooting, TrainConfig(train_sigma=0.05))
         clean = train(separable, 2, overshooting, TrainConfig(epochs=20))
         with pytest.raises(ConfigError):
             finalize(clean, separable, levels=None,
                      cfg=TrainConfig(train_sigma=0.05))
+
+    @pytest.mark.parametrize("n_nodes", [3, 64, trainer.STT_TABLE_NODES])
+    def test_device_tables_pass(self, separable, n_nodes):
+        """Every table in use is monotone as computed, so the guard lets a
+        noisy fit through."""
+        train(separable, 2, TransferKind.stt_snn(n_nodes),
+              TrainConfig(epochs=2, train_sigma=0.05))
 
     def test_noisy_sigmoid_refused(self, separable):
         with pytest.raises(ConfigError):
@@ -768,9 +806,9 @@ class TestTrain:
 
     @pytest.mark.parametrize("labels, n_classes", [
         ([0.5, 1.7], 2), ([0, 0], True), ([0, 1], 2.5),
-        ([0, 1], np.float64(2.0))],
+        ([0, 1], np.float64(2.0)), ([True, False], 2)],
         ids=["fractional-labels", "bool-classes", "fractional-classes",
-             "float-classes"])
+             "float-classes", "bool-labels"])
     def test_dataset_refuses_non_integers(self, labels, n_classes):
         with pytest.raises(DomainError):
             Dataset([[0.0], [1.0]], labels, n_classes)
@@ -837,16 +875,28 @@ class TestQuantizeWeights:
         with pytest.raises(DomainError):
             quantize_weights([[bad, 1.0]])
 
-    @pytest.mark.parametrize("levels", [2, 16, 64])
+    @pytest.mark.parametrize("levels", [
+        2, 16, 64, pytest.param(32.0, id="float-32"),
+        pytest.param(np.float64(32), id="numpy-float-32"),
+        pytest.param(True, id="bool")])
     def test_only_the_crossbar_grid(self, separable, stt_kind, levels):
         """build_network snaps onto the 32-level grid, so weights put on
-        any other grid would not be the weights the crossbar holds."""
+        any other grid would not be the weights the crossbar holds. The
+        count is an integer, as it seeds the fit."""
         with pytest.raises(ConfigError, match="levels"):
             quantize_weights(np.eye(3), levels)
         res = train(separable, 2, stt_kind,
                     TrainConfig(learning_rate=1.0, epochs=5, seed=0))
         with pytest.raises(ConfigError, match="levels"):
             finalize(res, separable, levels=levels)
+
+    def test_integer_levels_accepted(self, separable, stt_kind):
+        cfg = TrainConfig(learning_rate=1.0, epochs=5, seed=0)
+        res = train(separable, 2, stt_kind, cfg)
+        a, b = (finalize(res, separable, levels=n, cfg=cfg)
+                for n in (32, np.int64(32)))
+        assert np.array_equal(a.w1, b.w1) and np.array_equal(a.w2, b.w2)
+        assert quantize_weights(np.eye(3), np.int64(32))[1].levels == 32
 
 
 class TestMinHiddenSearch:
