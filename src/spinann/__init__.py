@@ -8,10 +8,9 @@ per-phase energy accounting.
 
 __version__ = "0.1.0"
 
-from .device import NeuronDevice, VelocityTable
+from .device import NeuronDevice
 
 __all__ = [
     "NeuronDevice",
-    "VelocityTable",
     "__version__",
 ]

@@ -7,9 +7,9 @@ them with four 3x3 edge kernels (horizontal, vertical, and the two
 diagonals), and a second product with a fixed pooling matrix averages
 each rectified response over a 4x4 grid of pooling cells.  Four
 directions times sixteen cells give the 64-component feature vector.
-Features are normalized by the largest raw response found anywhere in the
-canonical corpus, a constant stored next to the glyphs, so extraction is
-deterministic and corpus features land in [0, 1].
+Features are normalized by FEATURE_SCALE, the largest raw response found
+anywhere in the canonical corpus (a tier-1 test checks it), so extraction
+is deterministic and corpus features land in [0, 1].
 
 `evaluate` runs a network over the corpus and builds the 26x26 response
 matrix (rows are input letters, columns are output neurons); `monte_carlo`
@@ -25,8 +25,6 @@ corpus through all of them.
 from __future__ import annotations
 
 import dataclasses
-import functools
-import json
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -55,6 +53,7 @@ __all__ = [
     "GLYPH_SIZE",
     "POOL_GRID",
     "FEATURE_COUNT",
+    "FEATURE_SCALE",
     "DIRECTIONS",
     "raw_features",
     "extract_features",
@@ -73,6 +72,10 @@ __all__ = [
 GLYPH_SIZE = 16
 POOL_GRID = 4
 FEATURE_COUNT = 64
+
+# Largest raw response in the canonical corpus: the normalization every
+# feature vector gets.
+FEATURE_SCALE = 4.0
 
 # Hidden width of the reference recognizer topology (64-5-26).
 HIDDEN_NEURONS = 5
@@ -142,26 +145,16 @@ def raw_features(bitmap: np.ndarray) -> np.ndarray:
     return (_POOL @ response).T.ravel()
 
 
-@functools.cache
-def _stored_feature_scale() -> float:
-    """The stored corpus scale, read and checked once per process."""
-    ref = resources.files("spinann.data").joinpath("glyphs/normalization.json")
-    scale = float(json.loads(ref.read_text())["feature_scale"])
-    if not 0.0 < scale < np.inf:
-        raise ConfigError("feature scale must be positive and finite")
-    return scale
-
-
 def extract_features(bitmap: np.ndarray) -> np.ndarray:
     """Normalized feature vector of a bitmap, clipped to [0, 1].
 
-    Raw responses are divided by the stored corpus-wide maximum raw
-    response, so a canonical glyph maps exactly into [0, 1]; inputs with
+    Raw responses are divided by FEATURE_SCALE, the corpus-wide maximum
+    raw response, so a canonical glyph maps exactly into [0, 1]; inputs with
     stronger edge content than any corpus letter saturate at 1. A blank
     or non-finite bitmap is refused, so the output is never NaN.
     """
-    scale = _stored_feature_scale()
-    return np.minimum(np.maximum(raw_features(bitmap) / scale, 0.0), 1.0)
+    return np.minimum(np.maximum(raw_features(bitmap) / FEATURE_SCALE, 0.0),
+                      1.0)
 
 
 @dataclass(frozen=True)
@@ -219,8 +212,8 @@ class Corpus:
 def load_corpus() -> Corpus:
     """Load the packaged canonical corpus and extract its features.
 
-    Features are normalized by the stored corpus-wide constant, the one
-    `extract_features` applies to every bitmap.
+    Features are normalized by FEATURE_SCALE, as `extract_features`
+    normalizes every bitmap.
     """
     letters = tuple(chr(c) for c in range(ord("A"), ord("Z") + 1))
     base = resources.files("spinann.data").joinpath("glyphs")
@@ -433,9 +426,9 @@ def monte_carlo(
     }
     fully_correct = int(np.sum(accuracies == 1.0))
     return MonteCarloResult(
-        trials=trials,
-        sigma=sigma,
-        seed=seed,
+        trials=int(trials),
+        sigma=float(sigma),
+        seed=int(seed),
         accuracies=accuracies,
         min_margins=min_margins,
         letter_error_rate=1.0 - correct_counts / trials,

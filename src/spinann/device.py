@@ -4,10 +4,12 @@ The neuron is a magnetic nanostrip whose free layer holds a single domain
 wall (DW). A lateral current pulse moves the wall; the wall position sets
 the vertical resistance of the MTJ stack on top of the strip, which a
 voltage divider converts to the neuron output voltage. Wall kinematics are
-a 1-D position model driven by a measured velocity-vs-current-density
-table (`VELOCITY_TABLE`, read once); no micromagnetic integration is done.
-The module fixes the pulse width and the sense point, checked once by a
-test; the ledger `network.neuron_energy` charges each cycle's energy at them.
+a 1-D position model driven by `wall_velocity`, a piecewise-linear
+velocity-vs-current-density curve through the calibration anchors
+J_ANCHORS and V_ANCHORS; no micromagnetic integration is done.
+The module fixes the anchors, the pulse width and the sense point as
+constants, which tier-1 tests check; the ledger `network.neuron_energy`
+charges each cycle's energy at them.
 What follows from these fixed values is computed once, at import: the
 resistance-law coefficients RES_NUM, RES_SLOPE and RES_OFFSET, the
 depinning and saturation currents I_DEPINNING and I_SATURATION, and the
@@ -16,13 +18,9 @@ output rails V_OUT_MIN and V_OUT_MAX that `TransferKind.stt_snn` reads.
 
 from __future__ import annotations
 
-import csv
-from importlib import resources
-from pathlib import Path
-
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import DomainError
 
 # Fraction of the vertical critical current considered non-disturbing:
 # I_SENSE stays within it, as test_device_constants_are_physical asserts.
@@ -100,102 +98,46 @@ def output_voltage(x: float) -> float:
     return read_voltage(neuron_resistance(x))
 
 
-class VelocityTable:
-    """Piecewise-linear wall velocity vs lateral current density.
+# Wall velocity calibration, digitized from measured/simulated motion
+# curves: velocity V_ANCHORS (m/s) at current density J_ANCHORS (A/m^2).
+# Strictly increasing in j, nondecreasing in v, and pinned to v = 0 at
+# J_TH, so motion starts exactly at depinning (tier-1 checks all three).
+J_ANCHORS = np.array([6.0e11, 6.5e11, 8.0e11, 9.0e11, 1.0e12, 1.25e12, 1.5e12])
+V_ANCHORS = np.array([0.0, 25.0, 55.0, 60.0, 75.0, 90.0, 100.0])
 
-    Calibration data digitized from measured/simulated motion curves. The
-    velocity is zero at and below the depinning density J_TH, follows the
-    anchors above it, and clamps at the last anchor (no extrapolation
-    outside the measured regime).
+
+def wall_velocity(j: float) -> float:
+    """Wall velocity (m/s) at current-density magnitude j (A/m^2).
+
+    Zero at and below J_TH, piecewise linear through the anchors above
+    it, and clamped at the last anchor (no extrapolation outside the
+    measured regime).
     """
+    if j < 0.0:
+        raise DomainError("current density magnitude must be >= 0")
+    if j <= J_TH:
+        return 0.0
+    return float(np.interp(j, J_ANCHORS, V_ANCHORS))
 
-    def __init__(self, anchors):
-        anchors = [(float(j), float(v)) for j, v in anchors]
-        if not anchors:
-            raise ConfigError("velocity table is empty")
-        js = [j for j, _ in anchors]
-        vs = [v for _, v in anchors]
-        if any(b <= a for a, b in zip(js, js[1:])):
-            raise ConfigError("velocity anchors must be strictly increasing in j")
-        if any(b < a for a, b in zip(vs, vs[1:])):
-            raise ConfigError("velocity anchors must be nondecreasing in v")
-        # The table must pin v(J_TH) = 0 so motion starts exactly at depinning.
-        if J_TH not in js:
-            raise ConfigError("anchors must include (J_TH, 0)")
-        if vs[js.index(J_TH)] != 0.0:
-            raise ConfigError("anchor at J_TH must have zero velocity")
-        self._j = np.array(js)
-        self._v = np.array(vs)
-
-    @property
-    def v_max(self) -> float:
-        return float(self._v[-1])
-
-    def velocity(self, j: float) -> float:
-        """Wall velocity (m/s) at current-density magnitude j (A/m^2)."""
-        if j < 0.0:
-            raise DomainError("current density magnitude must be >= 0")
-        if j <= J_TH:
-            return 0.0
-        return float(np.interp(j, self._j, self._v))
-
-    def density_for_velocity(self, v: float) -> float:
-        """Smallest current density whose table velocity reaches v.
-
-        Raises ConfigError if the table never reaches v.
-        """
-        if v <= 0.0:
-            return J_TH
-        if v > self.v_max:
-            raise ConfigError(
-                f"table tops out at {self.v_max} m/s, below requested {v} m/s"
-            )
-        idx = int(np.searchsorted(self._v, v, side="left"))
-        j_lo, j_hi = self._j[idx - 1], self._j[idx]
-        v_lo, v_hi = self._v[idx - 1], self._v[idx]
-        if v_hi == v_lo:
-            return float(j_lo)
-        return float(j_lo + (v - v_lo) * (j_hi - j_lo) / (v_hi - v_lo))
-
-    @classmethod
-    def from_csv(cls, path) -> "VelocityTable":
-        """Load anchors from a CSV with header ``j_per_m2,v_m_per_s``."""
-        path = Path(path)
-        with path.open(newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames != ["j_per_m2", "v_m_per_s"]:
-                raise ConfigError(
-                    f"{path}: expected header j_per_m2,v_m_per_s, "
-                    f"got {reader.fieldnames}"
-                )
-            anchors = [(float(row["j_per_m2"]), float(row["v_m_per_s"]))
-                       for row in reader]
-        return cls(anchors)
-
-    @classmethod
-    def default(cls) -> "VelocityTable":
-        """The calibration table shipped with the package."""
-        ref = resources.files("spinann.data").joinpath("velocity_fig4d.csv")
-        with resources.as_file(ref) as path:
-            return cls.from_csv(path)
-
-
-# The packaged calibration table, read once: every neuron moves by it.
-VELOCITY_TABLE = VelocityTable.default()
 
 # Lateral current (A) at the depinning density: no wall motion at or below.
 I_DEPINNING = J_TH * CROSS_SECTION
-# Least lateral current (A) that walks the wall end to end within T_PROGRAM.
-I_SATURATION = VELOCITY_TABLE.density_for_velocity(
-    (LENGTH - DW_LENGTH) / T_PROGRAM) * CROSS_SECTION
+# Least lateral current (A) that walks the wall end to end within T_PROGRAM:
+# the full-travel velocity, inverted on the anchor segment that brackets it.
+_V_TRAVEL = (LENGTH - DW_LENGTH) / T_PROGRAM
+_HI = int(np.searchsorted(V_ANCHORS, _V_TRAVEL))
+_J_LO, _J_HI = J_ANCHORS[_HI - 1], J_ANCHORS[_HI]
+_V_LO, _V_HI = V_ANCHORS[_HI - 1], V_ANCHORS[_HI]
+I_SATURATION = float(_J_LO + (_V_TRAVEL - _V_LO) * (_J_HI - _J_LO)
+                     / (_V_HI - _V_LO)) * CROSS_SECTION
 # Output voltage rails (V): the sensed voltage with the wall at X_MIN, X_MAX.
 V_OUT_MIN = output_voltage(X_MIN)
 V_OUT_MAX = output_voltage(X_MAX)
 
 
 class NeuronDevice:
-    """One spin-torque neuron: the strip and stack above, moved by
-    VELOCITY_TABLE.
+    """One spin-torque neuron: the strip and stack above, moved at
+    `wall_velocity`.
 
     Holds no state: every transfer starts from the reset state, so one
     instance is safe to share.
@@ -205,13 +147,13 @@ class NeuronDevice:
         """Output voltage after reset -> program pulse -> sense.
 
         Reset parks the wall at X_MIN; the T_PROGRAM pulse moves it one
-        exact step at the table velocity for |i_prog|, forward for positive
+        exact step at the wall velocity for |i_prog|, forward for positive
         current, clamped at the travel limits. The sense current stays within
         SENSE_SAFETY_FRACTION of the vertical critical current, so the read
         never moves the wall. The curve is flat below depinning and
         saturated once the pulse walks the wall end to end.
         """
         j = abs(i_prog) / CROSS_SECTION
-        step = VELOCITY_TABLE.velocity(j) * T_PROGRAM
+        step = wall_velocity(j) * T_PROGRAM
         x = X_MIN + (step if i_prog > 0.0 else -step)
         return output_voltage(min(max(x, X_MIN), X_MAX))

@@ -16,6 +16,7 @@ from spinann import benchmark
 from spinann.benchmark import (
     DIRECTIONS,
     FEATURE_COUNT,
+    FEATURE_SCALE,
     GLYPH_SIZE,
     HIDDEN_NEURONS,
     MC_BLOCK_TRIALS,
@@ -179,19 +180,19 @@ class TestFeatures:
         with pytest.raises(DomainError):
             raw_features(np.ones((8, 8)))
 
-    def test_normalization_preserves_ordering(self, corpus, monkeypatch):
+    def test_normalization_preserves_ordering(self, corpus):
+        """A corpus glyph stays below FEATURE_SCALE, so its features are
+        its raw responses divided by it, in the same order."""
         raw = raw_features(corpus.glyphs[3].bitmap)
-        monkeypatch.setattr(benchmark, "_stored_feature_scale",
-                            lambda: 2.0 * raw.max())
         scaled = extract_features(corpus.glyphs[3].bitmap)
         np.testing.assert_array_equal(np.argsort(raw), np.argsort(scaled))
-        np.testing.assert_allclose(scaled, raw / (2.0 * raw.max()))
+        np.testing.assert_array_equal(scaled, raw / FEATURE_SCALE)
 
     def test_strong_responses_clip_to_one(self, corpus):
-        """Ink darker than a binary glyph's responds beyond the stored
-        scale and saturates at 1."""
+        """Ink darker than a binary glyph's responds beyond FEATURE_SCALE
+        and saturates at 1."""
         bitmap = 2.0 * corpus.glyphs[0].bitmap
-        assert raw_features(bitmap).max() > benchmark._stored_feature_scale()
+        assert raw_features(bitmap).max() > FEATURE_SCALE
         f = extract_features(bitmap)
         assert f.max() == 1.0
         assert (f <= 1.0).all()
@@ -202,28 +203,17 @@ class TestFeatures:
            st.sampled_from([1.0, 2.0, 4.0]))
     def test_matches_clipped_raw_features(self, bits, ink):
         """Normalizing and clipping equals `np.clip` of the raw features
-        bit for bit. A unit-ink random bitmap stays below the stored
-        scale; darker ink saturates, so the upper bound bites too."""
+        bit for bit. A unit-ink random bitmap stays below FEATURE_SCALE;
+        darker ink saturates, so the upper bound bites too."""
         bitmap = ink * np.array(bits, dtype=float).reshape(GLYPH_SIZE,
                                                            GLYPH_SIZE)
-        scale = benchmark._stored_feature_scale()
-        assert np.array_equal(extract_features(bitmap),
-                              np.clip(raw_features(bitmap) / scale, 0.0, 1.0))
+        assert np.array_equal(
+            extract_features(bitmap),
+            np.clip(raw_features(bitmap) / FEATURE_SCALE, 0.0, 1.0))
 
     def test_default_scale_reproduces_corpus_features(self, corpus):
         got = np.stack([extract_features(g.bitmap) for g in corpus.glyphs])
         np.testing.assert_array_equal(got, corpus.features)
-
-    def test_bad_scale_rejected(self, tmp_path, monkeypatch):
-        """The stored scale is checked once, when it is read."""
-        (tmp_path / "glyphs").mkdir()
-        monkeypatch.setattr(benchmark.resources, "files",
-                            lambda package: tmp_path)
-        for scale in (0.0, -1.0, np.inf, np.nan):
-            (tmp_path / "glyphs" / "normalization.json").write_text(
-                json.dumps({"feature_scale": scale}))
-            with pytest.raises(ConfigError):
-                benchmark._stored_feature_scale.__wrapped__()
 
 
 class TestGlyph:
@@ -287,11 +277,9 @@ class TestCorpus:
         assert corpus.features.max() <= 1.0
 
     def test_stored_scale_covers_corpus(self, corpus):
-        stored = benchmark._stored_feature_scale()
-        computed = float(max(raw_features(g.bitmap).max()
-                             for g in corpus.glyphs))
-        assert stored >= computed
-        assert computed == pytest.approx(stored, rel=1e-12)
+        """FEATURE_SCALE is the corpus's largest raw response, exactly."""
+        computed = max(raw_features(g.bitmap).max() for g in corpus.glyphs)
+        assert FEATURE_SCALE == computed
 
     def test_letters_are_well_separated(self, corpus):
         dist = np.linalg.norm(
@@ -396,6 +384,16 @@ class TestEvaluate:
         with pytest.raises(ConfigError):
             evaluate(lambda f: np.eye(26)[0], corpus)
 
+    def test_least_win_counts_and_tie_fails(self, corpus):
+        """A letter whose diagonal wins its row by 1e-9 is correct; one
+        tied with another column is not."""
+        matrix = np.eye(26)
+        matrix[4, 9] = 1.0 - 1e-9
+        matrix[5, 2] = 1.0
+        result = evaluate(_TableNet(matrix, corpus.features), corpus)
+        assert result.correct[4] and not result.correct[5]
+        assert result.correct.sum() == 25
+
     def test_to_dict_summary(self, corpus):
         payload = evaluate(
             _TableNet(np.eye(26), corpus.features), corpus
@@ -467,6 +465,47 @@ class TestMonteCarlo:
         net = _TableNet(np.eye(26), corpus.features)
         with pytest.raises(ConfigError):
             monte_carlo(net, corpus, trials=5, sigma=sigma)
+
+    def test_least_win_counts_and_tie_fails(self, corpus):
+        """At sigma 0 every trial scores the unperturbed matrix: the
+        letter that wins by 1e-9 never errs, the tied one always does."""
+        matrix = np.eye(26)
+        matrix[4, 9] = 1.0 - 1e-9
+        matrix[5, 2] = 1.0
+        mc = monte_carlo(_TableNet(matrix, corpus.features), corpus,
+                         trials=3, sigma=0.0)
+        assert mc.letter_error_rate[4] == 0.0
+        assert mc.letter_error_rate[5] == 1.0
+        np.testing.assert_array_equal(mc.accuracies, 25 / 26)
+
+    @pytest.mark.parametrize("k, n", [
+        (0, 1), (1, 1), (0, 10), (1, 10), (3, 7), (1, 1000), (7, 1000),
+        (500, 1000), (993, 1000), (20, 20)])
+    def test_wilson_interval_solves_score_quadratic(self, k, n):
+        """The bounds are the two roots of (k/n - p)^2 = z^2 p (1 - p) / n,
+        solved here in the stable form that takes the small root as
+        c / q."""
+        p_hat, z2 = k / n, 1.959963984540054 ** 2
+        a, b, c = 1.0 + z2 / n, -(2.0 * p_hat + z2 / n), p_hat ** 2
+        q = 0.5 * (-b + np.sqrt(b * b - 4.0 * a * c))
+        np.testing.assert_allclose(wilson_interval(k, n), [c / q, q / a],
+                                   rtol=1e-12, atol=0.0)
+
+    def test_reports_are_json_with_numpy_inputs(self, recognizer, corpus):
+        """The evaluation, Monte-Carlo and energy dicts are plain JSON
+        when the counts, seed, spread and features are numpy scalars and
+        float32 arrays."""
+        net = build_network(recognizer)
+        numpy_corpus = replace(corpus,
+                               features=corpus.features.astype(np.float32))
+        mc = monte_carlo(net, numpy_corpus, trials=np.int64(3),
+                         sigma=np.float32(0.05), seed=np.int64(2))
+        reports = (evaluate(net, numpy_corpus), mc,
+                   net.forward(numpy_corpus.features)[1])
+        for report in reports:
+            json.dumps(report.to_dict())
+        assert (type(mc.trials), type(mc.sigma), type(mc.seed)) == \
+            (int, float, int)
 
     def test_wilson_interval_known_case(self):
         lo, hi = wilson_interval(993, 1000)

@@ -1,14 +1,11 @@
 """Neuron device model: resistance law, readout, transfer, energy."""
 
-import csv
 import math
-from importlib import resources
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from spinann import device as dev
 from spinann.device import (
     CROSS_SECTION,
     DW_LENGTH,
@@ -16,6 +13,7 @@ from spinann.device import (
     I_DEPINNING,
     I_SATURATION,
     I_SENSE,
+    J_ANCHORS,
     J_TH,
     LENGTH,
     R_REF,
@@ -28,6 +26,7 @@ from spinann.device import (
     SENSE_SAFETY_FRACTION,
     T_PROGRAM,
     THICKNESS,
+    V_ANCHORS,
     V_OUT_MAX,
     V_OUT_MIN,
     V_SENSE_SUPPLY,
@@ -35,12 +34,12 @@ from spinann.device import (
     X_MAX,
     X_MIN,
     NeuronDevice,
-    VelocityTable,
     neuron_resistance,
     output_voltage,
     read_voltage,
+    wall_velocity,
 )
-from spinann.errors import ConfigError, DomainError
+from spinann.errors import DomainError
 from spinann.network import I_RESET, T_RESET
 
 
@@ -136,63 +135,46 @@ class TestReadout:
         assert all(b > a for a, b in zip(vs, vs[1:]))
 
 
-def _packaged_anchors():
-    """(j, v) rows of the packaged calibration CSV, in file order."""
-    text = resources.files("spinann.data").joinpath(
-        "velocity_fig4d.csv").read_text()
-    return [(float(j), float(v)) for j, v in
-            csv.reader(text.splitlines()[1:])]
-
-
 class TestVelocityTable:
+    """The calibration anchors and `wall_velocity` through them."""
+
+    def test_anchors_ordered_and_pinned_at_depinning(self):
+        """Strictly increasing in j, nondecreasing in v, and starting at
+        (J_TH, 0), so motion starts exactly at depinning."""
+        assert J_ANCHORS.shape == V_ANCHORS.shape == (7,)
+        assert (np.diff(J_ANCHORS) > 0.0).all()
+        assert (np.diff(V_ANCHORS) >= 0.0).all()
+        assert (J_ANCHORS[0], V_ANCHORS[0]) == (J_TH, 0.0)
+
     def test_below_threshold_is_zero(self):
-        table = VelocityTable.default()
-        assert table.velocity(3e11) == 0.0
-        assert table.velocity(J_TH) == 0.0
+        assert wall_velocity(0.0) == 0.0
+        assert wall_velocity(3e11) == 0.0
+        assert wall_velocity(J_TH) == 0.0
+
+    def test_negative_density_rejected(self):
+        with pytest.raises(DomainError):
+            wall_velocity(-1.0)
 
     def test_anchors_exact(self):
-        table = VelocityTable.default()
-        for j, v in _packaged_anchors():
-            assert table.velocity(j) == pytest.approx(v, abs=0.0)
+        for j, v in zip(J_ANCHORS, V_ANCHORS):
+            assert wall_velocity(j) == v
 
     def test_clamps_beyond_last_anchor(self):
-        table = VelocityTable.default()
-        j_last, v_last = _packaged_anchors()[-1]
-        assert table.velocity(10 * j_last) == v_last
+        assert wall_velocity(10 * J_ANCHORS[-1]) == V_ANCHORS[-1]
 
     def test_interpolates_between_anchors(self):
-        table = VelocityTable([(6e11, 0.0), (8e11, 50.0)])
-        assert table.velocity(7e11) == pytest.approx(25.0)
+        for j0, j1, v0, v1 in zip(J_ANCHORS, J_ANCHORS[1:],
+                                  V_ANCHORS, V_ANCHORS[1:]):
+            assert wall_velocity(0.5 * (j0 + j1)) == pytest.approx(
+                0.5 * (v0 + v1), rel=1e-12)
 
-    def test_rejects_bad_tables(self):
-        with pytest.raises(ConfigError):
-            VelocityTable([])
-        with pytest.raises(ConfigError):
-            VelocityTable([(8e11, 10.0), (6e11, 0.0)])
-        with pytest.raises(ConfigError):
-            VelocityTable([(6e11, 0.0), (8e11, 50.0), (9e11, 40.0)])
-        with pytest.raises(ConfigError):
-            # missing the pinned zero at J_TH
-            VelocityTable([(7e11, 10.0), (8e11, 50.0)])
-
-    def test_csv_round_trip(self, tmp_path):
-        path = tmp_path / "vel.csv"
-        path.write_text("j_per_m2,v_m_per_s\n6.0e11,0.0\n1.0e12,80.0\n")
-        table = VelocityTable.from_csv(path)
-        assert [table.velocity(j) for j in (6.0e11, 1.0e12, 2.0e12)] \
-            == [0.0, 80.0, 80.0]
-        bad = tmp_path / "bad.csv"
-        bad.write_text("j,v\n1,2\n")
-        with pytest.raises(ConfigError):
-            VelocityTable.from_csv(bad)
-
-    def test_density_for_velocity_inverts_table(self):
-        table = VelocityTable.default()
-        for v in (10.0, 55.0, 82.4):
-            j = table.density_for_velocity(v)
-            assert table.velocity(j) == pytest.approx(v, rel=1e-12)
-        with pytest.raises(ConfigError):
-            table.density_for_velocity(table.v_max + 1.0)
+    def test_saturation_current_is_least_full_travel(self):
+        """I_SATURATION walks the wall end to end within T_PROGRAM, and a
+        current a part in 1e9 smaller falls short."""
+        v_travel = (LENGTH - DW_LENGTH) / T_PROGRAM
+        j_sat = I_SATURATION / CROSS_SECTION
+        assert wall_velocity(j_sat) == pytest.approx(v_travel, rel=1e-12)
+        assert wall_velocity(j_sat * (1.0 - 1e-9)) < v_travel
 
 
 class TestPulses:
@@ -205,14 +187,14 @@ class TestPulses:
     def test_reset_from_anywhere(self, device):
         """The network's reset pulse, I_RESET for T_RESET, walks the wall
         past its full travel, so every transfer may start from X_MIN."""
-        v_reset = dev.VELOCITY_TABLE.velocity(I_RESET / CROSS_SECTION)
+        v_reset = wall_velocity(I_RESET / CROSS_SECTION)
         assert v_reset * T_RESET >= X_MAX - X_MIN
 
     def test_advance_matches_table(self, device):
         # 26 uA over the 2 nm x 20 nm cross-section is 6.5e11 A/m^2.
         j = 26e-6 / CROSS_SECTION
         assert j == pytest.approx(6.5e11)
-        x = X_MIN + dev.VELOCITY_TABLE.velocity(j) * T_PROGRAM
+        x = X_MIN + wall_velocity(j) * T_PROGRAM
         assert x < X_MAX
         assert device.transfer(26e-6) == output_voltage(x)
 

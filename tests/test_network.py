@@ -16,6 +16,9 @@ from spinann.trainer import (
     TrainConfig,
     TrainResult,
     TransferKind,
+    _augment,
+    _net_inputs,
+    _snap_weights,
     load_weights,
     output_activations,
     save_weights,
@@ -54,15 +57,60 @@ def test_phase_durations_are_physical():
         assert 0.0 < duration < np.inf
 
 
+# How far the analog chain may stray from the trainer's float pass, as
+# measured with 2x headroom: over 20000 random weight pairs (uniform in
+# [-1, 1], 64-5-26, ideal and snapped), each reading 8 random feature
+# rows, the hidden column currents came within 80 ulps of the drive of
+# `drive_current * z1`, and the output voltages within 7.97e-15 V of the
+# float outputs mapped onto the swing. The stored recognizer reads 1 ulp
+# of v_max (1.39e-17 V).
+HIDDEN_ULPS = 160
+V_BOUND = 1.6e-14
+
+
+def _swing(kind, a):
+    """Activations mapped onto the neuron output voltage swing."""
+    return kind.v_min + (kind.v_max - kind.v_min) * a
+
+
 class TestForward:
     def test_matches_float_training_arithmetic(self, recognizer, corpus):
-        """Unquantized hardware chain reproduces the trainer's outputs
-        mapped onto the neuron voltage swing."""
+        """The unquantized hardware chain reproduces the trainer's outputs
+        mapped onto the neuron voltage swing, within V_BOUND."""
         net = build_network(recognizer, quantize=False)
-        a2 = output_activations(recognizer, corpus.features)
-        want = net.kind.v_min + (net.kind.v_max - net.kind.v_min) * a2
+        want = _swing(net.kind, output_activations(recognizer,
+                                                   corpus.features))
         got = np.stack([net.forward(f)[0] for f in corpus.features])
-        np.testing.assert_allclose(got, want, atol=1e-6)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=V_BOUND)
+
+    @pytest.mark.parametrize("quantize", [False, True],
+                             ids=["ideal", "snapped"])
+    def test_random_weights_match_float_pass(self, quantize):
+        """Seeded random weight pairs, ideal or snapped with
+        `_snap_weights` and mapped onto the grid: each hidden column
+        current is within HIDDEN_ULPS ulps of the drive of
+        `drive_current * z1`, and each output voltage within V_BOUND of
+        the float pass."""
+        kind = TransferKind.stt_snn()
+        for seed in range(100):
+            rng = np.random.default_rng([14, seed])
+            w1, w2 = (rng.uniform(-1.0, 1.0, shape)
+                      for shape in ((65, 5), (6, 26)))
+            if quantize:
+                w1, w2 = _snap_weights(w1), _snap_weights(w2)
+            x = rng.uniform(0.0, 1.0, (8, 64))
+            x_aug = _augment(x)
+            result = _toy_result(w1, w2, kind)
+            net = build_network(result, quantize=quantize)
+            layer = net.layers[0]
+            z1 = _net_inputs(x_aug, w1, w2, kind)[0]
+            np.testing.assert_allclose(
+                layer.array.weighted_sum(layer.i_unit * x_aug),
+                kind.drive_current * z1, rtol=0.0,
+                atol=HIDDEN_ULPS * np.spacing(kind.drive_current))
+            np.testing.assert_allclose(
+                net.forward(x)[0], _swing(kind, output_activations(result, x)),
+                rtol=0.0, atol=V_BOUND)
 
     def test_deterministic(self, network, corpus):
         v1, e1 = network.forward(corpus.features[12])

@@ -3,7 +3,6 @@ scripts and data globs, every name a module exports, and every error
 type some code raises. Every function and class it defines is used."""
 
 import ast
-import glob
 import importlib
 import inspect
 import pkgutil
@@ -31,11 +30,19 @@ def test_script_targets_import(project):
 
 
 def test_package_data_globs_match_files(project):
+    """Each glob matches some file, and together they match exactly the
+    files under the package's data directory: none ships undeclared."""
     package_data = project["tool"]["setuptools"]["package-data"]
     for package, patterns in package_data.items():
         package_dir = ROOT / "src" / package
+        declared = set()
         for pattern in patterns:
-            assert glob.glob(str(package_dir / pattern)), pattern
+            matched = set(package_dir.glob(pattern))
+            assert matched, pattern
+            declared |= matched
+        shipped = {path for path in (package_dir / "data").rglob("*")
+                   if path.is_file()}
+        assert declared == shipped
 
 
 def test_every_exported_name_resolves():

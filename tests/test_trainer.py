@@ -12,8 +12,8 @@ from spinann import trainer
 from spinann.benchmark import HIDDEN_NEURONS, _score, recognizer_configs
 from spinann.crossbar import map_weights
 from spinann.device import (CROSS_SECTION, I_DEPINNING, I_SATURATION,
-                            V_OUT_MAX, V_OUT_MIN, VELOCITY_TABLE, X_MAX,
-                            X_MIN, NeuronDevice)
+                            V_OUT_MAX, V_OUT_MIN, X_MAX, X_MIN, NeuronDevice,
+                            wall_velocity)
 from spinann.errors import ConfigError, DomainError, SearchError
 from spinann.network import T_PROGRAM
 from spinann.trainer import (
@@ -74,7 +74,7 @@ class TestSttTable:
         """The table's full-travel current is the one that walks the wall
         end to end within the network's programming pulse."""
         assert stt_kind.th2 == I_SATURATION
-        v_sat = VELOCITY_TABLE.velocity(stt_kind.th2 / CROSS_SECTION)
+        v_sat = wall_velocity(stt_kind.th2 / CROSS_SECTION)
         assert v_sat * T_PROGRAM == pytest.approx(X_MAX - X_MIN, rel=1e-12,
                                                   abs=0.0)
 
@@ -1097,6 +1097,12 @@ class TestWeightsFile:
         with pytest.raises(ConfigError, match="epochs_run"):
             load_weights(self._stored_copy(
                 tmp_path, lambda doc: doc.update(epochs_run=value)))
+
+    def test_zero_epochs_run_accepted(self, tmp_path):
+        """A run stopped before its first epoch still loads."""
+        back = load_weights(self._stored_copy(
+            tmp_path, lambda doc: doc.update(epochs_run=0)))
+        assert back.epochs_run == 0
 
     @pytest.mark.parametrize("value", [1, 0, "true", None])
     def test_non_bool_converged_rejected(self, tmp_path, value):
