@@ -13,19 +13,17 @@ is deterministic and corpus features land in [0, 1].
 
 `evaluate` runs a network over the corpus and builds the 26x26 response
 matrix (rows are input letters, columns are output neurons); `monte_carlo`
-scores the same matrix for many variation-perturbed copies of the network
-and aggregates accuracy and margin statistics, with Wilson score intervals
-on the rates. Each layer draws its noise from one generator per call,
-and trial t reads row t of that stream. The trials are perturbed, run
-and scored in blocks of `MC_BLOCK_TRIALS`: one `with_streams` call
-stacks a block's copies, and one batched forward call reads the whole
-corpus through all of them.
+scores it for many variation-perturbed copies of the network. Both store
+the per-letter margins and derive every statistic from them, so no
+summary can disagree with them. Trial t reads row t of each layer's noise
+stream, and the trials run in blocks of `MC_BLOCK_TRIALS`, each block one
+stacked copy that reads the whole corpus in one batched forward call.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -232,22 +230,23 @@ def load_corpus() -> Corpus:
 
 @dataclass(eq=False)
 class EvaluationResult:
-    """Corpus evaluation: response matrix plus accuracy and margins.
+    """Corpus evaluation: the response matrices and the margins they give.
 
-    `matrix[i, j]` is output neuron j's response to input letter i, min-max
-    normalized over the whole matrix; `raw_matrix` keeps the unnormalized
-    responses.  A letter counts as correct only when its diagonal entry is
-    the strict row maximum, so ties are failures.  `margins[i]` is the
-    normalized gap between the diagonal and the best off-diagonal entry of
-    row i (negative when the letter is misclassified).
+    Stored: `matrix[i, j]`, output neuron j's response to input letter i,
+    min-max normalized over the whole matrix, the unnormalized responses
+    `raw_matrix`, and `margins[i]`, the normalized gap between row i's
+    diagonal and its best off-diagonal entry. Derived: a letter is
+    `correct` only when its margin is positive, so ties are failures, and
+    `accuracy` and `min_margin` summarize the margins.
     """
 
     matrix: np.ndarray
     raw_matrix: np.ndarray
-    correct: np.ndarray
-    accuracy: float
     margins: np.ndarray
-    min_margin: float
+
+    correct = property(lambda self: self.margins > 0.0)
+    accuracy = property(lambda self: float(self.correct.mean()))
+    min_margin = property(lambda self: float(self.margins.min()))
 
     def to_dict(self) -> dict:
         return {
@@ -293,15 +292,7 @@ def evaluate(network, corpus: Corpus) -> EvaluationResult:
         raise ConfigError("network must expose forward(features)")
     raw = np.stack([network.forward(f)[0] for f in corpus.features])
     matrix, margins = _score(raw, len(corpus.letters))
-    correct = margins > 0.0
-    return EvaluationResult(
-        matrix=matrix,
-        raw_matrix=raw,
-        correct=correct,
-        accuracy=float(correct.mean()),
-        margins=margins,
-        min_margin=float(margins.min()),
-    )
+    return EvaluationResult(matrix=matrix, raw_matrix=raw, margins=margins)
 
 
 def wilson_interval(successes, n: int) -> np.ndarray:
@@ -330,25 +321,43 @@ def wilson_interval(successes, n: int) -> np.ndarray:
 
 @dataclass(eq=False)
 class MonteCarloResult:
-    """Aggregate statistics over variation-perturbed evaluation trials.
+    """Variation-perturbed evaluation trials: their margins and statistics.
 
-    `fully_correct_interval` (lower, upper) and `letter_error_interval`
-    (`[n_letters, 2]`) are Wilson score 95% intervals of
-    `fully_correct_fraction` and of each `letter_error_rate`.
+    Stored: `sigma`, `seed` and `margins` `[trials, n_letters]`, row t
+    trial t's `EvaluationResult.margins` (26 margins, 208 B, per corpus
+    trial, against 16 B for its accuracy and least margin alone). All
+    else derives from them, with `correct = margins > 0`, including the
+    Wilson score 95% intervals of `fully_correct_fraction` and of each
+    `letter_error_rate`: `fully_correct_interval` (lower, upper) and
+    `letter_error_interval` (`[n_letters, 2]`).
     """
 
-    trials: int
     sigma: float
     seed: int
-    accuracies: np.ndarray
-    min_margins: np.ndarray
-    letter_error_rate: np.ndarray
-    fully_correct_fraction: float
-    margin_min: float
-    margin_mean: float
-    fully_correct_interval: tuple[float, float]
-    letter_error_interval: np.ndarray
-    margin_percentiles: dict[str, float] = field(default_factory=dict)
+    margins: np.ndarray
+
+    trials = property(lambda self: len(self.margins))
+    correct = property(lambda self: self.margins > 0.0)
+    accuracies = property(lambda self: self.correct.mean(axis=-1))
+    min_margins = property(lambda self: self.margins.min(axis=-1))
+    margin_min = property(lambda self: float(self.min_margins.min()))
+    margin_mean = property(lambda self: float(self.min_margins.mean()))
+    # How many trials read each letter right, and every letter right.
+    _letter_counts = property(lambda self: self.correct.sum(axis=0))
+    _full_count = property(lambda self: int(np.sum(self.accuracies == 1.0)))
+    letter_error_rate = property(
+        lambda self: 1.0 - self._letter_counts / self.trials)
+    fully_correct_fraction = property(
+        lambda self: self._full_count / self.trials)
+    letter_error_interval = property(lambda self: wilson_interval(
+        self.trials - self._letter_counts, self.trials))
+    fully_correct_interval = property(lambda self: tuple(
+        float(b) for b in wilson_interval(self._full_count, self.trials)))
+
+    @property
+    def margin_percentiles(self) -> dict[str, float]:
+        least = self.min_margins
+        return {f"p{q}": float(np.percentile(least, q)) for q in (5, 50, 95)}
 
     def to_dict(self) -> dict:
         return {
@@ -387,8 +396,7 @@ def monte_carlo(
     ``forward`` takes the whole `[n_letters, n_features]` feature matrix
     and returns `(responses, ledger)` with `[copies, n_letters,
     n_letters]` responses, slice t those of the block's copy t alone; a
-    trial's scores then equal `evaluate` on that copy.  Trials are
-    aggregated in a fixed order for bit-exact reports.
+    trial's margins then equal `evaluate`'s on that copy.
     """
     if not _is_count(trials):
         raise ConfigError(f"trials must be an integer >= 1, got {trials!r}")
@@ -404,43 +412,14 @@ def monte_carlo(
                           "with_streams(sigma, rngs, copies)")
 
     n = len(corpus.letters)
-    accuracies = np.empty(trials)
-    min_margins = np.empty(trials)
-    correct_counts = np.zeros(n)
+    margins = np.empty((trials, n))
     rngs = [np.random.default_rng([seed, idx])
             for idx in range(len(network.layers))]
     for start in range(0, trials, MC_BLOCK_TRIALS):
-        block = slice(start, min(start + MC_BLOCK_TRIALS, trials))
-        perturbed = network.with_streams(sigma, rngs,
-                                         block.stop - block.start)
-        _, margins = _score(perturbed.forward(corpus.features)[0], n)
-        correct = margins > 0.0
-        accuracies[block] = correct.mean(axis=-1)
-        min_margins[block] = margins.min(axis=-1)
-        correct_counts += correct.sum(axis=0)
-
-    percentiles = {
-        "p5": float(np.percentile(min_margins, 5)),
-        "p50": float(np.percentile(min_margins, 50)),
-        "p95": float(np.percentile(min_margins, 95)),
-    }
-    fully_correct = int(np.sum(accuracies == 1.0))
-    return MonteCarloResult(
-        trials=int(trials),
-        sigma=float(sigma),
-        seed=int(seed),
-        accuracies=accuracies,
-        min_margins=min_margins,
-        letter_error_rate=1.0 - correct_counts / trials,
-        fully_correct_fraction=fully_correct / trials,
-        margin_min=float(min_margins.min()),
-        margin_mean=float(min_margins.mean()),
-        fully_correct_interval=tuple(
-            float(b) for b in wilson_interval(fully_correct, trials)),
-        letter_error_interval=wilson_interval(trials - correct_counts,
-                                              trials),
-        margin_percentiles=percentiles,
-    )
+        block = margins[start:start + MC_BLOCK_TRIALS]
+        perturbed = network.with_streams(sigma, rngs, len(block))
+        block[...] = _score(perturbed.forward(corpus.features)[0], n)[1]
+    return MonteCarloResult(float(sigma), int(seed), margins)
 
 
 # -- reference training recipe -----------------------------------------

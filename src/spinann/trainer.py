@@ -20,6 +20,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
@@ -43,7 +44,7 @@ def _is_count(n, least: int = 1) -> bool:
 
 
 # Weights-file key of each spin-neuron value of a TransferKind, and the
-# kind that from_dict returns per node count, shared by every load.
+# device's kind per node count that from_dict checks stored tables against.
 _STT_FILE_KEYS = {"th1": "th1_a", "th2": "th2_a", "v_min": "v_min_v",
                   "v_max": "v_max_v", "drive_current": "drive_current_a",
                   "i_nodes": "i_nodes_a", "a_nodes": "a_nodes"}
@@ -81,13 +82,10 @@ class TransferKind:
 
     @cached_property
     def a_nodes(self) -> np.ndarray:
-        """The device's output at i_nodes, normalized and made monotone."""
+        """The device's output at i_nodes, normalized to [0, 1]: a
+        tier-1 test checks it is nondecreasing, 0 up to th1 and 1 at th2."""
         volts = np.array(list(map(NeuronDevice().transfer, self.i_nodes)))
-        a_nodes = (volts - self.v_min) / (self.v_max - self.v_min)
-        a_nodes = np.maximum.accumulate(np.clip(a_nodes, 0.0, 1.0))
-        a_nodes[self.i_nodes <= self.th1] = 0.0
-        a_nodes[-1] = 1.0
-        return a_nodes
+        return (volts - self.v_min) / (self.v_max - self.v_min)
 
     @cached_property
     def derivative_table(self) -> tuple[np.ndarray, np.ndarray]:
@@ -130,17 +128,19 @@ class TransferKind:
     @classmethod
     def from_dict(cls, doc: dict) -> "TransferKind":
         """The kind a to_dict document names. An n-node spin-neuron table
-        must be stt_snn(n)'s bit for bit; one such kind, its table
-        read-only, serves every load."""
+        must be stt_snn(n)'s bit for bit, built once per node count; each
+        load's kind caches its own writeable copy of that table."""
         if doc["tag"] != "stt_snn":
             return cls(doc["tag"])
         n_nodes = len(doc["i_nodes_a"])
-        kind = _LOADED_KINDS.setdefault(n_nodes, cls.stt_snn(n_nodes))
-        kind.i_nodes.flags.writeable = kind.a_nodes.flags.writeable = False
+        device = _LOADED_KINDS.setdefault(n_nodes, cls.stt_snn(n_nodes))
         for name, key in _STT_FILE_KEYS.items():
-            got, want = np.asarray(doc[key]), np.asarray(getattr(kind, name))
+            got, want = np.asarray(doc[key]), np.asarray(getattr(device, name))
             if got.dtype != want.dtype or got.tobytes() != want.tobytes():
                 raise ConfigError(f"stored {key} is not the device's")
+        kind = cls.stt_snn(n_nodes)
+        vars(kind).update(i_nodes=device.i_nodes.copy(),
+                          a_nodes=device.a_nodes.copy())
         return kind
 
 
@@ -277,10 +277,13 @@ class TrainConfig:
         wrong = [k for k in counts if type(getattr(self, k)) is not int]
         if wrong:
             raise ConfigError(f"{', '.join(wrong)} must be integers")
-        # NaN passes every range check below, as each comparison is False.
-        if not all(math.isfinite(v) for v in vars(self).values()
-                   if isinstance(v, float)):
-            raise ConfigError("training settings must be finite")
+        # The rest are real numbers, not bools, and finite: NaN would pass
+        # every range check below, as each comparison is False.
+        wrong = [k for k, v in vars(self).items() if k not in counts and not (
+            isinstance(v, numbers.Real) and not isinstance(v, bool)
+            and -math.inf < v < math.inf)]
+        if wrong:
+            raise ConfigError(f"{', '.join(wrong)} must be finite numbers")
         wrong = [k for k in ("learning_rate", "epochs", "weight_clip",
                              "positive_weight", "margin_weight")
                  if getattr(self, k) <= 0]
@@ -435,6 +438,15 @@ def output_activations(result: TrainResult, features) -> np.ndarray:
     return _forward(_augment(x), result.w1, result.w2, result.kind)[3]
 
 
+def _own_and_rest(a: np.ndarray, labels):
+    """Each row's labelled entry `[..., n]` of `a` `[..., n, k]`, and a
+    copy of `a` with -inf there, whose row maxima are the best others."""
+    idx = np.arange(a.shape[-2])
+    rest = a.copy()
+    rest[..., idx, labels] = -np.inf
+    return a[..., idx, labels], rest
+
+
 def own_margins(a: np.ndarray, labels) -> np.ndarray:
     """Each row's labelled entry minus its best other entry.
 
@@ -443,10 +455,8 @@ def own_margins(a: np.ndarray, labels) -> np.ndarray:
     is positive, so a tie at the top is a wrong answer: saturating
     transfers can pin several outputs to the same rail.
     """
-    idx = np.arange(a.shape[-2])
-    rest = a.copy()
-    rest[..., idx, labels] = -np.inf
-    return a[..., idx, labels] - rest.max(axis=-1)
+    own, rest = _own_and_rest(a, labels)
+    return own - rest.max(axis=-1)
 
 
 def _accuracy(a2: np.ndarray, labels: np.ndarray) -> float:
@@ -463,10 +473,8 @@ def _decisions(z2: np.ndarray, labels: np.ndarray, kind: TransferKind):
     """(hits, margins) `[..., n]` of output net inputs `[..., n, k]`: is
     each row decided right, and its own-vs-best-other net-input gap.
     Only each row's own and top other net input are interpolated."""
-    idx = np.arange(z2.shape[-2])
-    rest = z2.copy()
-    rest[..., idx, labels] = -np.inf
-    own, top = z2[..., idx, labels], rest.max(axis=-1)
+    own, rest = _own_and_rest(z2, labels)
+    top = rest.max(axis=-1)
     a_own, a_top = activation(np.stack((own, top)), kind)
     return a_own - a_top > 0.0, own - top
 
@@ -571,10 +579,9 @@ def _clip_layer1(p: _Problem, m1: np.ndarray) -> np.ndarray:
 def _margin_residual(p: _Problem, z_out: np.ndarray):
     """Hinge per sample: how far the own-vs-runner-up net-input gap
     falls short of margin_target, the runner-up's index and the gap."""
-    rest = z_out.copy()
-    rest[p.idx, p.labels] = -np.inf
+    own, rest = _own_and_rest(z_out, p.labels)
     runner = np.argmax(rest, axis=1)
-    gap = z_out[p.idx, p.labels] - rest[p.idx, runner]
+    gap = own - rest[p.idx, runner]
     return np.maximum(0.0, p.cfg.margin_target - gap), runner, gap
 
 

@@ -1,5 +1,6 @@
 """Feature extraction, corpus, evaluation, and recognizer recipe tests."""
 
+import dataclasses
 import hashlib
 import json
 from dataclasses import replace
@@ -22,7 +23,9 @@ from spinann.benchmark import (
     MC_BLOCK_TRIALS,
     POOL_GRID,
     Corpus,
+    EvaluationResult,
     Glyph,
+    MonteCarloResult,
     compare_transfer_kinds,
     comparison_configs,
     evaluate,
@@ -543,6 +546,38 @@ class TestMonteCarlo:
             mc.letter_error_interval.tolist()
 
 
+def _json_sha256(result) -> str:
+    text = json.dumps(result.to_dict(), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestStoredResults:
+    """Both results keep only their margins (with the responses or the
+    study's settings) and derive every statistic; the documents of the
+    stored recognizer are pinned bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def network(self):
+        return build_network(load_weights(STORED_RECOGNIZER))
+
+    def test_only_margins_are_stored(self):
+        assert [f.name for f in dataclasses.fields(EvaluationResult)] == [
+            "matrix", "raw_matrix", "margins"]
+        assert [f.name for f in dataclasses.fields(MonteCarloResult)] == [
+            "sigma", "seed", "margins"]
+
+    def test_evaluation_document_pinned(self, network, corpus):
+        assert _json_sha256(evaluate(network, corpus)) == (
+            "b1a8c214503659c4c9a80e13a01ee005"
+            "d56b655ba33ed5de526f40781162b52a")
+
+    def test_monte_carlo_document_pinned(self, network, corpus):
+        mc = monte_carlo(network, corpus, 70, sigma=0.08, seed=0)
+        assert mc.margins.shape == (mc.trials, 26) == (70, 26)
+        assert _json_sha256(mc) == ("e56502a1163ae4b17d4947f2ddf073e2"
+                                    "7132663c9f3d2b5fef3b2610103eaf43")
+
+
 class TestRecognizerRecipe:
     def test_hidden_width_constant(self):
         assert HIDDEN_NEURONS == 5
@@ -590,6 +625,7 @@ class TestRecognizerRecipe:
         seed, trials = 2, 2 * MC_BLOCK_TRIALS + 6
         mc = monte_carlo(network, corpus, trials, sigma=0.05, seed=seed)
         oracle = _stream_oracle(network, corpus, trials, 0.05, seed)
+        np.testing.assert_array_equal(mc.margins, [r.margins for r in oracle])
         np.testing.assert_array_equal(
             mc.accuracies, [r.accuracy for r in oracle])
         np.testing.assert_array_equal(

@@ -19,6 +19,7 @@ from spinann.trainer import (
     _augment,
     _net_inputs,
     _snap_weights,
+    activation,
     load_weights,
     output_activations,
     save_weights,
@@ -73,6 +74,14 @@ def _swing(kind, a):
     return kind.v_min + (kind.v_max - kind.v_min) * a
 
 
+def _effective_weights(layer):
+    """A stacked layer's weights per copy, `[T, rows, cols]`: the nominal
+    `g_tr / scale` times the difference of the copy's bar shares."""
+    array = layer.array
+    share = array.g / array.g_tr[..., None]
+    return layer.g_tr / array.scale * (share[:, 0] - share[:, 1])
+
+
 class TestForward:
     def test_matches_float_training_arithmetic(self, recognizer, corpus):
         """The unquantized hardware chain reproduces the trainer's outputs
@@ -111,6 +120,37 @@ class TestForward:
             np.testing.assert_allclose(
                 net.forward(x)[0], _swing(kind, output_activations(result, x)),
                 rtol=0.0, atol=V_BOUND)
+
+    @pytest.mark.parametrize("quantize", [False, True],
+                             ids=["ideal", "snapped"])
+    def test_perturbed_copies_match_float_pass(self, quantize):
+        """Each copy of a stacked, perturbed network computes the float
+        pass on its effective weights `(g_tr / scale) * (g[0] / g_tr[0] -
+        g[1] / g_tr[1])`, `g_tr / scale` the nominal layer's and the bar
+        shares the copy's: the hidden column currents within HIDDEN_ULPS
+        ulps of the drive of `drive_current * z1` and the output voltages
+        within V_BOUND, as for the nominal network."""
+        kind = TransferKind.stt_snn()
+        for seed in range(10):
+            rng = np.random.default_rng([141, seed])
+            w1, w2 = (rng.uniform(-1.0, 1.0, shape)
+                      for shape in ((65, 5), (6, 26)))
+            if quantize:
+                w1, w2 = _snap_weights(w1), _snap_weights(w2)
+            x_aug = _augment(rng.uniform(0.0, 1.0, (8, 64)))
+            net = build_network(_toy_result(w1, w2, kind), quantize=quantize)
+            stacked = net.with_streams(0.05, [
+                np.random.default_rng([141, seed, idx]) for idx in (0, 1)], 4)
+            w1, w2 = map(_effective_weights, stacked.layers)
+            z1, _, z2 = _net_inputs(x_aug, w1, w2, kind)
+            hidden = stacked.layers[0]
+            np.testing.assert_allclose(
+                hidden.array.weighted_sum(hidden.i_unit * x_aug),
+                kind.drive_current * z1, rtol=0.0,
+                atol=HIDDEN_ULPS * np.spacing(kind.drive_current))
+            np.testing.assert_allclose(
+                stacked.forward(x_aug[:, :-1])[0],
+                _swing(kind, activation(z2, kind)), rtol=0.0, atol=V_BOUND)
 
     def test_deterministic(self, network, corpus):
         v1, e1 = network.forward(corpus.features[12])

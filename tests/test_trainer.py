@@ -102,6 +102,20 @@ class TestSttTable:
             h.update(np.asarray(part, dtype="<f8").tobytes())
         assert h.hexdigest() == digest
 
+    @pytest.mark.parametrize("n_nodes", [3, 64, trainer.STT_TABLE_NODES])
+    def test_device_output_needs_no_repair(self, n_nodes):
+        """At every node count in use the device's own output at the table
+        currents, normalized to the swing, is nondecreasing, exactly 0 at
+        and below th1 and exactly 1 at th2, and it is the table."""
+        kind = TransferKind.stt_snn(n_nodes)
+        volts = np.array([NeuronDevice().transfer(i) for i in kind.i_nodes])
+        raw = (volts - V_OUT_MIN) / (V_OUT_MAX - V_OUT_MIN)
+        assert np.all(np.diff(raw) >= 0.0)
+        below = kind.i_nodes <= I_DEPINNING
+        assert below.sum() == 2 and np.all(raw[below] == 0.0)
+        assert kind.i_nodes[-1] == I_SATURATION and raw[-1] == 1.0
+        np.testing.assert_array_equal(kind.a_nodes, raw)
+
     def test_table_shape_and_anchors(self, stt_kind):
         assert len(stt_kind.i_nodes) == 1024
         assert len(stt_kind.a_nodes) == 1024
@@ -151,14 +165,12 @@ class TestSttTable:
         assert np.array_equal(back.i_nodes, stt_kind.i_nodes)
         assert np.array_equal(back.a_nodes, stt_kind.a_nodes)
 
-    def test_derivative_table_built_once_and_not_serialized(
-            self, monkeypatch):
+    def test_derivative_table_built_once_and_not_serialized(self):
         """Only training reads the derivative table, so neither
         construction nor load_weights builds it; the first read does,
-        once. Loads share one kind, so the check starts from no loads."""
+        once."""
         kind = TransferKind.stt_snn(64)
         assert "derivative_table" not in vars(kind)
-        monkeypatch.setattr(trainer, "_LOADED_KINDS", {})
         assert "derivative_table" not in vars(
             load_weights(STORED_RECOGNIZER).kind)
         edges, gains = kind.derivative_table
@@ -249,16 +261,24 @@ class TestSttTable:
             doc = TransferKind.stt_snn(n_nodes).to_dict()
             assert TransferKind.from_dict(doc).n_nodes == n_nodes
 
-    def test_loaded_table_read_only_and_shared(self):
-        kind = load_weights(STORED_RECOGNIZER).kind
-        for nodes in (kind.i_nodes, kind.a_nodes):
-            assert not nodes.flags.writeable
-            with pytest.raises(ValueError):
-                nodes[1] = 0.5
-        assert load_weights(STORED_RECOGNIZER).kind is kind
+    def test_each_load_owns_the_device_table(self):
+        """A loaded table is stt_snn(n)'s bit for bit and writeable, and
+        writing to one load's table leaves every other load's intact."""
+        device = TransferKind.stt_snn()
+        first, second = (load_weights(STORED_RECOGNIZER).kind
+                         for _ in range(2))
+        for kind in (first, second):
+            for name in ("i_nodes", "a_nodes"):
+                got, want = getattr(kind, name), getattr(device, name)
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+                assert got.flags.writeable
+        first.a_nodes[1:] = 0.5
+        for kind in (second, load_weights(STORED_RECOGNIZER).kind):
+            assert kind.a_nodes.tobytes() == device.a_nodes.tobytes()
 
     def test_loads_build_one_table(self, monkeypatch):
-        """Loads share one table per node count, built by the first;
+        """Loads copy one table per node count, built by the first;
         stt_snn still builds its own, one device call per node."""
         calls = []
         transfer = NeuronDevice.transfer
@@ -825,6 +845,24 @@ class TestTrain:
             Dataset([[bad], [1.0]], [0, 1], n_classes=2)
 
     @pytest.mark.parametrize("setting", [
+        f.name for f in dataclasses.fields(TrainConfig)
+        if isinstance(f.default, float)])
+    def test_float_settings_are_finite_real_numbers(self, setting):
+        """A bool, a string, None or a non-finite numpy value is refused by
+        name; an int or a numpy number equal to the default is taken."""
+        for bad in (True, False, np.True_, "0.5", None, np.float32("nan"),
+                    np.float64("inf")):
+            with pytest.raises(ConfigError, match=setting):
+                TrainConfig(**{setting: bad})
+        default = getattr(TrainConfig(), setting)
+        good = [np.float64(default), np.float32(default)]
+        if default.is_integer():
+            good += [int(default), np.int64(default)]
+        for value in good:
+            assert getattr(TrainConfig(**{setting: value}), setting) \
+                == default
+
+    @pytest.mark.parametrize("setting", [
         "learning_rate", "weight_clip", "init_low", "init_high",
         "target_low", "target_high", "positive_weight", "margin_target",
         "margin_weight", "train_sigma"])
@@ -1017,6 +1055,13 @@ class TestWeightsFile:
         path = self._saved_with(tmp_path, separable, train_sigma=np.nan)
         with pytest.raises(ConfigError):
             load_weights(path)
+
+    def test_bool_setting_rejected(self, tmp_path):
+        """A stored `"learning_rate": true` would train at rate 1.0."""
+        with pytest.raises(ConfigError, match="learning_rate"):
+            load_weights(self._stored_copy(
+                tmp_path,
+                lambda doc: doc["config"].update(learning_rate=True)))
 
     def _stored_copy(self, tmp_path, edit):
         doc = json.loads(STORED_RECOGNIZER.read_text())
